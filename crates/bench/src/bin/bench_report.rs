@@ -1,6 +1,6 @@
-//! `bench-report` — renders one or more measurement files (the per-commit
-//! `bench-json-<sha>` CI artifacts, or the committed `BENCH_engine.json`
-//! perf summary) into a per-bench median markdown table on stdout:
+//! `bench-report` — renders one or more bench-row files (the per-commit
+//! `bench-json-<sha>` CI artifacts, or the committed `BENCH_engine.jsonl`
+//! baseline) into a per-bench median markdown table on stdout:
 //!
 //! ```text
 //! cargo run --release -p stateless-bench --bin bench-report -- \
@@ -13,27 +13,27 @@
 //!
 //! With `--compare <baseline> <current>` (exactly two files) the table
 //! gains a trailing `current / baseline` ratio column — CI uses this to
-//! diff each commit's fresh measurements against the committed
-//! `BENCH_engine.json` baseline. Either argument may be a perf summary;
-//! it is adapted into comparable bench lines automatically.
+//! diff each commit's fresh rows against the committed
+//! `BENCH_engine.jsonl` baseline.
 //!
 //! With `--trend <dir>` the positional arguments are replaced by every
 //! `bench-json-<sha>` artifact (file or directory) found under `<dir>`,
 //! ordered oldest → newest — the multi-commit trend table CI publishes
 //! as `BENCH_trend.md` next to the per-commit delta.
 //!
-//! With `--memgate <baseline> <current>` (two perf summaries) nothing is
-//! rendered; instead the verifier memory gate runs: the largest
-//! `verify_scaling` row's `(packed_arena_bytes + peak_edge_bytes) /
-//! states` must stay within 1.25× the baseline's (old summaries'
-//! `csr_edge_bytes` is accepted on either side), and a violation exits
-//! nonzero — the state-linear budget guarding the edge-less verifier.
+//! With `--memgate <baseline> <current>` (two `experiments --json` row
+//! files) nothing is rendered; instead the verifier memory gate runs:
+//! the largest-`n` `perf/verify_scaling/<n>/packed/t*` row's
+//! `(packed_arena_bytes + peak_edge_bytes) / states`, plus the
+//! checkpoint resume scratch per state, must stay within 1.25× the
+//! baseline's, and a violation exits nonzero — the state-linear budget
+//! guarding the edge-less verifier.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use stateless_bench::report::{
-    check_memory_gate, collect_trend, parse_any, render_compare, render_markdown, BenchLine,
+    check_memory_gate, collect_trend, parse_lines, render_compare, render_markdown, BenchLine,
 };
 
 /// Slack factor of the memory gate: per-state bytes may grow this much
@@ -51,13 +51,13 @@ fn main() -> ExitCode {
     if modes > 1 || args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: bench-report [--compare | --memgate | --trend] \
-             <bench-lines.jsonl | BENCH_engine.json | dir>..."
+             <bench-lines.jsonl | dir>..."
         );
         eprintln!("renders measurement files as a per-bench median markdown table");
         eprintln!("--compare takes exactly two files (baseline, current) and adds a ratio column");
         eprintln!("--trend takes one directory of bench-json-<sha> artifacts, ordered by age");
         eprintln!(
-            "--memgate takes exactly two perf summaries (baseline, current) and fails when the \
+            "--memgate takes exactly two row files (baseline, current) and fails when the \
              largest verify_scaling row's per-state memory exceeds {MEMGATE_SLACK}x the baseline"
         );
         return if args.is_empty() || modes > 1 {
@@ -91,7 +91,11 @@ fn main() -> ExitCode {
             (Ok(b), Ok(c)) => (b, c),
             (Err(code), _) | (_, Err(code)) => return code,
         };
-        return match check_memory_gate(&baseline, &current, MEMGATE_SLACK) {
+        return match check_memory_gate(
+            &parse_lines(&baseline),
+            &parse_lines(&current),
+            MEMGATE_SLACK,
+        ) {
             Ok(verdict) => {
                 println!("{verdict}");
                 ExitCode::SUCCESS
@@ -124,7 +128,7 @@ fn main() -> ExitCode {
             let label = Path::new(path)
                 .file_stem()
                 .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());
-            files.push((label, parse_any(&text)));
+            files.push((label, parse_lines(&text)));
         }
         files
     };

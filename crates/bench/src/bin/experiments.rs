@@ -3,11 +3,11 @@
 //! Usage: `cargo run --release -p stateless-bench --bin experiments [e1 e4 …]`
 //! (no arguments = run everything).
 //!
-//! With `--json`, instead emits a machine-readable perf summary comparing
-//! the buffered engine / fingerprint classifier / parallel sweep /
-//! parallel exact verifier against their naive references (the committed
-//! `BENCH_engine.json` snapshot):
-//! `cargo run --release -p stateless-bench --bin experiments -- --json > BENCH_engine.json`
+//! With `--json`, instead prints one bench row per measurement (see
+//! `stateless_bench::perf`), timing the buffered engine / fingerprint
+//! classifier / parallel sweep / exact verifier beside their naive
+//! references. The committed baseline is regenerated with
+//! `cargo run --release -p stateless-bench --bin experiments -- --json --threads 1 > BENCH_engine.jsonl`
 //!
 //! `--threads N` caps the worker sweep of the `verify_scaling` section
 //! (rows at 1, 2, 4, … up to N); without it the sweep uses the machine's
@@ -27,7 +27,10 @@ fn main() {
         };
     }
     if args.iter().any(|a| a == "--json") {
-        print!("{}", stateless_bench::perf::summary_json(max_threads));
+        if let Err(e) = stateless_bench::perf::write_rows(max_threads, std::io::stdout().lock()) {
+            eprintln!("experiments: cannot write bench rows: {e}");
+            std::process::exit(1);
+        }
         return;
     }
     // Strip the flag (and its value) so experiment name filters still work.

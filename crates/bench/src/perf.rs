@@ -1,12 +1,15 @@
-//! Machine-readable performance summary (`experiments --json`).
+//! Machine-readable performance rows (`experiments --json`).
 //!
-//! Times the three hot paths this crate cares about — the simulation
-//! engine, the exact synchronous classifier, and the exhaustive sweep
-//! driver — each against its naive/sequential reference, and emits one
-//! JSON object. The committed `BENCH_engine.json` at the repository root
-//! is a snapshot of this output and seeds the perf trajectory across PRs.
+//! Times the hot paths this crate cares about — the simulation engine,
+//! the exact synchronous classifier, the exhaustive sweep driver and the
+//! exact verifier — each beside its naive/sequential reference, and
+//! prints one bench row per measurement (see [`row`]). The committed
+//! `BENCH_engine.jsonl` at the repository root is this output at
+//! `--threads 1`; `bench-report` reads it with
+//! [`crate::report::parse_lines`], like any criterion row file. A
+//! speedup is the ratio of two rows' times, so none is stored.
 
-use std::io::Write as _;
+use std::io::Write;
 use std::time::Instant;
 
 use stabilization_verify::cache::DEFAULT_BYTE_BUDGET;
@@ -29,217 +32,206 @@ use crate::workloads::{
     SCHEDULE_KINDS,
 };
 
-/// Minimum wall-clock spent per measurement; the reported figure is the
-/// best per-iteration time observed (robust to scheduler noise).
+/// Minimum wall-clock spent on the timed samples of one measurement.
 const MIN_SAMPLE: f64 = 0.2;
 
-fn best_seconds<F: FnMut()>(mut f: F) -> f64 {
-    // Warmup.
+/// The timed samples of one measurement, in seconds per iteration.
+#[derive(Debug, Clone, Copy)]
+struct Timing {
+    best: f64,
+    median: f64,
+}
+
+/// Times `f`: one untimed warmup, then timed runs until [`MIN_SAMPLE`]
+/// seconds are spent (always at least one).
+fn time<F: FnMut()>(mut f: F) -> Timing {
     f();
-    let mut best = f64::INFINITY;
+    let mut samples = Vec::new();
     let mut spent = 0.0;
     while spent < MIN_SAMPLE {
         let t = Instant::now();
         f();
         let dt = t.elapsed().as_secs_f64();
-        best = best.min(dt);
+        samples.push(dt);
         spent += dt;
     }
-    best
+    samples.sort_by(f64::total_cmp);
+    Timing {
+        best: samples[0],
+        median: samples[samples.len() / 2],
+    }
 }
 
-/// Appends one line to the file named by `CRITERION_JSON` (if set), in the
-/// same line-JSON shape the vendored criterion harness writes, so the
-/// experiments runner's measurements land in the same trend file as
-/// `cargo bench` runs and CI can archive them together.
-fn emit_criterion_line(bench: &str, seconds_per_iter: f64, elements_per_iter: u64) {
-    let Ok(path) = std::env::var("CRITERION_JSON") else {
-        return;
-    };
-    let Ok(mut file) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    else {
-        return;
-    };
-    let ns = seconds_per_iter * 1e9;
-    let _ = writeln!(
-        file,
-        "{{\"bench\":\"{bench}\",\"median_ns_per_iter\":{ns:.1},\"low_ns\":{ns:.1},\"high_ns\":{ns:.1},\"elements_per_iter\":{elements_per_iter}}}"
+/// Times one label-stabilization verification of `p` under `limits`.
+fn time_verify<L: Label>(
+    p: &Protocol<L>,
+    inputs: &[Input],
+    alphabet: &[L],
+    r: u8,
+    limits: &Limits,
+) -> Timing {
+    time(|| {
+        verify_label_stabilization_with_stats(p, inputs, alphabet, r, limits.clone())
+            .unwrap()
+            .0
+            .is_stabilizing();
+    })
+}
+
+/// Formats one measurement as a bench row: the line-JSON shape the
+/// vendored criterion harness writes (`bench`, `median_ns_per_iter`,
+/// `low_ns`, `high_ns`, `elements_per_iter`) plus one flat integer key
+/// per entry of `metrics`. The headline `median_ns_per_iter` is the best
+/// of the timed samples, which is robust to scheduler noise; `low_ns`
+/// and `high_ns` hold their best and median, so the spread shows how
+/// noisy the host was.
+fn row(bench: &str, t: Timing, elements: u64, metrics: &[(&str, u64)]) -> String {
+    let (best, median) = (t.best * 1e9, t.median * 1e9);
+    let mut row = format!(
+        "{{\"bench\":\"{bench}\",\"median_ns_per_iter\":{best:.1},\"low_ns\":{best:.1},\"high_ns\":{median:.1},\"elements_per_iter\":{elements}"
     );
+    for (key, value) in metrics {
+        row.push_str(&format!(",\"{key}\":{value}"));
+    }
+    row.push('}');
+    row
 }
 
-/// One engine measurement at ring size `n`: activations/s for the naive
-/// and buffered paths.
-fn engine_entry(n: usize) -> String {
+/// Engine throughput at ring size `n`: `rounds` synchronous rounds of the
+/// max-propagation ring, buffered vs the naive apply() path.
+fn engine_rows(n: usize) -> Vec<String> {
     let rounds = (4_000_000 / n as u64).max(8);
-    let activations = rounds as f64 * n as f64;
     let inputs: Vec<u64> = (0..n as u64).collect();
 
     let p = max_ring(n);
     let mut sim = Simulation::new(&p, &inputs, vec![0u64; n]).unwrap();
-    let buffered = best_seconds(|| sim.run(&mut Synchronous, rounds));
+    let buffered = time(|| sim.run(&mut Synchronous, rounds));
 
     let p_naive = max_ring_naive(n);
     let all: Vec<NodeId> = (0..n).collect();
     let mut sim = Simulation::new(&p_naive, &inputs, vec![0u64; n]).unwrap();
-    let naive = best_seconds(|| {
+    let naive = time(|| {
         for _ in 0..rounds {
             sim.step_with_naive(&all);
         }
     });
 
-    emit_criterion_line(&format!("perf/engine/{n}/buffered"), buffered, rounds);
-    emit_criterion_line(&format!("perf/engine/{n}/naive"), naive, rounds);
-    format!(
-        concat!(
-            "{{\"n\":{},\"rounds_per_iter\":{},",
-            "\"naive_activations_per_s\":{:.0},",
-            "\"buffered_activations_per_s\":{:.0},",
-            "\"speedup\":{:.2}}}"
-        ),
-        n,
-        rounds,
-        activations / naive,
-        activations / buffered,
-        naive / buffered
-    )
+    vec![
+        row(&format!("perf/engine/{n}/buffered"), buffered, rounds, &[]),
+        row(&format!("perf/engine/{n}/naive"), naive, rounds, &[]),
+    ]
 }
 
 /// Convergence measurement at n = 1024: run-until-label-stable on the
 /// max-propagation ring (≈ n rounds, each with a full stability probe),
 /// buffered vs the seed's naive apply() loop.
-fn stabilization_entry(n: usize) -> String {
+fn stabilization_rows(n: usize) -> Vec<String> {
     let inputs: Vec<u64> = (0..n as u64).collect();
     let p = max_ring(n);
-    let buffered = best_seconds(|| {
+    let buffered = time(|| {
         let mut sim = Simulation::new(&p, &inputs, vec![0u64; n]).unwrap();
         sim.run_until_label_stable(&mut Synchronous, 2 * n as u64)
             .unwrap();
     });
     let p_naive = max_ring_naive(n);
     let all: Vec<NodeId> = (0..n).collect();
-    let naive = best_seconds(|| {
+    let naive = time(|| {
         let mut sim = Simulation::new(&p_naive, &inputs, vec![0u64; n]).unwrap();
         while !is_stable_naive(&p_naive, sim.labeling(), &inputs) {
             sim.step_with_naive(&all);
         }
     });
-    emit_criterion_line(&format!("perf/stabilization/{n}/buffered"), buffered, 1);
-    emit_criterion_line(&format!("perf/stabilization/{n}/naive"), naive, 1);
-    format!(
-        concat!(
-            "{{\"n\":{},\"naive_ms_per_run\":{:.3},",
-            "\"buffered_ms_per_run\":{:.3},\"speedup\":{:.2}}}"
+    vec![
+        row(
+            &format!("perf/stabilization/{n}/buffered"),
+            buffered,
+            1,
+            &[],
         ),
-        n,
-        naive * 1e3,
-        buffered * 1e3,
-        naive / buffered
-    )
+        row(&format!("perf/stabilization/{n}/naive"), naive, 1, &[]),
+    ]
 }
 
 /// Classifier measurement at n = 1024 (the worst-case protocol visits
 /// exactly n·(q−1)+1 labelings before its fixed point).
-fn classify_entry(n: usize) -> String {
+fn classify_rows(n: usize) -> Vec<String> {
     let p = worst_case_protocol(n, 2);
     let inputs = vec![0u64; n];
-    let fast = best_seconds(|| {
+    let fast = time(|| {
         classify_sync(&p, &inputs, vec![0u64; n], 10_000).unwrap();
     });
-    let naive = best_seconds(|| {
+    let naive = time(|| {
         classify_sync_naive(&p, &inputs, vec![0u64; n], 10_000).unwrap();
     });
-    emit_criterion_line(&format!("perf/classify/{n}/fingerprint"), fast, 1);
-    emit_criterion_line(&format!("perf/classify/{n}/naive"), naive, 1);
-    format!(
-        concat!(
-            "{{\"n\":{},\"naive_ms_per_run\":{:.3},",
-            "\"fingerprint_ms_per_run\":{:.3},\"speedup\":{:.2}}}"
-        ),
-        n,
-        naive * 1e3,
-        fast * 1e3,
-        naive / fast
-    )
+    vec![
+        row(&format!("perf/classify/{n}/fingerprint"), fast, 1, &[]),
+        row(&format!("perf/classify/{n}/naive"), naive, 1, &[]),
+    ]
 }
 
 /// Sweep measurement: all 2^n binary labelings of the sticky-OR n-ring.
-/// The entry records the thread count so single-core CI runs (speedup
-/// ≈ 1×) are not mistaken for parallel-path regressions.
-fn sweep_entry(n: usize) -> String {
+/// The parallel row records the thread count so single-core CI runs
+/// (speedup ≈ 1×) are not mistaken for parallel-path regressions.
+fn sweep_rows(n: usize) -> Vec<String> {
     let p = sticky_or_ring(n);
     let inputs: Vec<u64> = (0..n as u64).map(|i| i % 2).collect();
-    let seq = best_seconds(|| {
+    let seq = time(|| {
         sync_round_complexity(&p, &inputs, all_labelings(&[false, true], n), 10_000)
             .unwrap()
             .unwrap();
     });
-    let par = best_seconds(|| {
+    let par = time(|| {
         sync_round_complexity_par(&p, &inputs, all_labelings(&[false, true], n), 10_000)
             .unwrap()
             .unwrap();
     });
-    emit_criterion_line(&format!("perf/sweep/{n}/sequential"), seq, 1 << n);
-    emit_criterion_line(&format!("perf/sweep/{n}/parallel"), par, 1 << n);
-    format!(
-        concat!(
-            "{{\"n\":{},\"labelings\":{},\"threads\":{},\"sequential_ms\":{:.3},",
-            "\"parallel_ms\":{:.3},\"speedup\":{:.2}}}"
+    let threads = rayon::current_num_threads() as u64;
+    vec![
+        row(&format!("perf/sweep/{n}/sequential"), seq, 1 << n, &[]),
+        row(
+            &format!("perf/sweep/{n}/parallel"),
+            par,
+            1 << n,
+            &[("threads", threads)],
         ),
-        n,
-        1u64 << n,
-        rayon::current_num_threads(),
-        seq * 1e3,
-        par * 1e3,
-        seq / par
-    )
+    ]
 }
 
 /// Exact-verifier measurement on the rotation n-ring (Boolean labels,
-/// r = 2): the packed-arena explorer — one row per worker count in
-/// `thread_counts` — vs the retained owned-`Vec` reference, on the same
-/// product graph. The rotation ring is the canonical non-stabilizing
-/// instance — every labeling is on a cycle, so the SCC + witness
-/// machinery is fully exercised — and its product graph is ≈ 4ⁿ states,
-/// which makes per-state memory the binding constraint exactly as in
-/// real verification workloads.
+/// r = 2): the packed-arena explorer — one `packed/t<k>` row per worker
+/// count in `thread_counts` — vs the retained owned-`Vec` reference
+/// (`naive`), on the same product graph. The rotation ring is the
+/// canonical non-stabilizing instance — every labeling is on a cycle, so
+/// the SCC + witness machinery is fully exercised — and its product
+/// graph is ≈ 4ⁿ states, which makes per-state memory the binding
+/// constraint exactly as in real verification workloads. Verdicts and
+/// state ids are bit-identical across rows by construction. The naive
+/// reference only runs for `n ≤ 8` — beyond that its memory and wall
+/// time are the very wall the edge-less verifier tears down — so larger
+/// `n` have no `naive` row.
 ///
-/// Each row records `threads`, `packed_states_per_s`, the speedup vs the
-/// naive reference, and `scaling_vs_t1` (that row's throughput over the
-/// 1-thread row — the explorer's parallel efficiency; ≈ 1.0 on a 1-core
-/// CI host, which is why the field is recorded rather than assumed).
-/// Verdicts and state ids are bit-identical across rows by construction.
-/// The naive owned-`Vec` reference is only run for `n ≤ 8` — beyond
-/// that its memory and wall time are the very wall the edge-less
-/// verifier tears down — so larger rows report `0` for
-/// `naive_states_per_s`/`speedup` (a sentinel the report tooling skips).
+/// The `scc` row times the SCC phase in isolation through the
+/// [`explore_product`] handle — the successor-oracle condensation on the
+/// live shard arenas, exactly what the verifier runs. The `sym` row
+/// verifies under [`SymmetryMode::Auto`] at one worker; its `states`
+/// are the orbit-canonical (quotient) count, ≈ n× fewer than the packed
+/// row's on the rotation ring, whose derived group is the full Cₙ. A
+/// trivial derived group leaves no `sym` row.
 ///
-/// The SCC phase is additionally timed in isolation through the
-/// [`explore_product`] handle — the successor-oracle condensation on
-/// the live shard arenas, exactly what the verifier runs, with **no**
-/// materialized CSR. The pass is serial, so `scc_ms` is measured once
-/// per `n` and stamped on every row.
+/// Every packed row carries the memory figures `bench-report --memgate`
+/// budgets: `packed_arena_bytes`, the logical payload of the packed
+/// state words read off [`ExploreStats`] (per-shard arena-block slack
+/// and the fingerprint index, ~16 B/state, sit on top, bounded and
+/// amortizing away at the state counts where memory matters), and
+/// `peak_edge_bytes`, the peak **transient** edge footprint — per-batch
+/// record buffers and the witness-component CSR, the only edge storage
+/// left anywhere. The naive row's `naive_state_bytes` is the per-state
+/// footprint of the old representation, counted analytically: the
+/// `(Vec<L>, Vec<u8>, Vec<Output>)` tuple (three 24-byte Vec headers +
+/// e·|L| + n + 8n heap bytes) stored twice (once in the state table,
+/// once cloned as the `HashMap` key) plus ~16 bytes of map entry.
 ///
-/// The symmetry quotient ([`SymmetryMode::Auto`]) is measured once per
-/// `n` at one worker and stamped onto every row: `sym_states` (states
-/// interned under orbit-canonical interning), `quotient_ratio`
-/// (full/quotient states — ≈ n on the rotation ring, whose derived
-/// group is the full Cₙ), and `sym_states_per_s`. All three report the
-/// `0` sentinel when the derived group is trivial.
-///
-/// `naive_state_bytes` is the per-state footprint of the old
-/// representation, counted analytically: the `(Vec<L>, Vec<u8>,
-/// Vec<Output>)` tuple (three 24-byte Vec headers + e·|L| + n + 8n heap
-/// bytes) stored twice (once in the state table, once cloned as the
-/// `HashMap` key) plus ~16 bytes of map entry. The packed figure is the
-/// logical payload (packed words × states), read off [`ExploreStats`] —
-/// per-shard arena-block slack and the fingerprint index (~16 B/state)
-/// sit on top, bounded and amortizing away at the state counts where
-/// memory matters. `peak_edge_bytes` (formerly `csr_edge_bytes`) is the
-/// peak **transient** edge footprint — per-batch record buffers and the
-/// witness-component CSR — the only edge storage left anywhere.
+/// [`ExploreStats`]: stabilization_verify::ExploreStats
 fn verify_scaling_rows(n: usize, thread_counts: &[usize]) -> Vec<String> {
     /// Largest `n` the owned-`Vec` naive reference is still run at.
     const NAIVE_MAX_N: usize = 8;
@@ -251,42 +243,40 @@ fn verify_scaling_rows(n: usize, thread_counts: &[usize]) -> Vec<String> {
         threads,
         ..Limits::default()
     };
-    let (_, stats) =
+    let (verdict, stats) =
         verify_label_stabilization_with_stats(&p, &inputs, &alphabet, r, limits(1)).unwrap();
-    let naive = if n <= NAIVE_MAX_N {
-        let naive = best_seconds(|| {
+    let (states, edges) = (stats.states as u64, stats.edges as u64);
+    let mut rows = Vec::new();
+    if n <= NAIVE_MAX_N {
+        let naive = time(|| {
             verify_label_stabilization_naive(&p, &inputs, &alphabet, r, limits(1))
                 .unwrap()
                 .is_stabilizing();
         });
-        emit_criterion_line(
+        let e = p.edge_count();
+        let naive_state_bytes = 2 * (3 * 24 + e * std::mem::size_of::<bool>() + n + 8 * n) + 16;
+        rows.push(row(
             &format!("perf/verify_scaling/{n}/naive"),
             naive,
-            stats.states as u64,
-        );
-        Some(naive)
-    } else {
-        None
-    };
-    // The SCC phase in isolation, against the explored product the
-    // verifier actually condenses (held open so each timing re-runs
-    // only the oracle condensation, not the exploration).
+            states,
+            &[
+                ("states", states),
+                ("naive_state_bytes", naive_state_bytes as u64),
+            ],
+        ));
+    }
+    // Held open so each timing re-runs only the oracle condensation, not
+    // the exploration.
     let ep = explore_product(&p, &inputs, &alphabet, r, limits(1)).unwrap();
-    let scc = best_seconds(|| {
+    let scc = time(|| {
         ep.condense(SccBackend::default(), 1);
     });
-    emit_criterion_line(
+    rows.push(row(
         &format!("perf/verify_scaling/{n}/scc"),
         scc,
-        stats.states as u64,
-    );
-    // Symmetry-quotient exploration ([`SymmetryMode::Auto`]) at one
-    // worker: the rotation ring is node-symmetric, so the derived group
-    // is the full Cₙ rotation group and the quotient interns ≈ n× fewer
-    // states with the bit-identical verdict. A workload whose derived
-    // group were trivial would explore the identical full graph; the
-    // columns then carry the `0` sentinel the report tooling skips
-    // (exactly like `naive_states_per_s` on large rows).
+        states,
+        &[("states", states), ("edges", edges)],
+    ));
     let sym_limits = Limits {
         symmetry: SymmetryMode::Auto,
         ..limits(1)
@@ -294,117 +284,69 @@ fn verify_scaling_rows(n: usize, thread_counts: &[usize]) -> Vec<String> {
     let (sym_verdict, sym_stats) =
         verify_label_stabilization_with_stats(&p, &inputs, &alphabet, r, sym_limits.clone())
             .unwrap();
-    let sym = if sym_stats.states < stats.states {
+    if sym_stats.states < stats.states {
         assert_eq!(
             std::mem::discriminant(&sym_verdict),
-            std::mem::discriminant(
-                &verify_label_stabilization_with_stats(&p, &inputs, &alphabet, r, limits(1))
-                    .unwrap()
-                    .0
-            ),
+            std::mem::discriminant(&verdict),
             "quotient exploration must preserve the verdict"
         );
-        let secs = best_seconds(|| {
-            verify_label_stabilization_with_stats(&p, &inputs, &alphabet, r, sym_limits.clone())
-                .unwrap()
-                .0
-                .is_stabilizing();
-        });
-        emit_criterion_line(
+        let sym = time_verify(&p, &inputs, &alphabet, r, &sym_limits);
+        let sym_states = sym_stats.states as u64;
+        rows.push(row(
             &format!("perf/verify_scaling/{n}/sym"),
-            secs,
-            sym_stats.states as u64,
-        );
-        Some((sym_stats.states, secs))
-    } else {
-        None
-    };
-    let e = p.edge_count();
-    let naive_state_bytes = 2 * (3 * 24 + e * std::mem::size_of::<bool>() + n + 8 * n) + 16;
-    let packed_state_bytes = stats.state_bytes as f64 / stats.states as f64;
-    let mut t1_packed = f64::NAN;
-    thread_counts
-        .iter()
-        .map(|&threads| {
-            let packed = best_seconds(|| {
-                verify_label_stabilization_with_stats(&p, &inputs, &alphabet, r, limits(threads))
-                    .unwrap()
-                    .0
-                    .is_stabilizing();
-            });
-            if threads == 1 {
-                t1_packed = packed;
-            }
-            emit_criterion_line(
-                &format!("perf/verify_scaling/{n}/packed/t{threads}"),
-                packed,
-                stats.states as u64,
-            );
-            format!(
-                concat!(
-                    "{{\"n\":{},\"r\":{},\"threads\":{},\"states\":{},\"edges\":{},",
-                    "\"naive_states_per_s\":{:.0},\"packed_states_per_s\":{:.0},",
-                    "\"speedup\":{:.2},\"scaling_vs_t1\":{:.2},",
-                    "\"scc_ms\":{:.3},",
-                    "\"sym_states\":{},\"quotient_ratio\":{:.2},",
-                    "\"sym_states_per_s\":{:.0},",
-                    "\"naive_state_bytes\":{},\"packed_state_bytes\":{:.2},",
-                    "\"state_bytes_ratio\":{:.1},",
-                    "\"packed_arena_bytes\":{},\"peak_edge_bytes\":{}}}"
-                ),
-                n,
-                r,
-                threads,
-                stats.states,
-                stats.edges,
-                naive.map_or(0.0, |t| stats.states as f64 / t),
-                stats.states as f64 / packed,
-                naive.map_or(0.0, |t| t / packed),
-                t1_packed / packed,
-                scc * 1e3,
-                sym.map_or(0, |(states, _)| states),
-                sym.map_or(0.0, |(states, _)| stats.states as f64 / states as f64),
-                sym.map_or(0.0, |(states, secs)| states as f64 / secs),
-                naive_state_bytes,
-                packed_state_bytes,
-                naive_state_bytes as f64 / packed_state_bytes,
-                stats.state_bytes,
-                stats.edge_bytes
-            )
-        })
-        .collect()
+            sym,
+            sym_states,
+            &[("states", sym_states)],
+        ));
+    }
+    for &threads in thread_counts {
+        let packed = time_verify(&p, &inputs, &alphabet, r, &limits(threads));
+        rows.push(row(
+            &format!("perf/verify_scaling/{n}/packed/t{threads}"),
+            packed,
+            states,
+            &[
+                ("states", states),
+                ("edges", edges),
+                ("packed_arena_bytes", stats.state_bytes as u64),
+                ("peak_edge_bytes", stats.edge_bytes as u64),
+            ],
+        ));
+    }
+    rows
 }
 
 /// Byzantine-adversary verification throughput: the BFS spanning-tree
 /// protocol on small rooted bidirectional rings (root 0, cap = 2,
-/// r = 1), fault-free (f = 0) and with one Byzantine node at the root's
-/// neighbor (f = 1). Each row records the explored state count of the
-/// adversary-branched product graph, states/s, and the exact verdict —
-/// on the 4-ring the placement is fatal (`stabilizing: false`), on the
-/// 3-ring tolerated, so a fault-semantics drift flips a committed
-/// verdict and shows up in the perf diff, not just the test suite.
-/// `f0_matches_faultfree` records (and asserts) that an explicit
-/// `FaultModel::none()` query returns the same verdict over the same
-/// state count as the plain fault-free path — the f = 0 degeneracy the
-/// determinism contract promises.
-fn byzantine_scaling_rows() -> Vec<String> {
-    let cap = 2u64;
-    let r = 1u8;
-    let mut rows = Vec::new();
-    for n in [3usize, 4] {
-        let p =
-            bfs_tree_protocol(topology::bidirectional_ring(n), 0, cap, FaultModel::none()).unwrap();
-        let inputs = vec![0u64; n];
-        let alphabet = bfs_alphabet(cap);
-        let (plain_verdict, plain_stats) =
-            verify_label_stabilization_with_stats(&p, &inputs, &alphabet, r, Limits::default())
+/// r = 1), fault-free (`f0`), with one Byzantine node at the root's
+/// neighbor (`f1`), and on the 4-ring with one Byzantine *and* one
+/// crashed node (`byz1crash1`: the crash side shrinks its node's
+/// branching to the single keep-labels choice while the Byzantine side
+/// still branches over every label choice). Each row records the
+/// explored state count of the adversary-branched product graph and the
+/// exact verdict as `stabilizing` (1 or 0) — on the 4-ring the `f1`
+/// placement is fatal, on the 3-ring tolerated — so a fault-semantics
+/// drift moves a committed state count or flips a committed verdict and
+/// shows up in the perf diff, not just the test suite. The `f0` rows
+/// assert that an explicit `FaultModel::none()` query returns the same
+/// verdict over the same state count as the plain fault-free path — the
+/// f = 0 degeneracy the determinism contract promises.
+fn byzantine_rows() -> Vec<String> {
+    let (cap, r) = (2u64, 1u8);
+    let cases = [
+        (3usize, "f0", FaultModel::none()),
+        (3, "f1", FaultModel::byzantine(&[1]).unwrap()),
+        (4, "f0", FaultModel::none()),
+        (4, "f1", FaultModel::byzantine(&[1]).unwrap()),
+        (4, "byz1crash1", FaultModel::new(&[1], &[2]).unwrap()),
+    ];
+    cases
+        .into_iter()
+        .map(|(n, slug, faults)| {
+            let p = bfs_tree_protocol(topology::bidirectional_ring(n), 0, cap, FaultModel::none())
                 .unwrap();
-        for f in [0usize, 1] {
-            let faults = if f == 0 {
-                FaultModel::none()
-            } else {
-                FaultModel::byzantine(&[1]).unwrap()
-            };
+            let inputs = vec![0u64; n];
+            let alphabet = bfs_alphabet(cap);
             let limits = Limits {
                 faults,
                 ..Limits::default()
@@ -412,94 +354,46 @@ fn byzantine_scaling_rows() -> Vec<String> {
             let (verdict, stats) =
                 verify_label_stabilization_with_stats(&p, &inputs, &alphabet, r, limits.clone())
                     .unwrap();
-            let f0_matches = f != 0
-                || (stats.states == plain_stats.states
-                    && verdict.is_stabilizing() == plain_verdict.is_stabilizing());
-            assert!(
-                f0_matches,
-                "an explicit FaultModel::none() must degenerate to the fault-free run"
-            );
-            let secs = best_seconds(|| {
-                verify_label_stabilization_with_stats(&p, &inputs, &alphabet, r, limits.clone())
-                    .unwrap()
-                    .0
-                    .is_stabilizing();
-            });
-            emit_criterion_line(
-                &format!("perf/byzantine/{n}/f{f}"),
-                secs,
-                stats.states as u64,
-            );
-            rows.push(format!(
-                concat!(
-                    "{{\"n\":{},\"f\":{},\"r\":{},\"states\":{},",
-                    "\"states_per_s\":{:.0},\"stabilizing\":{},",
-                    "\"f0_matches_faultfree\":{}}}"
-                ),
-                n,
-                f,
-                r,
-                stats.states,
-                stats.states as f64 / secs,
-                verdict.is_stabilizing(),
-                f0_matches
-            ));
-        }
-    }
-    // Mixed-model row: one Byzantine node *and* one crashed node on the
-    // 4-ring. The crash side shrinks its node's branching to the single
-    // keep-labels choice while the Byzantine side still branches over
-    // every label choice, so this row pins the combined fault semantics
-    // (a drift in either half moves the state count or flips the
-    // verdict).
-    {
-        let n = 4usize;
-        let p =
-            bfs_tree_protocol(topology::bidirectional_ring(n), 0, cap, FaultModel::none()).unwrap();
-        let inputs = vec![0u64; n];
-        let alphabet = bfs_alphabet(cap);
-        let limits = Limits {
-            faults: FaultModel::new(&[1], &[2]).unwrap(),
-            ..Limits::default()
-        };
-        let (verdict, stats) =
-            verify_label_stabilization_with_stats(&p, &inputs, &alphabet, r, limits.clone())
+            if faults == FaultModel::none() {
+                let (plain_verdict, plain_stats) = verify_label_stabilization_with_stats(
+                    &p,
+                    &inputs,
+                    &alphabet,
+                    r,
+                    Limits::default(),
+                )
                 .unwrap();
-        let secs = best_seconds(|| {
-            verify_label_stabilization_with_stats(&p, &inputs, &alphabet, r, limits.clone())
-                .unwrap()
-                .0
-                .is_stabilizing();
-        });
-        emit_criterion_line(
-            &format!("perf/byzantine/{n}/byz1crash1"),
-            secs,
-            stats.states as u64,
-        );
-        rows.push(format!(
-            concat!(
-                "{{\"n\":{},\"model\":\"byz1crash1\",\"r\":{},\"states\":{},",
-                "\"states_per_s\":{:.0},\"stabilizing\":{}}}"
-            ),
-            n,
-            r,
-            stats.states,
-            stats.states as f64 / secs,
-            verdict.is_stabilizing()
-        ));
-    }
-    rows
+                assert!(
+                    stats.states == plain_stats.states
+                        && verdict.is_stabilizing() == plain_verdict.is_stabilizing(),
+                    "an explicit FaultModel::none() must degenerate to the fault-free run"
+                );
+            }
+            let t = time_verify(&p, &inputs, &alphabet, r, &limits);
+            let states = stats.states as u64;
+            row(
+                &format!("perf/byzantine/{n}/{slug}"),
+                t,
+                states,
+                &[
+                    ("states", states),
+                    ("stabilizing", u64::from(verdict.is_stabilizing())),
+                ],
+            )
+        })
+        .collect()
 }
 
-/// Checkpointing overhead: the f = 1 Byzantine BFS instance of
-/// [`byzantine_scaling_rows`], verified plain vs with an
+/// Checkpointing overhead: the `f1` Byzantine BFS instance of
+/// [`byzantine_rows`] on the 4-ring, verified plain vs with an
 /// every-eighth-of-the-graph [`CheckpointPolicy`] into a scratch
-/// directory. Reports both throughputs, the slowdown ratio, the epoch
-/// count the policy leaves behind, the newest epoch's file size, and
-/// the largest framed segment in it — the transient buffer bound a
-/// resume needs, which `bench-report --memgate` charges per state on
-/// top of the verifier's resident storage.
-fn checkpoint_overhead_entry() -> String {
+/// directory. The checkpointed row records the policy's `every_states`,
+/// the epoch count it leaves behind, the newest epoch's file size, and
+/// `checkpoint_scratch_bytes`: the largest framed segment in that epoch
+/// — the transient buffer bound a resume needs, which `bench-report
+/// --memgate` charges per state on top of the verifier's resident
+/// storage.
+fn checkpoint_rows() -> Vec<String> {
     let (n, cap, r) = (4usize, 2u64, 1u8);
     let p = bfs_tree_protocol(topology::bidirectional_ring(n), 0, cap, FaultModel::none()).unwrap();
     let inputs = vec![0u64; n];
@@ -511,12 +405,7 @@ fn checkpoint_overhead_entry() -> String {
     let (_, stats) =
         verify_label_stabilization_with_stats(&p, &inputs, &alphabet, r, plain_limits.clone())
             .unwrap();
-    let plain = best_seconds(|| {
-        verify_label_stabilization_with_stats(&p, &inputs, &alphabet, r, plain_limits.clone())
-            .unwrap()
-            .0
-            .is_stabilizing();
-    });
+    let plain = time_verify(&p, &inputs, &alphabet, r, &plain_limits);
     let dir = std::env::temp_dir().join(format!("stateless-bench-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let every = (stats.states / 8).max(1);
@@ -527,22 +416,7 @@ fn checkpoint_overhead_entry() -> String {
         }),
         ..plain_limits
     };
-    let checkpointed = best_seconds(|| {
-        verify_label_stabilization_with_stats(&p, &inputs, &alphabet, r, ckpt_limits.clone())
-            .unwrap()
-            .0
-            .is_stabilizing();
-    });
-    emit_criterion_line(
-        &format!("perf/checkpoint/{n}/plain"),
-        plain,
-        stats.states as u64,
-    );
-    emit_criterion_line(
-        &format!("perf/checkpoint/{n}/checkpointed"),
-        checkpointed,
-        stats.states as u64,
-    );
+    let checkpointed = time_verify(&p, &inputs, &alphabet, r, &ckpt_limits);
     let store = CheckpointStore::open(&dir).unwrap();
     let epochs = store.epochs().unwrap_or_default();
     let newest = epochs.last().copied();
@@ -551,38 +425,40 @@ fn checkpoint_overhead_entry() -> String {
         .map_or(0, |m| m.len());
     let scratch = newest.map_or(0, |e| store.max_segment_bytes(e).unwrap_or(0));
     let _ = std::fs::remove_dir_all(&dir);
-    format!(
-        concat!(
-            "{{\"n\":{},\"f\":1,\"r\":{},\"states\":{},\"every_states\":{},",
-            "\"plain_states_per_s\":{:.0},\"checkpointed_states_per_s\":{:.0},",
-            "\"overhead\":{:.3},\"epochs\":{},\"epoch_bytes\":{},",
-            "\"checkpoint_scratch_bytes\":{},\"scratch_bytes_per_state\":{:.2}}}"
+    let states = stats.states as u64;
+    vec![
+        row(
+            &format!("perf/checkpoint/{n}/plain"),
+            plain,
+            states,
+            &[("states", states)],
         ),
-        n,
-        r,
-        stats.states,
-        every,
-        stats.states as f64 / plain,
-        stats.states as f64 / checkpointed,
-        checkpointed / plain,
-        epochs.len(),
-        epoch_bytes,
-        scratch,
-        scratch as f64 / stats.states as f64
-    )
+        row(
+            &format!("perf/checkpoint/{n}/checkpointed"),
+            checkpointed,
+            states,
+            &[
+                ("states", states),
+                ("every_states", every as u64),
+                ("epochs", epochs.len() as u64),
+                ("epoch_bytes", epoch_bytes),
+                ("checkpoint_scratch_bytes", scratch as u64),
+            ],
+        ),
+    ]
 }
 
 /// Verdict-cache service throughput: the f = 1 Byzantine placement
-/// sweep of [`checkpoint_overhead_entry`]'s BFS instance (biring(4),
-/// root 0, cap 2, r = 1 — 4 placements), cold (a fresh
-/// [`VerdictCache`] per iteration, every placement a miss) vs warm
-/// (one shared prewarmed cache, every placement a hit). One extra
-/// previously-unseen fault-free job runs once outside the timed region,
-/// so the warm batch models `verifyd` replaying a job file with one new
-/// entry: 5 jobs, 4 hits, hit rate 0.8 — and the acceptance gate's
-/// "all but one job served from cache" shape. Hit rows are asserted
-/// bit-identical to the cold rows before anything is reported.
-fn cache_service_entry() -> String {
+/// sweep of [`checkpoint_rows`]' BFS instance (biring(4), root 0,
+/// cap 2, r = 1 — 4 placements), cold (a fresh [`VerdictCache`] per
+/// iteration, every placement a miss) vs warm (one shared prewarmed
+/// cache, every placement a hit). One extra previously-unseen job runs
+/// once outside the timed region, so the warm batch models `verifyd`
+/// replaying a job file with one new entry: the warm row's `jobs` = 5
+/// and `hits` = 4, the "all but one job served from cache" shape. Hit
+/// rows are asserted bit-identical to the cold rows before anything is
+/// reported.
+fn cache_service_rows() -> Vec<String> {
     let (n, cap, r, f) = (4usize, 2u64, 1u8, 1usize);
     let p = bfs_tree_protocol(topology::bidirectional_ring(n), 0, cap, FaultModel::none()).unwrap();
     let inputs = vec![0u64; n];
@@ -601,15 +477,15 @@ fn cache_service_entry() -> String {
         .unwrap()
     };
     let cold_rows = sweep(&VerdictCache::in_memory(DEFAULT_BYTE_BUDGET));
-    let placements = cold_rows.len();
-    let sweep_states: usize = cold_rows.iter().map(|row| row.stats.states).sum();
-    let cold = best_seconds(|| {
+    let placements = cold_rows.len() as u64;
+    let sweep_states: u64 = cold_rows.iter().map(|row| row.stats.states as u64).sum();
+    let cold = time(|| {
         let rows = sweep(&VerdictCache::in_memory(DEFAULT_BYTE_BUDGET));
         assert!(rows.iter().all(|row| row.cache == CacheOutcome::Miss));
     });
     let warm_cache = VerdictCache::in_memory(DEFAULT_BYTE_BUDGET);
     let _prewarm = sweep(&warm_cache);
-    let warm = best_seconds(|| {
+    let warm = time(|| {
         let rows = sweep(&warm_cache);
         assert!(
             rows.iter().all(|row| row.cache == CacheOutcome::Hit),
@@ -631,52 +507,42 @@ fn cache_service_entry() -> String {
         .verify_label(&p, &inputs, &alphabet, r, &Limits::default())
         .unwrap();
     assert_eq!(extra.outcome, CacheOutcome::Miss);
-    let (warm_jobs, warm_hits) = (placements + 1, placements);
-    emit_criterion_line(
-        &format!("perf/cache_service/{n}/cold"),
-        cold,
-        sweep_states as u64,
-    );
-    emit_criterion_line(
-        &format!("perf/cache_service/{n}/warm"),
-        warm,
-        sweep_states as u64,
-    );
-    format!(
-        concat!(
-            "{{\"n\":{},\"f\":{},\"r\":{},\"placements\":{},\"sweep_states\":{},",
-            "\"cold_states_per_s\":{:.0},\"warm_states_per_s\":{:.0},",
-            "\"warm_speedup\":{:.1},\"warm_jobs\":{},\"warm_hits\":{},\"hit_rate\":{:.3}}}"
+    vec![
+        row(
+            &format!("perf/cache_service/{n}/cold"),
+            cold,
+            sweep_states,
+            &[("states", sweep_states), ("placements", placements)],
         ),
-        n,
-        f,
-        r,
-        placements,
-        sweep_states,
-        sweep_states as f64 / cold,
-        sweep_states as f64 / warm,
-        cold / warm,
-        warm_jobs,
-        warm_hits,
-        warm_hits as f64 / warm_jobs as f64
-    )
+        row(
+            &format!("perf/cache_service/{n}/warm"),
+            warm,
+            sweep_states,
+            &[
+                ("states", sweep_states),
+                ("jobs", placements + 1),
+                ("hits", placements),
+            ],
+        ),
+    ]
 }
 
-/// Async engine measurement at ring size `n`: steps/s under one schedule
-/// family, `Simulation::run` (buffered `activations_into`) vs the
-/// allocating one-`Vec`-per-step path every run loop used before the
-/// buffered scheduling layer.
-fn async_engine_entry(kind: &str, n: usize) -> String {
+/// Async engine measurement at ring size `n`: `steps` steps under one
+/// schedule family, `Simulation::run` (buffered `activations_into`) vs
+/// the allocating one-`Vec`-per-step path every run loop used before the
+/// buffered scheduling layer. Both rows time whole engine steps, not the
+/// schedule alone.
+fn async_engine_rows(kind: &str, n: usize) -> Vec<String> {
     let steps = 50_000u64;
     let inputs: Vec<u64> = (0..n as u64).collect();
     let p = max_ring(n);
 
-    let buffered = best_seconds(|| {
+    let buffered = time(|| {
         let mut sim = Simulation::new(&p, &inputs, vec![0u64; n]).unwrap();
         let mut sched = schedule_workload(kind, n);
         sim.run(sched.as_mut(), steps);
     });
-    let alloc = best_seconds(|| {
+    let alloc = time(|| {
         let mut sim = Simulation::new(&p, &inputs, vec![0u64; n]).unwrap();
         let mut sched = schedule_workload(kind, n);
         for _ in 0..steps {
@@ -684,37 +550,31 @@ fn async_engine_entry(kind: &str, n: usize) -> String {
             sim.step_with(&active);
         }
     });
-    emit_criterion_line(
-        &format!("perf/async_engine/{kind}/buffered"),
-        buffered,
-        steps,
-    );
-    emit_criterion_line(&format!("perf/async_engine/{kind}/alloc"), alloc, steps);
-    format!(
-        concat!(
-            "{{\"schedule\":\"{}\",\"n\":{},\"steps_per_iter\":{},",
-            "\"alloc_steps_per_s\":{:.0},",
-            "\"buffered_steps_per_s\":{:.0},",
-            "\"speedup\":{:.2}}}"
+    vec![
+        row(
+            &format!("perf/async_engine/{kind}/buffered"),
+            buffered,
+            steps,
+            &[],
         ),
-        kind,
-        n,
-        steps,
-        steps as f64 / alloc,
-        steps as f64 / buffered,
-        alloc / buffered
-    )
+        row(
+            &format!("perf/async_engine/{kind}/alloc"),
+            alloc,
+            steps,
+            &[],
+        ),
+    ]
 }
 
 /// The two [`CycleDetector`] modes on the worst-case protocol at size `n`
-/// (transient of exactly n·(q−1) synchronous rounds): throughput plus the
-/// estimated peak classifier memory — the arena retains every visited
-/// labeling, Brent keeps a constant number of them.
-fn classify_detectors_entry(n: usize) -> String {
+/// (transient of exactly n·(q−1) synchronous rounds): time plus the
+/// estimated peak classifier memory as `classifier_bytes` — the arena
+/// retains every visited labeling, Brent keeps a constant number of them.
+fn classify_detectors_rows(n: usize) -> Vec<String> {
     let q = 2u64;
     let p = worst_case_protocol(n, q);
     let inputs = vec![0u64; n];
-    let arena = best_seconds(|| {
+    let arena = time(|| {
         classify_sync_with(
             &p,
             &inputs,
@@ -724,11 +584,9 @@ fn classify_detectors_entry(n: usize) -> String {
         )
         .unwrap();
     });
-    let brent = best_seconds(|| {
+    let brent = time(|| {
         classify_sync_with(&p, &inputs, vec![0u64; n], 10_000, CycleDetector::Brent).unwrap();
     });
-    emit_criterion_line(&format!("perf/classify_detectors/{n}/arena"), arena, 1);
-    emit_criterion_line(&format!("perf/classify_detectors/{n}/brent"), brent, 1);
     // The transient visits n·(q−1)+1 distinct labelings of n u64 labels.
     let rounds = n as u64 * (q - 1) + 1;
     let label_bytes = std::mem::size_of::<u64>() as u64;
@@ -736,19 +594,20 @@ fn classify_detectors_entry(n: usize) -> String {
     // Brent holds two run cursors plus snapshot/entry/output buffers —
     // a small constant number of labelings.
     let brent_bytes = 4 * n as u64 * label_bytes;
-    format!(
-        concat!(
-            "{{\"n\":{},\"arena_ms_per_run\":{:.3},\"brent_ms_per_run\":{:.3},",
-            "\"arena_history_bytes\":{},\"brent_state_bytes\":{},",
-            "\"brent_time_overhead\":{:.2}}}"
+    vec![
+        row(
+            &format!("perf/classify_detectors/{n}/arena"),
+            arena,
+            1,
+            &[("classifier_bytes", arena_bytes)],
         ),
-        n,
-        arena * 1e3,
-        brent * 1e3,
-        arena_bytes,
-        brent_bytes,
-        brent / arena
-    )
+        row(
+            &format!("perf/classify_detectors/{n}/brent"),
+            brent,
+            1,
+            &[("classifier_bytes", brent_bytes)],
+        ),
+    ]
 }
 
 /// The worker counts the `verify_scaling` section measures: powers of two
@@ -775,40 +634,70 @@ fn thread_counts(max_threads: usize) -> Vec<usize> {
     counts
 }
 
-/// Builds the full JSON summary (pretty-printed, one section per line).
+/// Runs every measurement and writes its bench rows to `out`, one line
+/// each, flushing after every section so a long run shows progress.
 /// `max_threads` caps the `verify_scaling` worker sweep (see
 /// [`thread_counts`]; `0` = available parallelism).
-pub fn summary_json(max_threads: usize) -> String {
-    let threads = rayon::current_num_threads();
+///
+/// # Errors
+///
+/// Any error writing to `out`.
+pub fn write_rows(max_threads: usize, mut out: impl Write) -> std::io::Result<()> {
     let counts = thread_counts(max_threads);
-    let engine: Vec<String> = [100usize, 1024].iter().map(|&n| engine_entry(n)).collect();
-    let async_engine: Vec<String> = SCHEDULE_KINDS
-        .iter()
-        .map(|kind| async_engine_entry(kind, 1024))
-        .collect();
-    let stabilization = stabilization_entry(1024);
-    let classify = classify_entry(1024);
-    let detectors = classify_detectors_entry(1024);
-    let sweep = sweep_entry(14);
-    let verify_scaling: Vec<String> = [6usize, 8, 10]
-        .iter()
-        .flat_map(|&n| verify_scaling_rows(n, &counts))
-        .collect();
-    let byzantine = byzantine_scaling_rows();
-    let checkpoint = checkpoint_overhead_entry();
-    let cache_service = cache_service_entry();
-    format!(
-        "{{\n  \"suite\": \"stateless-computation perf summary\",\n  \"threads\": {},\n  \"engine_throughput\": [{}],\n  \"async_engine\": [{}],\n  \"label_stabilization\": {},\n  \"classify_sync\": {},\n  \"classify_detectors\": {},\n  \"round_complexity_sweep\": {},\n  \"verify_scaling\": [{}],\n  \"byzantine_scaling\": [{}],\n  \"checkpoint_overhead\": {},\n  \"cache_service\": {}\n}}\n",
-        threads,
-        engine.join(", "),
-        async_engine.join(", "),
-        stabilization,
-        classify,
-        detectors,
-        sweep,
-        verify_scaling.join(", "),
-        byzantine.join(", "),
-        checkpoint,
-        cache_service
-    )
+    let mut emit = |rows: Vec<String>| -> std::io::Result<()> {
+        for row in rows {
+            writeln!(out, "{row}")?;
+        }
+        out.flush()
+    };
+    for n in [100, 1024] {
+        emit(engine_rows(n))?;
+    }
+    for kind in SCHEDULE_KINDS {
+        emit(async_engine_rows(kind, 1024))?;
+    }
+    emit(stabilization_rows(1024))?;
+    emit(classify_rows(1024))?;
+    emit(classify_detectors_rows(1024))?;
+    emit(sweep_rows(14))?;
+    for n in [6, 8, 10] {
+        emit(verify_scaling_rows(n, &counts))?;
+    }
+    emit(byzantine_rows())?;
+    emit(checkpoint_rows())?;
+    emit(cache_service_rows())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::report::parse_lines;
+
+    #[test]
+    fn rows_read_back_through_the_report_parser() {
+        let t = Timing {
+            best: 1.5e-3,
+            median: 2.25e-3,
+        };
+        let metrics = [
+            ("states", 214_208),
+            ("packed_arena_bytes", 1_713_664),
+            ("peak_edge_bytes", (1 << 53) - 1),
+            ("stabilizing", 0),
+        ];
+        let text = row("perf/verify_scaling/10/packed/t1", t, 214_208, &metrics);
+        let rows = parse_lines(&text);
+        assert_eq!(rows.len(), 1, "{text}");
+        let back = &rows[0];
+        assert_eq!(back.bench, "perf/verify_scaling/10/packed/t1");
+        // The headline is the best sample; the spread is best .. median.
+        assert_eq!(back.median_ns, 1.5e6);
+        assert_eq!(back.metric("low_ns"), Some(1.5e6));
+        assert_eq!(back.metric("high_ns"), Some(2.25e6));
+        assert_eq!(back.metric("elements_per_iter"), Some(214_208.0));
+        for (key, value) in metrics {
+            assert_eq!(back.metric(key), Some(value as f64), "{key}");
+        }
+        assert_eq!(back.metrics.len(), 3 + metrics.len(), "{text}");
+    }
 }

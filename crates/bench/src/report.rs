@@ -1,326 +1,118 @@
-//! Rendering of `CRITERION_JSON` line-JSON measurement files into a
-//! per-bench markdown table — the perf trend report.
+//! Bench rows: the one reader of every perf measurement file, and what
+//! is built on it — per-bench markdown tables, the perf trend report, and
+//! the verifier memory gate.
 //!
-//! Both the vendored criterion harness and the `experiments --json`
-//! runner append one JSON object per measurement to the file named by
-//! `$CRITERION_JSON`, in the fixed shape
-//! `{"bench":"…","median_ns_per_iter":…,"low_ns":…,"high_ns":…,"elements_per_iter":…}`;
-//! CI archives that file per commit as the `bench-json-<sha>` artifact.
-//! [`render_markdown`] turns one or more such files (e.g. the artifacts
-//! of successive commits) into a bench × file table of medians, so a perf
-//! regression is one `git diff`/eyeball away instead of buried in raw
-//! line JSON. The `bench-report` binary is the CLI wrapper.
+//! A measurement is one **row**, one flat JSON object per line:
+//! `{"bench":"…","median_ns_per_iter":…,"low_ns":…,"high_ns":…,"elements_per_iter":…}`
+//! plus whatever numeric keys the measurement counts (`states`,
+//! `packed_arena_bytes`, …). The vendored criterion harness appends rows
+//! to the file named by `$CRITERION_JSON`; `experiments --json` prints
+//! them to stdout, and its `--threads 1` output is committed at the
+//! repository root as the baseline `BENCH_engine.jsonl`. CI archives each
+//! commit's rows as the `bench-json-<sha>` artifact. [`parse_lines`]
+//! reads all of them, and everything else here takes its rows:
 //!
-//! Two pieces turn the table into a *trend* report:
-//!
-//! * [`parse_summary`] adapts the committed `BENCH_engine.json` perf
-//!   summary into the same [`BenchLine`] shape (each section's per-entry
-//!   rates/times become synthetic `perf/…` bench ids matching the ones
-//!   the runner emits), so the repository's committed baseline is
-//!   directly comparable with a fresh `CRITERION_JSON` artifact —
-//!   [`parse_any`] picks the right parser per file.
+//! * [`render_markdown`] turns one or more files (e.g. the artifacts of
+//!   successive commits, gathered by [`collect_trend`]) into a bench ×
+//!   file table of medians, so a perf regression is one eyeball away
+//!   instead of buried in raw line JSON;
 //! * [`render_compare`] renders a baseline/current pair with a trailing
-//!   `current / baseline` ratio column (< 1 is faster). CI diffs every
-//!   commit's fresh measurements against `BENCH_engine.json` this way
-//!   (`bench-report --compare`).
+//!   `current / baseline` ratio column (< 1 is faster) — CI diffs every
+//!   commit's fresh rows against `BENCH_engine.jsonl` this way
+//!   (`bench-report --compare`);
+//! * [`check_memory_gate`] fails when the verifier's bytes per state grow
+//!   past a slack over the baseline's (`bench-report --memgate`).
+//!
+//! The `bench-report` binary is the CLI wrapper.
 
 use std::collections::BTreeMap;
 
-/// One parsed measurement line.
+/// One parsed bench row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchLine {
     /// Full bench id (e.g. `engine/step_sync/1024`).
     pub bench: String,
-    /// Median nanoseconds per iteration.
+    /// Headline nanoseconds per iteration (`median_ns_per_iter`: the
+    /// criterion harness's median sample, the `experiments` runner's
+    /// best one).
     pub median_ns: f64,
+    /// Every other numeric key of the row: `low_ns`, `high_ns`,
+    /// `elements_per_iter`, and whatever the measurement counts
+    /// (`states`, `packed_arena_bytes`, …).
+    pub metrics: BTreeMap<String, f64>,
 }
 
-/// Extracts the string value of `"key":"…"` from one JSON line. Handles
-/// backslash escapes enough for bench ids (which our harnesses restrict
-/// to path-ish characters anyway).
-fn string_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
+impl BenchLine {
+    /// The row's value for `key`, if it has one.
+    pub fn metric(&self, key: &str) -> Option<f64> {
+        self.metrics.get(key).copied()
+    }
+}
+
+/// Splits the JSON string literal at the start of `s` into its text and
+/// the rest of `s` after the closing quote. A backslash keeps the next
+/// character literally, which is enough for bench ids and metric names
+/// (our harnesses restrict them to path-ish characters anyway).
+fn string_literal(s: &str) -> Option<(String, &str)> {
+    let body = s.strip_prefix('"')?;
     let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
+    let mut chars = body.char_indices();
+    while let Some((i, c)) = chars.next() {
         match c {
-            '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
+            '"' => return Some((out, &body[i + 1..])),
+            '\\' => out.push(chars.next()?.1),
             _ => out.push(c),
         }
     }
     None
 }
 
-/// Extracts the numeric value of `"key":…` from one JSON line.
-fn number_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Parses one row: a flat JSON object whose values are strings or
+/// finite numbers, with a string `bench` and a numeric
+/// `median_ns_per_iter`. Anything else (noise, nesting, other value
+/// kinds, `NaN`, truncation) is `None`, never a partial row.
+fn parse_row(line: &str) -> Option<BenchLine> {
+    let mut rest = line.trim().strip_prefix('{')?.trim_start();
+    let mut bench = None;
+    let mut metrics = BTreeMap::new();
+    loop {
+        let (key, after) = string_literal(rest)?;
+        rest = after.trim_start().strip_prefix(':')?.trim_start();
+        if rest.starts_with('"') {
+            let (value, after) = string_literal(rest)?;
+            if key == "bench" {
+                bench = Some(value);
+            }
+            rest = after;
+        } else {
+            let end = rest.find([',', '}'])?;
+            let value: f64 = rest[..end].trim().parse().ok()?;
+            if !value.is_finite() {
+                return None;
+            }
+            metrics.insert(key, value);
+            rest = &rest[end..];
+        }
+        match rest.trim_start().strip_prefix(',') {
+            Some(after) => rest = after.trim_start(),
+            None => break,
+        }
+    }
+    if !rest.trim_start().starts_with('}') {
+        return None;
+    }
+    let median_ns = metrics.remove("median_ns_per_iter")?;
+    Some(BenchLine {
+        bench: bench?,
+        median_ns,
+        metrics,
+    })
 }
 
-/// Parses the measurement lines of one `CRITERION_JSON` file; lines
-/// without the two required fields (or non-JSON noise) are skipped.
+/// Parses the rows of one measurement file; lines that are not rows
+/// (see [`parse_row`]) are skipped.
 pub fn parse_lines(text: &str) -> Vec<BenchLine> {
-    text.lines()
-        .filter_map(|line| {
-            Some(BenchLine {
-                bench: string_field(line, "bench")?,
-                median_ns: number_field(line, "median_ns_per_iter")?,
-            })
-        })
-        .collect()
-}
-
-/// Extracts the section name of a perf-summary line
-/// (`  "engine_throughput": […]` → `engine_throughput`).
-fn section_name(line: &str) -> Option<&str> {
-    let rest = line.trim_start().strip_prefix('"')?;
-    let end = rest.find('"')?;
-    rest[end + 1..]
-        .trim_start()
-        .starts_with(':')
-        .then_some(&rest[..end])
-}
-
-/// The balanced `{…}` object substrings of one summary line. The perf
-/// summary keeps each section's entries un-nested (one flat object per
-/// row), so a depth-1 scan captures exactly the rows.
-fn objects_in(line: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    let mut depth = 0u32;
-    for (i, b) in line.bytes().enumerate() {
-        match b {
-            b'{' => {
-                if depth == 0 {
-                    start = i;
-                }
-                depth += 1;
-            }
-            b'}' if depth > 0 => {
-                depth -= 1;
-                if depth == 0 {
-                    out.push(&line[start..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Converts one perf-summary row into synthetic [`BenchLine`]s whose ids
-/// match the ones `emit_criterion_line` writes for the same measurements,
-/// so a summary column lines up with a `CRITERION_JSON` column.
-fn summary_object_lines(section: &str, obj: &str, out: &mut Vec<BenchLine>) {
-    let num = |key: &str| number_field(obj, key);
-    let mut push = |bench: String, ns: Option<f64>| {
-        if let Some(ns) = ns.filter(|ns| ns.is_finite() && *ns > 0.0) {
-            out.push(BenchLine {
-                bench,
-                median_ns: ns,
-            });
-        }
-    };
-    // Rates (x_per_s over a known work amount) and times (ms per run)
-    // both reduce to nanoseconds per iteration.
-    let per_s = |work: f64, rate: Option<f64>| rate.map(|r| work / r * 1e9);
-    let ms = |v: Option<f64>| v.map(|ms| ms * 1e6);
-    match section {
-        "engine_throughput" => {
-            let (Some(n), Some(rounds)) = (num("n"), num("rounds_per_iter")) else {
-                return;
-            };
-            let work = rounds * n;
-            let n = n as u64;
-            push(
-                format!("perf/engine/{n}/naive"),
-                per_s(work, num("naive_activations_per_s")),
-            );
-            push(
-                format!("perf/engine/{n}/buffered"),
-                per_s(work, num("buffered_activations_per_s")),
-            );
-        }
-        "async_engine" => {
-            let (Some(kind), Some(steps)) = (string_field(obj, "schedule"), num("steps_per_iter"))
-            else {
-                return;
-            };
-            push(
-                format!("perf/async_engine/{kind}/alloc"),
-                per_s(steps, num("alloc_steps_per_s")),
-            );
-            push(
-                format!("perf/async_engine/{kind}/buffered"),
-                per_s(steps, num("buffered_steps_per_s")),
-            );
-        }
-        "label_stabilization" => {
-            let Some(n) = num("n").map(|n| n as u64) else {
-                return;
-            };
-            push(
-                format!("perf/stabilization/{n}/naive"),
-                ms(num("naive_ms_per_run")),
-            );
-            push(
-                format!("perf/stabilization/{n}/buffered"),
-                ms(num("buffered_ms_per_run")),
-            );
-        }
-        "classify_sync" => {
-            let Some(n) = num("n").map(|n| n as u64) else {
-                return;
-            };
-            push(
-                format!("perf/classify/{n}/naive"),
-                ms(num("naive_ms_per_run")),
-            );
-            push(
-                format!("perf/classify/{n}/fingerprint"),
-                ms(num("fingerprint_ms_per_run")),
-            );
-        }
-        "classify_detectors" => {
-            let Some(n) = num("n").map(|n| n as u64) else {
-                return;
-            };
-            push(
-                format!("perf/classify_detectors/{n}/arena"),
-                ms(num("arena_ms_per_run")),
-            );
-            push(
-                format!("perf/classify_detectors/{n}/brent"),
-                ms(num("brent_ms_per_run")),
-            );
-        }
-        "round_complexity_sweep" => {
-            let Some(n) = num("n").map(|n| n as u64) else {
-                return;
-            };
-            push(
-                format!("perf/sweep/{n}/sequential"),
-                ms(num("sequential_ms")),
-            );
-            push(format!("perf/sweep/{n}/parallel"), ms(num("parallel_ms")));
-        }
-        "verify_scaling" => {
-            let (Some(n), Some(states)) = (num("n"), num("states")) else {
-                return;
-            };
-            let n = n as u64;
-            // Rows predating the worker sweep carry no `threads` field —
-            // they were single-threaded.
-            let threads = num("threads").map_or(1, |t| t as u64);
-            push(
-                format!("perf/verify_scaling/{n}/packed/t{threads}"),
-                per_s(states, num("packed_states_per_s")),
-            );
-            if threads == 1 {
-                push(
-                    format!("perf/verify_scaling/{n}/naive"),
-                    per_s(states, num("naive_states_per_s")),
-                );
-                // The serial SCC pass is measured once per n and stamped
-                // on every row.
-                push(format!("perf/verify_scaling/{n}/scc"), ms(num("scc_ms")));
-                // Symmetry-quotient run (measured once per n, stamped on
-                // every row): throughput over the *quotient* state count.
-                // Trivial-group rows carry 0 sentinels, which the `push`
-                // positivity filter drops — same contract as
-                // `naive_states_per_s` on rows past the naive cutoff.
-                if let Some(sym_states) = num("sym_states").filter(|&s| s > 0.0) {
-                    push(
-                        format!("perf/verify_scaling/{n}/sym"),
-                        per_s(sym_states, num("sym_states_per_s")),
-                    );
-                }
-            }
-        }
-        "byzantine_scaling" => {
-            let (Some(n), Some(states)) = (num("n"), num("states")) else {
-                return;
-            };
-            let n = n as u64;
-            // Pure-Byzantine rows key on `f`; mixed-model rows (one
-            // Byzantine plus one crashed node) carry an explicit `model`
-            // slug instead.
-            let id = match string_field(obj, "model") {
-                Some(model) => format!("perf/byzantine/{n}/{model}"),
-                None => {
-                    let Some(f) = num("f") else {
-                        return;
-                    };
-                    format!("perf/byzantine/{n}/f{}", f as u64)
-                }
-            };
-            push(id, per_s(states, num("states_per_s")));
-        }
-        "checkpoint_overhead" => {
-            let (Some(n), Some(states)) = (num("n"), num("states")) else {
-                return;
-            };
-            let n = n as u64;
-            push(
-                format!("perf/checkpoint/{n}/plain"),
-                per_s(states, num("plain_states_per_s")),
-            );
-            push(
-                format!("perf/checkpoint/{n}/checkpointed"),
-                per_s(states, num("checkpointed_states_per_s")),
-            );
-        }
-        "cache_service" => {
-            let (Some(n), Some(states)) = (num("n"), num("sweep_states")) else {
-                return;
-            };
-            let n = n as u64;
-            push(
-                format!("perf/cache_service/{n}/cold"),
-                per_s(states, num("cold_states_per_s")),
-            );
-            push(
-                format!("perf/cache_service/{n}/warm"),
-                per_s(states, num("warm_states_per_s")),
-            );
-        }
-        _ => {}
-    }
-}
-
-/// Parses a `BENCH_engine.json`-style perf summary into synthetic
-/// [`BenchLine`]s (see [`summary_object_lines`] for the id mapping).
-pub fn parse_summary(text: &str) -> Vec<BenchLine> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(section) = section_name(line) else {
-            continue;
-        };
-        for obj in objects_in(line) {
-            summary_object_lines(section, obj, &mut out);
-        }
-    }
-    out
-}
-
-/// Parses a measurement file of either supported shape: `CRITERION_JSON`
-/// measurement lines when any are present, otherwise the
-/// `BENCH_engine.json` perf-summary adaptation.
-pub fn parse_any(text: &str) -> Vec<BenchLine> {
-    let lines = parse_lines(text);
-    if lines.is_empty() {
-        parse_summary(text)
-    } else {
-        lines
-    }
+    text.lines().filter_map(parse_row).collect()
 }
 
 /// Median of a non-empty sample (mean of the middle pair for even sizes).
@@ -422,7 +214,7 @@ pub fn collect_trend(dir: &std::path::Path) -> std::io::Result<Vec<(String, Vec<
         } else {
             text = std::fs::read_to_string(&path)?;
         }
-        let lines = parse_any(&text);
+        let lines = parse_lines(&text);
         if lines.is_empty() {
             continue;
         }
@@ -439,78 +231,76 @@ pub fn collect_trend(dir: &std::path::Path) -> std::io::Result<Vec<(String, Vec<
         .collect())
 }
 
-/// The verifier-memory figure of a perf summary: from the
-/// `verify_scaling` row with the largest `n` (and, among those, the
-/// highest thread count — rows of one `n` report identical sizes),
+/// The `n` of a `perf/verify_scaling/<n>/packed/t<k>` bench id.
+fn packed_row_n(bench: &str) -> Option<u64> {
+    let (n, tail) = bench
+        .strip_prefix("perf/verify_scaling/")?
+        .split_once('/')?;
+    if tail.starts_with("packed/t") {
+        n.parse().ok()
+    } else {
+        None
+    }
+}
+
+/// The verifier-memory figure of one bench file: from the
+/// `perf/verify_scaling/<n>/packed/t*` row with the largest `n` (and,
+/// among those, the last — rows of one `n` report identical sizes),
 /// `(n, (packed_arena_bytes + peak_edge_bytes) / states)` — resident
-/// state storage plus peak transient edge storage, per state. Summaries
-/// predating the edge-less verifier report the stored CSR under
-/// `csr_edge_bytes`; it is accepted as the edge figure so the gate can
-/// compare across that boundary. When the summary carries a
-/// `checkpoint_overhead` section, its `scratch_bytes_per_state` (the
-/// largest framed segment a checkpoint resume must buffer, per state)
-/// is added on top — summaries predating crash-safe verification
-/// contribute zero scratch, so old baselines stay comparable.
+/// state storage plus peak transient edge storage, per state. The
+/// largest `checkpoint_scratch_bytes / states` of the
+/// `perf/checkpoint/<n>/checkpointed` rows (the biggest framed segment a
+/// checkpoint resume must buffer, per state) is added on top; a file
+/// without one contributes zero scratch.
 ///
-/// Rows the table adapter would skip as sentinels must not reach the
-/// gate either: a non-finite or non-positive state count, or a byte
-/// total of zero (the `0` sentinel rows of sections that did not
-/// measure memory), would make the per-state ratio NaN/∞/0 and let
-/// [`check_memory_gate`] pass vacuously. Such rows are skipped here, so
-/// a summary with *only* sentinel rows yields `None` and the gate
-/// errors out instead of silently passing.
-pub fn memory_per_state(text: &str) -> Option<(u64, f64)> {
+/// Sentinel rows must not reach the gate: a non-finite or non-positive
+/// state count, or a byte total of zero, would make the per-state ratio
+/// NaN/∞/0 and let [`check_memory_gate`] pass vacuously. Such rows are
+/// skipped, so a file with *only* sentinel rows yields `None` and the
+/// gate errors out instead of silently passing.
+pub fn memory_per_state(rows: &[BenchLine]) -> Option<(u64, f64)> {
+    let per_state = |row: &BenchLine, bytes: f64| {
+        let states = row.metric("states")?;
+        let figure = bytes / states;
+        (states.is_finite() && states > 0.0 && figure.is_finite() && figure > 0.0).then_some(figure)
+    };
     let mut best: Option<(u64, f64)> = None;
     let mut scratch = 0.0f64;
-    for line in text.lines() {
-        match section_name(line) {
-            Some("verify_scaling") => {
-                for obj in objects_in(line) {
-                    let num = |key: &str| number_field(obj, key);
-                    let (Some(n), Some(states)) = (num("n"), num("states")) else {
-                        continue;
-                    };
-                    if !states.is_finite() || states <= 0.0 {
-                        continue;
-                    }
-                    let arena = num("packed_arena_bytes").unwrap_or(0.0);
-                    let Some(edge) = num("peak_edge_bytes").or_else(|| num("csr_edge_bytes"))
-                    else {
-                        continue;
-                    };
-                    let bytes = arena + edge;
-                    if !bytes.is_finite() || bytes <= 0.0 {
-                        continue;
-                    }
-                    let candidate = (n as u64, bytes / states);
-                    if best.is_none_or(|(bn, _)| candidate.0 >= bn) {
-                        best = Some(candidate);
-                    }
+    for row in rows {
+        if let Some(n) = packed_row_n(&row.bench) {
+            let Some(edge) = row.metric("peak_edge_bytes") else {
+                continue;
+            };
+            let bytes = row.metric("packed_arena_bytes").unwrap_or(0.0) + edge;
+            if let Some(figure) = per_state(row, bytes) {
+                if best.is_none_or(|(bn, _)| n >= bn) {
+                    best = Some((n, figure));
                 }
             }
-            Some("checkpoint_overhead") => {
-                for obj in objects_in(line) {
-                    if let Some(s) = number_field(obj, "scratch_bytes_per_state") {
-                        if s.is_finite() && s > 0.0 {
-                            scratch = scratch.max(s);
-                        }
-                    }
-                }
+        } else if row.bench.starts_with("perf/checkpoint/") && row.bench.ends_with("/checkpointed")
+        {
+            if let Some(figure) = row
+                .metric("checkpoint_scratch_bytes")
+                .and_then(|bytes| per_state(row, bytes))
+            {
+                scratch = scratch.max(figure);
             }
-            _ => {}
         }
     }
     best.map(|(n, bytes)| (n, bytes + scratch))
 }
 
 /// The memory-regression gate: fails (returns `Err` with the verdict
-/// line) when the current summary's largest-row
-/// [`memory_per_state`] exceeds `slack` × the baseline's — the
-/// state-linear budget the edge-less verifier must hold. Comparing
-/// bytes *per state* keeps the gate meaningful when the largest row's
-/// `n` grows (more states is the point; super-linear bytes per state is
-/// the regression).
-pub fn check_memory_gate(baseline: &str, current: &str, slack: f64) -> Result<String, String> {
+/// line) when the current rows' largest-row [`memory_per_state`]
+/// exceeds `slack` × the baseline's — the state-linear budget the
+/// edge-less verifier must hold. Comparing bytes *per state* keeps the
+/// gate meaningful when the largest row's `n` grows (more states is the
+/// point; super-linear bytes per state is the regression).
+pub fn check_memory_gate(
+    baseline: &[BenchLine],
+    current: &[BenchLine],
+    slack: f64,
+) -> Result<String, String> {
     let Some((bn, bb)) = memory_per_state(baseline) else {
         return Err("memory gate: baseline has no verify_scaling memory figures".into());
     };
@@ -585,6 +375,8 @@ mod tests {
         "{\"bench\":\"engine/step/1024\",\"median_ns_per_iter\":1500.0,\"low_ns\":1400.0,\"high_ns\":1600.0,\"elements_per_iter\":1}\n",
         "{\"bench\":\"engine/step/1024\",\"median_ns_per_iter\":2500.0,\"low_ns\":2400.0,\"high_ns\":2600.0,\"elements_per_iter\":1}\n",
         "not json at all\n",
+        "{\"bench\":\"truncated\",\"median_ns_per_iter\":1\n",
+        "{\"bench\":\"not-a-number\",\"median_ns_per_iter\":NaN}\n",
         "{\"bench\":\"verify/example1\",\"median_ns_per_iter\":2000000.0,\"low_ns\":1.0,\"high_ns\":1.0,\"elements_per_iter\":4}\n",
     );
 
@@ -594,6 +386,7 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0].bench, "engine/step/1024");
         assert_eq!(lines[0].median_ns, 1500.0);
+        assert_eq!(lines[0].metric("low_ns"), Some(1400.0));
         assert_eq!(lines[2].bench, "verify/example1");
     }
 
@@ -640,89 +433,6 @@ mod tests {
         assert_eq!(lines[0].bench, "weird\"name");
     }
 
-    /// A structural miniature of `BENCH_engine.json`: every section kind,
-    /// including a per-thread `verify_scaling` row and a legacy row
-    /// without the `threads` field.
-    const SUMMARY: &str = concat!(
-        "{\n",
-        "  \"suite\": \"stateless-computation perf summary\",\n",
-        "  \"threads\": 1,\n",
-        "  \"engine_throughput\": [{\"n\":100,\"rounds_per_iter\":1000,\"naive_activations_per_s\":200000000,\"buffered_activations_per_s\":400000000,\"speedup\":2.00}],\n",
-        "  \"async_engine\": [{\"schedule\":\"random_rfair_8\",\"n\":1024,\"steps_per_iter\":50000,\"alloc_steps_per_s\":100000,\"buffered_steps_per_s\":200000,\"speedup\":2.00}],\n",
-        "  \"label_stabilization\": {\"n\":1024,\"naive_ms_per_run\":60.000,\"buffered_ms_per_run\":10.000,\"speedup\":6.00},\n",
-        "  \"classify_sync\": {\"n\":1024,\"naive_ms_per_run\":50.000,\"fingerprint_ms_per_run\":20.000,\"speedup\":2.50},\n",
-        "  \"classify_detectors\": {\"n\":1024,\"arena_ms_per_run\":17.000,\"brent_ms_per_run\":34.000},\n",
-        "  \"round_complexity_sweep\": {\"n\":14,\"labelings\":16384,\"threads\":1,\"sequential_ms\":12.000,\"parallel_ms\":6.000,\"speedup\":2.00},\n",
-        "  \"verify_scaling\": [{\"n\":6,\"r\":2,\"threads\":2,\"states\":1000,\"edges\":9,\"naive_states_per_s\":250000,\"packed_states_per_s\":1000000,\"scc_ms\":4.000,\"sym_states\":100,\"quotient_ratio\":10.00,\"sym_states_per_s\":500000}, {\"n\":8,\"r\":2,\"states\":2000,\"edges\":9,\"naive_states_per_s\":100000,\"packed_states_per_s\":200000,\"scc_ms\":8.000,\"sym_states\":200,\"quotient_ratio\":10.00,\"sym_states_per_s\":1000000}, {\"n\":9,\"r\":2,\"states\":3000,\"edges\":9,\"naive_states_per_s\":0,\"packed_states_per_s\":300000,\"scc_ms\":9.000,\"sym_states\":0,\"quotient_ratio\":0.00,\"sym_states_per_s\":0}],\n",
-        "  \"byzantine_scaling\": [{\"n\":4,\"f\":0,\"r\":1,\"states\":4000,\"states_per_s\":2000000,\"stabilizing\":true,\"f0_matches_faultfree\":true}, {\"n\":4,\"f\":1,\"r\":1,\"states\":20000,\"states_per_s\":1000000,\"stabilizing\":false,\"f0_matches_faultfree\":true}, {\"n\":4,\"model\":\"byz1crash1\",\"r\":1,\"states\":8000,\"states_per_s\":4000000,\"stabilizing\":false}],\n",
-        "  \"checkpoint_overhead\": {\"n\":4,\"f\":1,\"r\":1,\"states\":20000,\"every_states\":2500,\"plain_states_per_s\":1000000,\"checkpointed_states_per_s\":800000,\"overhead\":1.250,\"epochs\":2,\"epoch_bytes\":400000,\"checkpoint_scratch_bytes\":100000,\"scratch_bytes_per_state\":5.00},\n",
-        "  \"cache_service\": {\"n\":4,\"f\":1,\"r\":1,\"placements\":4,\"sweep_states\":40000,\"cold_states_per_s\":1000000,\"warm_states_per_s\":100000000,\"warm_speedup\":100.0,\"warm_jobs\":5,\"warm_hits\":4,\"hit_rate\":0.800}\n",
-        "}\n",
-    );
-
-    #[test]
-    fn summary_adapter_matches_runner_bench_ids() {
-        let lines = parse_summary(SUMMARY);
-        let get = |bench: &str| -> f64 {
-            lines
-                .iter()
-                .find(|l| l.bench == bench)
-                .unwrap_or_else(|| panic!("missing {bench}"))
-                .median_ns
-        };
-        // 1000 rounds × 100 nodes at 4e8 activations/s = 250 µs per iter.
-        assert_eq!(get("perf/engine/100/buffered"), 250_000.0);
-        assert_eq!(get("perf/engine/100/naive"), 500_000.0);
-        // 50_000 steps at 2e5 steps/s = 0.25 s.
-        assert_eq!(get("perf/async_engine/random_rfair_8/buffered"), 2.5e8);
-        assert_eq!(get("perf/stabilization/1024/buffered"), 1e7);
-        assert_eq!(get("perf/classify/1024/fingerprint"), 2e7);
-        assert_eq!(get("perf/classify_detectors/1024/arena"), 1.7e7);
-        assert_eq!(get("perf/sweep/14/parallel"), 6e6);
-        // Explicit threads field lands in the bench id; the naive
-        // reference and the serial SCC rows are emitted only for 1-thread
-        // entries (the t=2 row has neither).
-        assert_eq!(get("perf/verify_scaling/6/packed/t2"), 1e6);
-        assert!(!lines
-            .iter()
-            .any(|l| l.bench == "perf/verify_scaling/6/naive"
-                || l.bench == "perf/verify_scaling/6/scc"));
-        // Legacy rows without `threads` count as single-threaded.
-        assert_eq!(get("perf/verify_scaling/8/packed/t1"), 1e7);
-        assert_eq!(get("perf/verify_scaling/8/naive"), 2e7);
-        assert_eq!(get("perf/verify_scaling/8/scc"), 8e6);
-        // The symmetry-quotient run is 1-thread-only: 200 quotient
-        // states at 1e6/s = 200 µs per iter. The t=2 row never emits it,
-        // and the 0-sentinel row (trivial derived group, like the 0 in
-        // `naive_states_per_s` past the naive cutoff) is skipped.
-        assert_eq!(get("perf/verify_scaling/8/sym"), 2e5);
-        assert!(!lines.iter().any(|l| l.bench == "perf/verify_scaling/6/sym"
-            || l.bench == "perf/verify_scaling/9/sym"
-            || l.bench == "perf/verify_scaling/9/naive"));
-        // Byzantine rows key on (n, f): 4000 states at 2e6 states/s =
-        // 2 ms; the f=1 row's larger adversary-branched graph maps the
-        // same way, and the mixed-model row keys on its `model` slug.
-        assert_eq!(get("perf/byzantine/4/f0"), 2e6);
-        assert_eq!(get("perf/byzantine/4/f1"), 2e7);
-        assert_eq!(get("perf/byzantine/4/byz1crash1"), 2e6);
-        // Checkpoint overhead: 20000 states at 1e6 (plain) / 8e5
-        // (checkpointed) states/s.
-        assert_eq!(get("perf/checkpoint/4/plain"), 2e7);
-        assert_eq!(get("perf/checkpoint/4/checkpointed"), 2.5e7);
-        // Verdict-cache service: 40000 sweep states at 1e6 (cold) / 1e8
-        // (warm, pure hits) states/s.
-        assert_eq!(get("perf/cache_service/4/cold"), 4e7);
-        assert_eq!(get("perf/cache_service/4/warm"), 4e5);
-    }
-
-    #[test]
-    fn parse_any_picks_the_right_shape() {
-        assert_eq!(parse_any(SAMPLE).len(), parse_lines(SAMPLE).len());
-        let adapted = parse_any(SUMMARY);
-        assert!(!adapted.is_empty());
-        assert!(adapted.iter().all(|l| l.bench.starts_with("perf/")));
-    }
-
     #[test]
     fn trend_collects_artifacts_in_age_then_name_order() {
         let dir = std::env::temp_dir().join(format!(
@@ -766,84 +476,94 @@ mod tests {
         );
     }
 
-    /// Summaries for the memory gate: the largest-`n` row decides, and
-    /// legacy `csr_edge_bytes` is accepted where `peak_edge_bytes` is
-    /// missing.
-    const MEM_BASE: &str = "  \"verify_scaling\": [\
-        {\"n\":6,\"threads\":1,\"states\":100,\"packed_arena_bytes\":800,\"csr_edge_bytes\":3200}, \
-        {\"n\":8,\"threads\":1,\"states\":1000,\"packed_arena_bytes\":8000,\"csr_edge_bytes\":32000}]\n";
-    const MEM_GOOD: &str = "  \"verify_scaling\": [\
-        {\"n\":10,\"threads\":1,\"states\":10000,\"packed_arena_bytes\":80000,\"peak_edge_bytes\":100000}]\n";
-    const MEM_BAD: &str = "  \"verify_scaling\": [\
-        {\"n\":10,\"threads\":1,\"states\":10000,\"packed_arena_bytes\":80000,\"peak_edge_bytes\":500000}]\n";
+    /// A `verify_scaling` packed row with the memory metrics the gate
+    /// reads (`states` is text, so a fixture can write `NaN`).
+    fn packed(n: u32, states: &str, arena: u64, edge: u64) -> String {
+        format!(
+            "{{\"bench\":\"perf/verify_scaling/{n}/packed/t1\",\"median_ns_per_iter\":1.0,\
+             \"states\":{states},\"packed_arena_bytes\":{arena},\"peak_edge_bytes\":{edge}}}\n"
+        )
+    }
+
+    /// A checkpointed row with the resume scratch the gate charges.
+    fn checkpointed(states: u64, scratch: u64) -> String {
+        format!(
+            "{{\"bench\":\"perf/checkpoint/4/checkpointed\",\"median_ns_per_iter\":1.0,\
+             \"states\":{states},\"checkpoint_scratch_bytes\":{scratch}}}\n"
+        )
+    }
+
+    /// Memory-gate baseline: the largest-`n` row (n = 8) decides, at
+    /// (8000 + 32000) / 1000 = 40 B/state.
+    fn mem_base() -> Vec<BenchLine> {
+        parse_lines(&(packed(6, "100", 800, 3200) + &packed(8, "1000", 8000, 32000)))
+    }
+
+    /// A current row at (80000 + 100000) / 10000 = 18 B/state.
+    fn mem_good() -> String {
+        packed(10, "10000", 80000, 100000)
+    }
 
     #[test]
     fn memory_gate_compares_largest_rows_per_state() {
-        // Baseline largest row: n=8, (8000 + 32000) / 1000 = 40 B/state.
-        assert_eq!(memory_per_state(MEM_BASE), Some((8, 40.0)));
-        // Current: n=10, (80000 + 100000) / 10000 = 18 B/state — holds
-        // the state-linear budget easily.
-        assert_eq!(memory_per_state(MEM_GOOD), Some((10, 18.0)));
-        assert!(check_memory_gate(MEM_BASE, MEM_GOOD, 1.25).is_ok());
+        assert_eq!(memory_per_state(&mem_base()), Some((8, 40.0)));
+        // Current: n=10 at 18 B/state holds the state-linear budget
+        // easily. Only `packed` rows carry the figure: a larger-n `scc`
+        // row with byte keys is not a candidate.
+        let good = parse_lines(&format!(
+            "{}{{\"bench\":\"perf/verify_scaling/12/scc\",\"median_ns_per_iter\":1.0,\
+             \"states\":5,\"packed_arena_bytes\":1,\"peak_edge_bytes\":1}}\n",
+            mem_good()
+        ));
+        assert_eq!(memory_per_state(&good), Some((10, 18.0)));
+        assert!(check_memory_gate(&mem_base(), &good, 1.25).is_ok());
         // 58 B/state blows 40 × 1.25 = 50.
-        assert_eq!(memory_per_state(MEM_BAD), Some((10, 58.0)));
-        assert!(check_memory_gate(MEM_BASE, MEM_BAD, 1.25).is_err());
+        let bad = parse_lines(&packed(10, "10000", 80000, 500000));
+        assert_eq!(memory_per_state(&bad), Some((10, 58.0)));
+        assert!(check_memory_gate(&mem_base(), &bad, 1.25).is_err());
         // No figures at all → gate errors out rather than passing.
-        assert!(check_memory_gate("{}", MEM_GOOD, 1.25).is_err());
+        assert!(check_memory_gate(&[], &good, 1.25).is_err());
     }
 
     #[test]
     fn memory_gate_skips_sentinel_and_degenerate_rows() {
         // A largest-n row whose byte fields carry the 0 sentinel (a
-        // summary section that did not measure memory) used to produce
-        // a 0 B/state "current" figure — and 0 ≤ any budget, so the
-        // gate passed vacuously. The sentinel row must be skipped and
-        // the next valid row decide instead.
-        let sentinel_largest: &str = "  \"verify_scaling\": [\
-            {\"n\":8,\"threads\":1,\"states\":1000,\"packed_arena_bytes\":8000,\"peak_edge_bytes\":32000}, \
-            {\"n\":10,\"threads\":1,\"states\":10000,\"packed_arena_bytes\":0,\"peak_edge_bytes\":0}]\n";
-        assert_eq!(memory_per_state(sentinel_largest), Some((8, 40.0)));
+        // measurement that did not record memory) used to produce a
+        // 0 B/state "current" figure — and 0 ≤ any budget, so the gate
+        // passed vacuously. The sentinel row must be skipped and the
+        // next valid row decide instead.
+        let sentinel_largest =
+            parse_lines(&(packed(8, "1000", 8000, 32000) + &packed(10, "10000", 0, 0)));
+        assert_eq!(memory_per_state(&sentinel_largest), Some((8, 40.0)));
         // Zero or non-finite state counts cannot divide: skipped too
-        // (NaN passed the old `states <= 0.0` guard — NaN comparisons
-        // are false — and the row divided to NaN per-state bytes).
-        let zero_states: &str = "  \"verify_scaling\": [\
-            {\"n\":10,\"threads\":1,\"states\":0,\"packed_arena_bytes\":80000,\"peak_edge_bytes\":100000}]\n";
-        assert_eq!(memory_per_state(zero_states), None);
-        let nan_states: &str = "  \"verify_scaling\": [\
-            {\"n\":10,\"threads\":1,\"states\":NaN,\"packed_arena_bytes\":80000,\"peak_edge_bytes\":100000}]\n";
-        assert_eq!(memory_per_state(nan_states), None);
+        // (NaN passes a bare `states <= 0.0` guard — NaN comparisons are
+        // false — and would divide to NaN per-state bytes).
+        let zero_states = parse_lines(&packed(10, "0", 80000, 100000));
+        assert_eq!(memory_per_state(&zero_states), None);
+        let nan_states = parse_lines(&packed(10, "NaN", 80000, 100000));
+        assert_eq!(memory_per_state(&nan_states), None);
         // All rows sentinel → no figure at all → the gate errors
         // instead of comparing against 0.
-        let all_sentinel: &str = "  \"verify_scaling\": [\
-            {\"n\":10,\"threads\":1,\"states\":10000,\"packed_arena_bytes\":0,\"peak_edge_bytes\":0}]\n";
-        assert_eq!(memory_per_state(all_sentinel), None);
-        assert!(check_memory_gate(MEM_BASE, all_sentinel, 1.25).is_err());
-        assert!(check_memory_gate(all_sentinel, MEM_GOOD, 1.25).is_err());
+        let all_sentinel = parse_lines(&packed(10, "10000", 0, 0));
+        assert_eq!(memory_per_state(&all_sentinel), None);
+        assert!(check_memory_gate(&mem_base(), &all_sentinel, 1.25).is_err());
+        assert!(check_memory_gate(&all_sentinel, &parse_lines(&mem_good()), 1.25).is_err());
         // A sentinel scratch figure must not disturb the resident sum.
-        let sentinel_scratch = format!(
-            "{MEM_GOOD}  \"checkpoint_overhead\": {{\"n\":4,\"states\":0,\
-             \"scratch_bytes_per_state\":0.00}}\n"
-        );
+        let sentinel_scratch = parse_lines(&(mem_good() + &checkpointed(0, 0)));
         assert_eq!(memory_per_state(&sentinel_scratch), Some((10, 18.0)));
     }
 
     #[test]
     fn memory_gate_charges_checkpoint_scratch() {
-        // 18 B/state resident+edge, plus 5 B/state of checkpoint resume
-        // scratch = 23 B/state; a scratch-free baseline (old summary
-        // shape) contributes zero and stays comparable.
-        let current = format!(
-            "{MEM_GOOD}  \"checkpoint_overhead\": {{\"n\":4,\"states\":20000,\
-             \"checkpoint_scratch_bytes\":100000,\"scratch_bytes_per_state\":5.00}}\n"
-        );
+        // 18 B/state resident+edge, plus 100000 / 20000 = 5 B/state of
+        // checkpoint resume scratch = 23 B/state; a baseline without a
+        // checkpointed row contributes zero and stays comparable.
+        let current = parse_lines(&(mem_good() + &checkpointed(20000, 100000)));
         assert_eq!(memory_per_state(&current), Some((10, 23.0)));
-        assert!(check_memory_gate(MEM_BASE, &current, 1.25).is_ok());
+        assert!(check_memory_gate(&mem_base(), &current, 1.25).is_ok());
         // Scratch alone can blow the gate: 40 × 1.25 = 50 < 18 + 33.
-        let heavy = format!(
-            "{MEM_GOOD}  \"checkpoint_overhead\": {{\"n\":4,\"states\":20000,\
-             \"scratch_bytes_per_state\":33.00}}\n"
-        );
-        assert!(check_memory_gate(MEM_BASE, &heavy, 1.25).is_err());
+        let heavy = parse_lines(&(mem_good() + &checkpointed(20000, 660000)));
+        assert!(check_memory_gate(&mem_base(), &heavy, 1.25).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Shared benchmark workloads: the reference protocols and schedules the
-//! criterion benches and the `--json` perf summary both measure. One
-//! definition — so the committed `BENCH_engine.json`, the benches, and the
-//! acceptance numbers always time the same reactions.
+//! criterion benches and the `experiments --json` bench rows both
+//! measure. One definition — so the committed `BENCH_engine.jsonl`, the
+//! benches, and the acceptance numbers always time the same reactions.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -75,9 +75,9 @@ pub use cache::{CacheOutcome, CachedVerdict, Provenance, VerdictCache};
 pub use checkpoint::{CheckpointHandle, CheckpointPolicy, ResumeError};
 #[doc(hidden)]
 pub use product::{
-    explore_product, explore_product_resumed, product_graph_csr, verify_label_stabilization_naive,
-    verify_label_stabilization_resumed_at, verify_output_stabilization_naive,
-    verify_output_stabilization_resumed_at, ExploredProduct, SccBackend,
+    explore_product, verify_label_stabilization_naive, verify_label_stabilization_resumed_at,
+    verify_output_stabilization_naive, verify_output_stabilization_resumed_at, ExploredProduct,
+    SccBackend,
 };
 pub use product::{
     verify_label_stabilization, verify_label_stabilization_resumed,

@@ -2105,25 +2105,6 @@ impl<'p, L: Label> Explorer<'p, L> {
             edge_bytes: self.peak_edge_bytes.load(Ordering::Relaxed),
         }
     }
-
-    /// Materializes the full CSR adjacency by regenerating every edge —
-    /// O(edges) memory by definition, so this is strictly a test/bench
-    /// hook (the SCC-isolation rows, the differential suites), never
-    /// part of verification.
-    fn materialize_csr(&self) -> (Vec<usize>, Vec<u32>) {
-        let guards = self.index.read_all();
-        let mut scratch = ExpandScratch::new(&self.cfg);
-        let mut edges: Vec<(u32, u32, bool, u32, u64)> = Vec::new();
-        let mut offsets: Vec<usize> = Vec::with_capacity(self.n_states + 1);
-        offsets.push(0);
-        let mut targets: Vec<u32> = Vec::new();
-        for u in 0..self.n_states {
-            self.successors_resolved(&guards, u, &mut scratch, &mut edges);
-            targets.extend(edges.iter().map(|&(v, _, _, _, _)| v));
-            offsets.push(targets.len());
-        }
-        (offsets, targets)
-    }
 }
 
 /// Reconstructs the adversary's concrete writes along one product edge
@@ -2377,7 +2358,7 @@ pub fn verify_output_stabilization_resumed_at<L: Label>(
 pub struct ExploredProduct<'p, L: Label>(Explorer<'p, L>);
 
 /// Explores the product graph of a **label**-stabilization query and
-/// returns it as an [`ExploredProduct`] handle (no verdict, no CSR).
+/// returns it as an [`ExploredProduct`] handle (no verdict).
 ///
 /// # Errors
 ///
@@ -2400,37 +2381,6 @@ pub fn explore_product<'p, L: Label>(
     }
 }
 
-/// Resumes a **label**-stabilization product exploration from the
-/// checkpoint store at `dir` (epoch `epoch`, or the newest valid one
-/// when `None`), drives it to completion, and returns the
-/// [`ExploredProduct`] handle — the checkpoint-overhead perf rows and
-/// the resume tests use this to inspect the resumed graph directly.
-///
-/// # Errors
-///
-/// As for [`verify_label_stabilization_resumed`]; additionally
-/// [`VerifyError::BadParameters`] if a [`Limits::deadline`] truncates
-/// the resumed run again (this handle cannot represent a partial graph).
-#[doc(hidden)]
-pub fn explore_product_resumed<'p, L: Label>(
-    protocol: &'p Protocol<L>,
-    inputs: &[Input],
-    alphabet: &[L],
-    r: u8,
-    limits: Limits,
-    dir: &Path,
-    epoch: Option<u64>,
-) -> Result<ExploredProduct<'p, L>, VerifyError> {
-    let (ex, cursor) = Explorer::resume(protocol, inputs, alphabet, r, false, &limits, dir, epoch)?;
-    match ex.run(cursor, &limits)? {
-        Explored::Complete(ex) => Ok(ExploredProduct(ex)),
-        Explored::Partial { .. } => Err(VerifyError::BadParameters {
-            what: "explore_product_resumed cannot represent a deadline-truncated exploration"
-                .into(),
-        }),
-    }
-}
-
 impl<L: Label> ExploredProduct<'_, L> {
     /// Condenses via the successor oracle, exactly as the verifier
     /// does. Both arguments are ignored: there is one serial SCC engine.
@@ -2438,35 +2388,10 @@ impl<L: Label> ExploredProduct<'_, L> {
         self.0.sccs()
     }
 
-    /// Materializes the CSR adjacency by regeneration — O(edges) memory,
-    /// bench/test use only.
-    pub fn csr(&self) -> (Vec<usize>, Vec<u32>) {
-        self.0.materialize_csr()
-    }
-
     /// Exploration stats ([`ExploreStats`]).
     pub fn stats(&self) -> ExploreStats {
         self.0.stats()
     }
-}
-
-/// Explores the product graph of a **label**-stabilization query and
-/// returns its CSR adjacency (`edge_offsets`, `edge_targets`),
-/// materialized on demand by regenerating every edge (the verifier
-/// itself no longer stores one) — a differential-test adapter.
-///
-/// # Errors
-///
-/// As for [`verify_label_stabilization`].
-#[doc(hidden)]
-pub fn product_graph_csr<L: Label>(
-    protocol: &Protocol<L>,
-    inputs: &[Input],
-    alphabet: &[L],
-    r: u8,
-    limits: Limits,
-) -> Result<(Vec<usize>, Vec<u32>), VerifyError> {
-    Ok(explore_product(protocol, inputs, alphabet, r, limits)?.csr())
 }
 
 /// Decides **output** r-stabilization (the weaker condition: outputs must

@@ -326,11 +326,26 @@ fn json_ids(ids: &[NodeId]) -> String {
     format!("[{}]", inner.join(","))
 }
 
+/// The text of one JSON line right after `"key":`, with the JSON
+/// whitespace around the colon and before the value skipped, or `None`
+/// when the key is absent. An occurrence of `"key"` not followed by a
+/// colon (e.g. a string value that equals the key) is passed over.
+fn value_of<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    const WS: [char; 4] = [' ', '\t', '\n', '\r'];
+    let pat = format!("\"{key}\"");
+    let mut from = 0;
+    while let Some(at) = line[from..].find(&pat) {
+        from += at + pat.len();
+        if let Some(value) = line[from..].trim_start_matches(WS).strip_prefix(':') {
+            return Some(value.trim_start_matches(WS));
+        }
+    }
+    None
+}
+
 /// Extracts the string value of `"key":"…"` from one JSON line.
 fn string_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
+    let rest = value_of(line, key)?.strip_prefix('"')?;
     let mut out = String::new();
     let mut chars = rest.chars();
     while let Some(c) = chars.next() {
@@ -349,11 +364,9 @@ fn string_field(line: &str, key: &str) -> Option<String> {
 /// a negative, fractional, non-numeric or out-of-range value is an
 /// error, never truncated by a cast.
 fn int_field<T: TryFrom<u64>>(line: &str, key: &str) -> Result<Option<T>, String> {
-    let pat = format!("\"{key}\":");
-    let Some(start) = line.find(&pat).map(|at| at + pat.len()) else {
+    let Some(rest) = value_of(line, key) else {
         return Ok(None);
     };
-    let rest = &line[start..];
     let token = rest[..rest.find([',', '}']).unwrap_or(rest.len())].trim();
     let bad = || format!("\"{key}\" must be a non-negative integer in range, got {token}");
     let value: f64 = token.parse().map_err(|_| bad())?;
@@ -365,14 +378,15 @@ fn int_field<T: TryFrom<u64>>(line: &str, key: &str) -> Result<Option<T>, String
 }
 
 /// Extracts the `"key":[…]` node-id list from one JSON line; `Ok(None)`
-/// when the key is absent. An element that is not a node id is an
-/// error, never silently dropped.
+/// when the key is absent. A value that is not a list, or an element
+/// that is not a node id, is an error, never silently dropped.
 fn list_field(line: &str, key: &str) -> Result<Option<Vec<NodeId>>, String> {
-    let pat = format!("\"{key}\":[");
-    let Some(start) = line.find(&pat).map(|at| at + pat.len()) else {
+    let Some(rest) = value_of(line, key) else {
         return Ok(None);
     };
-    let rest = &line[start..];
+    let rest = rest
+        .strip_prefix('[')
+        .ok_or_else(|| format!("\"{key}\" must be a list of node ids"))?;
     let end = rest
         .find(']')
         .ok_or_else(|| format!("unterminated \"{key}\" list"))?;
@@ -427,6 +441,47 @@ mod tests {
         );
         assert!(Job::parse(r#"{"id":"x","graph":"biring"}"#).is_err());
         assert!(Job::parse(r#"{"id":"x","graph":"biring","n":4,"r":0}"#).is_err());
+    }
+
+    #[test]
+    fn json_whitespace_does_not_change_the_job() {
+        for (spaced, unspaced) in [
+            (
+                r#"{"id":"m","graph":"biring","n":3,"cap":2,"model": "crash","faulty":[1]}"#,
+                r#"{"id":"m","graph":"biring","n":3,"cap":2,"model":"crash","faulty":[1]}"#,
+            ),
+            (
+                r#"{"id":"b","graph":"biring","n":3,"cap":2,"faulty": [2]}"#,
+                r#"{"id":"b","graph":"biring","n":3,"cap":2,"faulty":[2]}"#,
+            ),
+            (
+                r#"{"id":"x","graph":"biring","n":3,"cap":2,"f":1,"exclude": [0]}"#,
+                r#"{"id":"x","graph":"biring","n":3,"cap":2,"f":1,"exclude":[0]}"#,
+            ),
+            (
+                r#"{"id":"s","graph":"biring","n":3,"cap":2,"f" : 1}"#,
+                r#"{"id":"s","graph":"biring","n":3,"cap":2,"f":1}"#,
+            ),
+            (
+                r#"{"id": "a", "graph": "star", "n": 5, "cap": 2, "r": 1}"#,
+                r#"{"id":"a","graph":"star","n":5,"cap":2,"r":1}"#,
+            ),
+            (
+                "{\"id\"\t:\r\n\"t\",\"graph\":\"path\",\"n\":\t4}",
+                r#"{"id":"t","graph":"path","n":4}"#,
+            ),
+        ] {
+            let job = Job::parse(spaced).unwrap().unwrap();
+            assert_eq!(job, Job::parse(unspaced).unwrap().unwrap(), "{spaced}");
+        }
+        // A string value equal to a key name is not that key.
+        let job = Job::parse(r#"{"id":"f","graph":"biring","n":3,"f" : 1}"#)
+            .unwrap()
+            .unwrap();
+        assert_eq!((job.id.as_str(), job.f), ("f", Some(1)));
+        let bad = Job::parse(r#"{"id": "l","graph":"biring","n":3,"faulty": 2}"#).unwrap_err();
+        assert_eq!(bad.id, "l");
+        assert!(bad.what.contains("\"faulty\""), "{}", bad.what);
     }
 
     #[test]

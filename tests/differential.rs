@@ -20,7 +20,7 @@ use stateless_computation::core::convergence::{
 use stateless_computation::core::graph::DiGraph;
 use stateless_computation::core::prelude::*;
 use stateless_computation::verify::{
-    product_graph_csr, verify_label_stabilization, verify_label_stabilization_naive,
+    verify_label_stabilization, verify_label_stabilization_naive,
     verify_label_stabilization_with_stats, verify_output_stabilization,
     verify_output_stabilization_naive, CycleWitness, Limits, SymmetryMode, Verdict, VerifyError,
 };
@@ -613,9 +613,10 @@ proptest! {
 /// ([`ExploreStats::edge_bytes`] — per-batch record buffers plus the
 /// re-expanded verdict-component CSR) must stay below half of what
 /// storing the full product CSR used to cost. The old figure is
-/// reconstructed from the materialized adjacency (offsets at 8 bytes
-/// per state, targets + activation metadata at 8 bytes per edge) — the
-/// exact layout the pre-oracle verifier kept resident.
+/// computed from the stats in the exact layout the pre-oracle verifier
+/// kept resident: `states + 1` offsets at 8 bytes, and targets plus
+/// activation metadata at 8 bytes per edge (exploration generates each
+/// edge exactly once, so `ExploreStats::edges` is the CSR's edge count).
 #[test]
 fn edgeless_verifier_peak_transient_stays_below_half_the_old_csr() {
     let graph = topology::clique(4);
@@ -626,9 +627,7 @@ fn edgeless_verifier_peak_transient_stays_below_half_the_old_csr() {
         let (_, stats) =
             verify_label_stabilization_with_stats(&p, &inputs, &alphabet, r, Limits::default())
                 .unwrap();
-        let (offsets, targets) =
-            product_graph_csr(&p, &inputs, &alphabet, r, Limits::default()).unwrap();
-        let old_csr_bytes = offsets.len() * std::mem::size_of::<usize>() + targets.len() * (4 + 4);
+        let old_csr_bytes = (stats.states + 1) * 8 + stats.edges * 8;
         assert!(
             stats.edge_bytes * 2 < old_csr_bytes,
             "r = {r}: peak transient edge bytes ({}) must stay below half the \
