@@ -3,7 +3,7 @@
 //! Times the hot paths this crate cares about — the simulation engine,
 //! the exact synchronous classifier, the exhaustive sweep driver and the
 //! exact verifier — each beside its naive/sequential reference, and
-//! prints one bench row per measurement (see [`row`]). The committed
+//! prints one bench row per measurement (see `row`). The committed
 //! `BENCH_engine.jsonl` at the repository root is this output at
 //! `--threads 1`; `bench-report` reads it with
 //! [`crate::report::parse_lines`], like any criterion row file. A
@@ -637,7 +637,7 @@ fn thread_counts(max_threads: usize) -> Vec<usize> {
 /// Runs every measurement and writes its bench rows to `out`, one line
 /// each, flushing after every section so a long run shows progress.
 /// `max_threads` caps the `verify_scaling` worker sweep (see
-/// [`thread_counts`]; `0` = available parallelism).
+/// `thread_counts`; `0` = available parallelism).
 ///
 /// # Errors
 ///

@@ -110,7 +110,7 @@ fn parse_row(line: &str) -> Option<BenchLine> {
 }
 
 /// Parses the rows of one measurement file; lines that are not rows
-/// (see [`parse_row`]) are skipped.
+/// (see `parse_row`) are skipped.
 pub fn parse_lines(text: &str) -> Vec<BenchLine> {
     text.lines().filter_map(parse_row).collect()
 }

@@ -161,7 +161,7 @@ fn advance<L: Label>(sim: &mut Simulation<'_, L>, schedule: &mut dyn Schedule, s
 ///
 /// The hot loop runs through the engine's allocation-free
 /// [`step_sync`](Simulation::step_sync) path; visited labelings are
-/// indexed by 64-bit [fingerprints](fingerprint) into a flat history
+/// indexed by 64-bit fingerprints into a flat history
 /// arena (one contiguous `Vec<L>`), with exact equality confirmation on
 /// every fingerprint hit — classification stays exact, but no per-round
 /// `HashMap<Vec<L>, _>` key clones are made.
@@ -652,7 +652,7 @@ const PAR_BATCH: usize = 64;
 /// cores, and returns the results **in input order**.
 ///
 /// Work is distributed by an atomic chunked counter: workers claim
-/// [`PAR_BATCH`]-sized index ranges with one `fetch_add` each (no shared
+/// `PAR_BATCH`-sized index ranges with one `fetch_add` each (no shared
 /// lock on the hot path) and regenerate their items from a per-worker
 /// clone of the iterator, which must therefore be `Clone +
 /// ExactSizeIterator` — cheap for lazy generators like [`all_labelings`]

@@ -146,7 +146,7 @@ impl<L: Label> Protocol<L> {
     ///
     /// Validates the labeling/input lengths. A reaction that misbehaves on
     /// the buffered path panics (see
-    /// [`Reaction::react_into`](crate::reaction::Reaction::react_into)).
+    /// [`Reaction::react_into`]).
     pub fn is_stable_labeling(&self, labeling: &[L], inputs: &[Input]) -> Result<bool, CoreError> {
         self.check_lengths(labeling, inputs)?;
         let mut in_buf = Vec::new();

@@ -355,7 +355,7 @@ impl PeriodicSchedule for Scripted {
 /// per-node absolute deadline (`last activation + r`) instead of
 /// incrementing a per-node wait counter, so nodes that do nothing this
 /// step cost a load and a compare, not a store. Random inclusions are
-/// drawn by the cheapest sampler for `p` (see [`InclusionSampler`]):
+/// drawn by the cheapest sampler for `p` (see `InclusionSampler`):
 /// *geometric gap sampling* for sparse `p` — jump straight to the next
 /// included node with `⌊ln U / ln(1−p)⌋`-distributed gaps, about `p·n + 1`
 /// RNG draws per step instead of `n` — and a raw 64-bit integer threshold

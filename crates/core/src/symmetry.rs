@@ -34,11 +34,17 @@
 //! # Canonicalization ([`Symmetry::canonicalize`])
 //!
 //! The canonical form of a packed product state is the
-//! lexicographically-least element of its orbit (label indices, then
-//! countdown fields, then auxiliary output words). Pure cyclic groups on
-//! ring-shaped layouts use Booth's minimal-rotation algorithm
-//! ([`booth_least_rotation`], O(n)); every other group falls back to the
-//! generator-orbit scan over the (small, capped) closure. Either way the
+//! lexicographically-least element of its orbit. Every group except pure
+//! rotations runs the generator-orbit scan over the (small, capped)
+//! closure, comparing label indices, then countdown fields, then
+//! auxiliary output words. Pure cyclic groups on ring-shaped layouts
+//! take the ring path instead, in O(n): each position's
+//! `(label, countdown, aux)` triple becomes one `u128` key that orders
+//! exactly like the tuple, the keys are written twice into the caller's
+//! [`CanonScratch`], Booth's minimal-rotation search
+//! ([`booth_least_rotation`]) reads every rotation as a plain slice of
+//! them, and the least rotation is repacked straight from its keys. With
+//! a warm scratch neither path allocates. Either way the
 //! representative is a deterministic function of the state alone — never
 //! of thread timing — so the verifier's cross-thread determinism
 //! contract survives quotienting verbatim. The element that was applied
@@ -55,11 +61,20 @@ use crate::label::Label;
 use crate::protocol::Protocol;
 use crate::{EdgeId, Input};
 
-/// Total reaction probes [`Symmetry::derive`] may spend validating one
-/// candidate permutation (the sum over nodes of `|Σ|^indeg`); candidates
-/// whose exhaustive validation would exceed it are rejected — soundly,
-/// since rejecting a true automorphism only costs reduction.
-const PROBE_CAP: u64 = 1 << 14;
+/// Largest reaction domain ([`reaction_domain`]) that is enumerated
+/// exhaustively. [`Symmetry::derive`] rejects a candidate permutation
+/// whose validation would exceed it — soundly, since rejecting a true
+/// automorphism only costs reduction — and the verifier's instance
+/// fingerprint digests every reaction entry up to it.
+pub const PROBE_CAP: u64 = 1 << 14;
+
+/// The number of reaction entries of a protocol on `graph` over an
+/// alphabet of `q` labels: `Σᵥ q^indeg(v)`, saturating.
+pub fn reaction_domain(graph: &DiGraph, q: usize) -> u64 {
+    (0..graph.node_count())
+        .map(|v| (0..graph.in_degree(v)).fold(1u64, |c, _| c.saturating_mul(q as u64)))
+        .fold(0u64, u64::saturating_add)
+}
 
 /// Cap on the generated group order. Ring/dihedral/hypercube groups at
 /// `n ≤ 16` are far below it; if a closure ever exceeds the cap the
@@ -178,19 +193,24 @@ pub struct PackedLayout {
 }
 
 /// Reusable decode/compare buffers for [`Symmetry::canonicalize`]; keep
-/// one per worker and the per-call cost is allocation-free.
+/// one per worker and, once its buffers have grown to the layout, every
+/// call is allocation-free.
 #[derive(Debug, Default)]
 pub struct CanonScratch {
+    /// Ring path: one key per position, written twice.
+    keys: Vec<u128>,
+    /// Ring path: Booth's failure function over `keys`.
+    fail: Vec<isize>,
+    /// Orbit scan: the decoded state, the candidate image and the best
+    /// image so far.
     labels: Vec<u32>,
     cds: Vec<u32>,
-    aux: Vec<u64>,
     cand_labels: Vec<u32>,
     cand_cds: Vec<u32>,
     cand_aux: Vec<u64>,
     best_labels: Vec<u32>,
     best_cds: Vec<u32>,
     best_aux: Vec<u64>,
-    tuples: Vec<(u32, u32, u64)>,
 }
 
 /// A validated automorphism group of a protocol, with the machinery to
@@ -202,7 +222,7 @@ pub struct Symmetry {
     /// The full group, element 0 the identity, in deterministic
     /// closure-discovery order.
     elements: Vec<Automorphism>,
-    /// Booth fast path: when the group is exactly the `n` rotations of a
+    /// Ring path: when the group is exactly the `n` rotations of a
     /// ring-shaped layout (`e == n`, edge `k` co-rotating with node `k`),
     /// `ring[j]` is the element index of rotation by `j`.
     ring: Option<Vec<u32>>,
@@ -272,7 +292,7 @@ impl Symmetry {
     /// deterministic order. Used by the verifier to restrict symmetry to
     /// fault-placement-preserving automorphisms — a Byzantine node may
     /// only map to a Byzantine node, a crash node to a crash node. The
-    /// Booth ring fast path is re-detected on the subgroup (restriction
+    /// ring path is re-detected on the subgroup (restriction
     /// usually breaks the pure-rotation shape).
     ///
     /// Color-preservation is closed under composition and inverse, so the
@@ -326,73 +346,39 @@ impl Symmetry {
         if self.is_trivial() {
             return 0;
         }
+        match &self.ring {
+            Some(ring) => canonicalize_ring(ring, layout, words, aux, scratch),
+            None => self.canonicalize_orbit(layout, words, aux, scratch),
+        }
+    }
+
+    /// The generator-orbit scan behind [`Symmetry::canonicalize`] for
+    /// groups without the ring shape: apply every element and keep the
+    /// least `(labels, countdowns, aux)` image.
+    fn canonicalize_orbit(
+        &self,
+        layout: &PackedLayout,
+        words: &mut [u64],
+        aux: &mut [u64],
+        sc: &mut CanonScratch,
+    ) -> usize {
         let (e, n) = (layout.edges, layout.nodes);
         let (lw, cw) = (layout.label_width, layout.countdown_width);
-        let sc = scratch;
         sc.labels.clear();
         sc.labels
             .extend((0..e).map(|k| unpack(words, k * lw as usize, lw) as u32));
         sc.cds.clear();
         sc.cds
             .extend((0..n).map(|i| unpack(words, e * lw as usize + i * cw as usize, cw) as u32));
-        let chosen = if let Some(ring) = &self.ring {
-            // Booth fast path: the orbit is the n rotations of the
-            // per-position (label, countdown, aux) tuple sequence; the
-            // least rotation start m corresponds to rotating *by*
-            // (n − m) mod n.
-            sc.tuples.clear();
-            for i in 0..n {
-                sc.tuples
-                    .push((sc.labels[i], sc.cds[i], aux.get(i).copied().unwrap_or(0)));
-            }
-            let m = booth_least_rotation(&sc.tuples);
-            ring[(n - m) % n] as usize
-        } else {
-            // Generator-orbit scan: apply every element, keep the least
-            // (labels, countdowns, aux) image.
-            let mut best = 0usize;
-            sc.best_labels.clone_from(&sc.labels);
-            sc.best_cds.clone_from(&sc.cds);
-            sc.best_aux.clear();
-            sc.best_aux.extend_from_slice(aux);
-            sc.cand_labels.resize(e, 0);
-            sc.cand_cds.resize(n, 0);
-            sc.cand_aux.resize(aux.len(), 0);
-            for (idx, el) in self.elements.iter().enumerate().skip(1) {
-                for (k, &l) in sc.labels.iter().enumerate() {
-                    sc.cand_labels[el.edge_perm[k] as usize] = l;
-                }
-                for (i, &c) in sc.cds.iter().enumerate() {
-                    sc.cand_cds[el.node_perm[i] as usize] = c;
-                }
-                for (i, &a) in aux.iter().enumerate() {
-                    sc.cand_aux[el.node_perm[i] as usize] = a;
-                }
-                if (&sc.cand_labels, &sc.cand_cds, &sc.cand_aux)
-                    < (&sc.best_labels, &sc.best_cds, &sc.best_aux)
-                {
-                    best = idx;
-                    std::mem::swap(&mut sc.best_labels, &mut sc.cand_labels);
-                    std::mem::swap(&mut sc.best_cds, &mut sc.cand_cds);
-                    std::mem::swap(&mut sc.best_aux, &mut sc.cand_aux);
-                }
-            }
-            if best != 0 {
-                sc.labels.clone_from(&sc.best_labels);
-                sc.cds.clone_from(&sc.best_cds);
-                sc.aux.clone_from(&sc.best_aux);
-            }
-            best
-        };
-        if chosen == 0 {
-            return 0;
-        }
-        if self.ring.is_some() {
-            // Materialize the Booth winner through the chosen element.
-            let el = &self.elements[chosen];
-            sc.cand_labels.resize(e, 0);
-            sc.cand_cds.resize(n, 0);
-            sc.cand_aux.resize(aux.len(), 0);
+        let mut best = 0usize;
+        sc.best_labels.clone_from(&sc.labels);
+        sc.best_cds.clone_from(&sc.cds);
+        sc.best_aux.clear();
+        sc.best_aux.extend_from_slice(aux);
+        sc.cand_labels.resize(e, 0);
+        sc.cand_cds.resize(n, 0);
+        sc.cand_aux.resize(aux.len(), 0);
+        for (idx, el) in self.elements.iter().enumerate().skip(1) {
             for (k, &l) in sc.labels.iter().enumerate() {
                 sc.cand_labels[el.edge_perm[k] as usize] = l;
             }
@@ -402,48 +388,112 @@ impl Symmetry {
             for (i, &a) in aux.iter().enumerate() {
                 sc.cand_aux[el.node_perm[i] as usize] = a;
             }
-            sc.labels.clone_from(&sc.cand_labels);
-            sc.cds.clone_from(&sc.cand_cds);
-            sc.aux.clone_from(&sc.cand_aux);
+            if (&sc.cand_labels, &sc.cand_cds, &sc.cand_aux)
+                < (&sc.best_labels, &sc.best_cds, &sc.best_aux)
+            {
+                best = idx;
+                std::mem::swap(&mut sc.best_labels, &mut sc.cand_labels);
+                std::mem::swap(&mut sc.best_cds, &mut sc.cand_cds);
+                std::mem::swap(&mut sc.best_aux, &mut sc.cand_aux);
+            }
+        }
+        if best == 0 {
+            return 0;
         }
         words.fill(0);
-        for (k, &l) in sc.labels.iter().enumerate() {
+        for (k, &l) in sc.best_labels.iter().enumerate() {
             pack(words, k * lw as usize, lw, u64::from(l));
         }
-        for (i, &c) in sc.cds.iter().enumerate() {
+        for (i, &c) in sc.best_cds.iter().enumerate() {
             pack(words, e * lw as usize + i * cw as usize, cw, u64::from(c));
         }
-        aux.copy_from_slice(&sc.aux);
-        chosen
+        aux.copy_from_slice(&sc.best_aux);
+        best
     }
+}
+
+/// The ring fast path of [`Symmetry::canonicalize`]: the orbit is the `n`
+/// rotations of the per-position `(label, countdown, aux)` sequence, and
+/// `ring[j]` is the element index of rotation by `j`. Each position is
+/// one integer key, `label · 2^(cw+64) + countdown · 2^64 + aux`, which
+/// orders exactly like the tuple. The keys are written twice into
+/// `sc.keys`, so Booth's search reads rotation `m` as `keys[m..m + n]`
+/// without wrapping; the least start `m` is rotation *by* `n − m`, and
+/// the winner is repacked straight from its keys. Allocation-free once
+/// `sc` is warm.
+fn canonicalize_ring(
+    ring: &[u32],
+    layout: &PackedLayout,
+    words: &mut [u64],
+    aux: &mut [u64],
+    sc: &mut CanonScratch,
+) -> usize {
+    let n = layout.nodes;
+    let (lw, cw) = (layout.label_width, layout.countdown_width);
+    debug_assert!(lw <= 32 && cw <= 32, "fields are u32 indices");
+    let cd_base = n * lw as usize;
+    let label_shift = 64 + cw;
+    sc.keys.clear();
+    for i in 0..n {
+        let label = u128::from(unpack(words, i * lw as usize, lw));
+        let cd = u128::from(unpack(words, cd_base + i * cw as usize, cw));
+        let a = u128::from(aux.get(i).copied().unwrap_or(0));
+        sc.keys.push(label << label_shift | cd << 64 | a);
+    }
+    sc.keys.extend_from_within(..n);
+    let m = booth_doubled(&sc.keys, &mut sc.fail);
+    if m == 0 {
+        return 0;
+    }
+    words.fill(0);
+    for (i, &key) in sc.keys[m..m + n].iter().enumerate() {
+        pack(words, i * lw as usize, lw, (key >> label_shift) as u64);
+        let cd = (key >> 64) as u64 & ((1 << cw) - 1);
+        pack(words, cd_base + i * cw as usize, cw, cd);
+        if let Some(slot) = aux.get_mut(i) {
+            *slot = key as u64;
+        }
+    }
+    ring[n - m] as usize
 }
 
 /// Booth's minimal-rotation algorithm: the least index `m` such that the
 /// rotation of `seq` starting at `m` is lexicographically minimal among
-/// all rotations (ties resolve to the smallest `m`). O(len) time.
+/// all rotations (ties resolve to the smallest `m`). O(len) time; this
+/// entry point allocates its buffers, [`Symmetry::canonicalize`] runs
+/// the same search on reused ones.
 pub fn booth_least_rotation<T: Ord>(seq: &[T]) -> usize {
-    let n = seq.len();
+    let doubled: Vec<&T> = seq.iter().chain(seq).collect();
+    booth_doubled(&doubled, &mut Vec::new())
+}
+
+/// Booth's search over a sequence already written twice (`doubled` has
+/// even length `2n`, `doubled[n + i] == doubled[i]`), with its failure
+/// function in `fail`: no index wraps, so the inner loop takes no `%`.
+fn booth_doubled<T: Ord>(doubled: &[T], fail: &mut Vec<isize>) -> usize {
+    let n = doubled.len() / 2;
     if n <= 1 {
         return 0;
     }
-    let at = |i: usize| &seq[i % n];
-    let mut f: Vec<isize> = vec![-1; 2 * n];
+    fail.clear();
+    fail.resize(2 * n, -1);
     let mut k: usize = 0;
     for j in 1..2 * n {
-        let mut i = f[j - k - 1];
-        while i != -1 && at(j) != at(k + i as usize + 1) {
-            if at(j) < at(k + i as usize + 1) {
+        let sj = &doubled[j];
+        let mut i = fail[j - k - 1];
+        while i != -1 && *sj != doubled[k + i as usize + 1] {
+            if *sj < doubled[k + i as usize + 1] {
                 k = j - i as usize - 1;
             }
-            i = f[i as usize];
+            i = fail[i as usize];
         }
-        if i == -1 && at(j) != at(k) {
-            if at(j) < at(k) {
+        if i == -1 && *sj != doubled[k] {
+            if *sj < doubled[k] {
                 k = j;
             }
-            f[j - k] = -1;
+            fail[j - k] = -1;
         } else {
-            f[j - k] = i + 1;
+            fail[j - k] = i + 1;
         }
     }
     k % n
@@ -538,16 +588,7 @@ fn validate<L: Label>(
             return None;
         }
     }
-    let q = alpha.len() as u64;
-    let mut probes = 0u64;
-    for i in 0..n {
-        let mut c = 1u64;
-        for _ in 0..g.in_degree(i) {
-            c = c.saturating_mul(q);
-        }
-        probes = probes.saturating_add(c);
-    }
-    if probes > PROBE_CAP {
+    if reaction_domain(g, alpha.len()) > PROBE_CAP {
         return None;
     }
     let base = alpha[0].clone();
@@ -631,7 +672,7 @@ fn close(n: usize, e: usize, generators: &[Automorphism]) -> Option<Vec<Automorp
     Some(elements)
 }
 
-/// Detects the Booth fast path: the group is exactly the `n` rotations
+/// Detects the ring path: the group is exactly the `n` rotations
 /// of a ring-shaped layout, with edge `k` co-rotating with node `k`.
 /// Returns `ring` with `ring[j]` the element index of rotation by `j`.
 fn detect_ring(elements: &[Automorphism], n: usize, e: usize) -> Option<Vec<u32>> {
@@ -681,6 +722,118 @@ mod tests {
             let rot = |m: usize| -> Vec<u32> { (0..n).map(|i| s[(i + m) % n]).collect() };
             let brute = (0..n).min_by_key(|&m| (rot(m), m)).unwrap();
             assert_eq!(booth_least_rotation(&s), brute, "seq {s:?}");
+        }
+    }
+
+    /// Brute-force ring reference: the least rotation start `m` of the
+    /// `(label, countdown, aux)` sequence, ties going to the least `m`,
+    /// as `(row, aux, element)` with element `ring[(n − m) % n]`.
+    fn ring_reference(
+        ring: &[u32],
+        layout: &PackedLayout,
+        words: &[u64],
+        aux: &[u64],
+    ) -> (Vec<u64>, Vec<u64>, usize) {
+        let n = layout.nodes;
+        let (lw, cw) = (layout.label_width, layout.countdown_width);
+        let cd_base = n * lw as usize;
+        let tuples: Vec<(u64, u64, u64)> = (0..n)
+            .map(|i| {
+                (
+                    unpack(words, i * lw as usize, lw),
+                    unpack(words, cd_base + i * cw as usize, cw),
+                    aux.get(i).copied().unwrap_or(0),
+                )
+            })
+            .collect();
+        let rotation =
+            |m: usize| -> Vec<(u64, u64, u64)> { (0..n).map(|i| tuples[(m + i) % n]).collect() };
+        let m = (0..n).min_by_key(|&m| (rotation(m), m)).unwrap();
+        let mut row = vec![0u64; layout.words];
+        let mut row_aux = aux.to_vec();
+        for (i, &(l, c, a)) in rotation(m).iter().enumerate() {
+            pack(&mut row, i * lw as usize, lw, l);
+            pack(&mut row, cd_base + i * cw as usize, cw, c);
+            if let Some(slot) = row_aux.get_mut(i) {
+                *slot = a;
+            }
+        }
+        (row, row_aux, ring[(n - m) % n] as usize)
+    }
+
+    #[test]
+    fn ring_path_matches_the_brute_force_least_rotation() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x0B00_7417);
+        let mut scratch = CanonScratch::default();
+        for n in 2..=16usize {
+            let step = Automorphism {
+                node_perm: (0..n as u32).map(|i| (i + 1) % n as u32).collect(),
+                edge_perm: (0..n as u32).map(|i| (i + 1) % n as u32).collect(),
+            };
+            let sym = Symmetry::from_generators(n, n, &[step]).unwrap();
+            let ring = sym.ring.clone().expect("rotations take the ring path");
+            let periods: Vec<usize> = (1..=n).filter(|p| n % p == 0).collect();
+            for lw in 1..=3u32 {
+                for cw in 1..=2u32 {
+                    for aux_len in [0, n] {
+                        let layout = PackedLayout {
+                            label_width: lw,
+                            countdown_width: cw,
+                            edges: n,
+                            nodes: n,
+                            words: (n * (lw + cw) as usize).div_ceil(64),
+                            aux: aux_len,
+                        };
+                        for trial in 0..48 {
+                            // Even trials draw free rows; odd ones repeat a
+                            // random block, so several rotations tie.
+                            let period = if trial % 2 == 0 {
+                                n
+                            } else {
+                                periods[rng.random_range(0..periods.len())]
+                            };
+                            // Small aux words force ties on the first two
+                            // fields to be broken by aux; wide ones use
+                            // the high bits.
+                            let wide = trial % 4 == 3;
+                            let block: Vec<(u64, u64, u64)> = (0..period)
+                                .map(|_| {
+                                    let a = if wide {
+                                        rng.next_u64()
+                                    } else {
+                                        rng.random_range(0..3u64)
+                                    };
+                                    (
+                                        rng.random_range(0..1u64 << lw),
+                                        rng.random_range(0..1u64 << cw),
+                                        a,
+                                    )
+                                })
+                                .collect();
+                            let mut words = vec![0u64; layout.words];
+                            let mut aux = vec![0u64; aux_len];
+                            for i in 0..n {
+                                let (l, c, a) = block[i % period];
+                                pack(&mut words, i * lw as usize, lw, l);
+                                pack(&mut words, n * lw as usize + i * cw as usize, cw, c);
+                                if let Some(slot) = aux.get_mut(i) {
+                                    *slot = a;
+                                }
+                            }
+                            let expected = ring_reference(&ring, &layout, &words, &aux);
+                            let elem =
+                                sym.canonicalize(&layout, &mut words, &mut aux, &mut scratch);
+                            assert_eq!(
+                                (words, aux, elem),
+                                expected,
+                                "n {n}, widths {lw}/{cw}, aux {aux_len}, trial {trial}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -17,7 +17,7 @@
 //! | §6 (fault tolerance), cf. arXiv:2502.17035 | [`bfs_tree`] | The self-stabilizing BFS distance/parent spanning-tree rule on rooted topologies, verified fault-free and under Byzantine placements |
 //!
 //! The branching-program compilations of Theorem 5.2 live in the
-//! `branching-program` crate ([`branching_program::convert`]).
+//! `branching-program` crate (`branching_program::convert`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

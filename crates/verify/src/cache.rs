@@ -9,7 +9,7 @@
 //! bit-identical `{verdict, witness, stats}`. The fingerprint covers
 //! everything that shapes the explored graph (topology, `r`, query
 //! mode, deduplicated alphabet, inputs, fault model, symmetry mode,
-//! state/edge budgets, and a behavioral probe of the reactions) and
+//! state/edge budgets, and a behavioral digest of the reactions) and
 //! deliberately **excludes** worker thread counts, the deadline, and the
 //! checkpoint policy — none of them change the verdict, which is exactly
 //! the cache-key property: a result computed at 8 threads serves a
@@ -27,9 +27,11 @@
 //! the *query's* alphabet, which the fingerprint guarantees matches the
 //! writer's. Two different instances colliding on the 64-bit
 //! fingerprint would cross-serve — the same trust model as checkpoint
-//! resume, and the same answer: the fingerprint also digests reaction
-//! behavior, so a collision requires a hash collision, not a mere
-//! configuration overlap.
+//! resume. When the reaction domain is at most
+//! [`PROBE_CAP`](stateless_core::symmetry::PROBE_CAP) entries, the
+//! fingerprint digests every reaction entry, so a collision requires a
+//! hash collision; above it, reactions that agree on the fingerprint's
+//! probe sample collide (see [`instance_fingerprint`]).
 //!
 //! # `Verdict::Partial` is never memoized as final
 //!

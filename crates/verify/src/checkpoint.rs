@@ -24,16 +24,25 @@
 //! (label vs output stabilization), the deduplicated alphabet, the
 //! inputs, the fault model, the symmetry mode, and the state/edge
 //! budgets — plus a *behavioral* digest of the protocol table itself
-//! (the reactions are opaque functions, so they are probed on a fixed
-//! pseudorandom sample of labelings and the responses hashed). Worker
+//! (the reactions are opaque functions, so they are probed and the
+//! responses hashed; see below). Worker
 //! thread counts, the deadline, and the checkpoint policy are
 //! deliberately **excluded**: none of them change the
 //! explored graph, and resume-at-a-different-thread-count is exactly
 //! the point. A mismatch at resume time is a typed
 //! [`ResumeError::InstanceMismatch`], never a silent wrong answer.
-//! (The behavioral probe is a guard against accidental mismatch, not a
-//! proof of protocol equality — two reactions that agree on the probe
-//! sample but differ elsewhere can collide, like any fingerprint.)
+//!
+//! The behavioral digest is **exact** when the reaction domain is small:
+//! if `Σᵥ |Σ|^indeg(v)` ([`reaction_domain`]) is at most [`PROBE_CAP`],
+//! every node's reaction is called on every combination of its in-labels
+//! (node order, then in-edge order, the first in-edge's digit varying
+//! fastest; every other edge holds the first alphabet label), so two
+//! instances with different reaction tables get different digests up to
+//! a 64-bit hash collision. Above the cap the reactions are probed on a
+//! fixed pseudorandom sample of whole labelings instead. That sample is
+//! a guard against accidental mismatch, not a proof of protocol
+//! equality: two reactions that agree on it but differ elsewhere
+//! collide.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -41,7 +50,7 @@ use std::path::PathBuf;
 use stateless_core::checkpoint::CheckpointError;
 use stateless_core::intern::FxHasher;
 use stateless_core::prelude::*;
-use stateless_core::symmetry::SymmetryMode;
+use stateless_core::symmetry::{reaction_domain, SymmetryMode, PROBE_CAP};
 use std::hash::{Hash, Hasher};
 
 /// When (and where) the explorer writes checkpoint epochs.
@@ -169,10 +178,11 @@ impl From<CheckpointError> for ResumeError {
 }
 
 /// Version word mixed into every instance fingerprint, bumped whenever
-/// the fingerprinted feature set changes.
-const FINGERPRINT_SEED: u64 = 0x5354_4c53_4650_0001; // "STLSFP" v1
+/// the fingerprinted feature set changes (v2: the exact reaction digest).
+const FINGERPRINT_SEED: u64 = 0x5354_4c53_4650_0002; // "STLSFP" v2
 
-/// Number of pseudorandom labelings each node's reaction is probed with.
+/// Number of pseudorandom labelings each node's reaction is probed with
+/// when its reaction domain exceeds [`PROBE_CAP`].
 const PROBES_PER_NODE: usize = 8;
 
 /// The canonical fingerprint of a verification instance — see the
@@ -220,37 +230,69 @@ pub fn instance_fingerprint<L: Label>(
     });
     h.write_usize(max_states);
     h.write_usize(max_edges);
-    // Behavioral digest of the protocol table: probe every node's
-    // reaction on a fixed pseudorandom sample of labelings (an LCG over
-    // alphabet indices — deterministic, platform-independent) and hash
-    // the emitted labels and output. Reactions are opaque functions, so
-    // this is the closest thing to "the same δ" a fingerprint can check.
-    if !alphabet.is_empty() {
+    // Behavioral digest of the protocol table: hash the emitted labels
+    // and output of every probe. Reactions are opaque functions, so the
+    // digest is exact only where every entry can be enumerated.
+    if alphabet.is_empty() {
+        return h.finish();
+    }
+    let q = alphabet.len();
+    let mut labeling: Vec<L> = vec![alphabet[0].clone(); e];
+    let mut in_buf: Vec<L> = Vec::new();
+    let mut react_buf: Vec<L> = Vec::new();
+    let mut probe = |node: NodeId, labeling: &[L], h: &mut FxHasher| {
+        let y = protocol.apply_buffered(
+            node,
+            labeling,
+            inputs.get(node).copied().unwrap_or(0),
+            &mut in_buf,
+            &mut react_buf,
+        );
+        h.write_u64(y);
+        h.write_usize(react_buf.len());
+        for l in &react_buf {
+            l.hash(h);
+        }
+    };
+    if reaction_domain(graph, q) <= PROBE_CAP {
+        // Every entry: each node on every in-label combination, the
+        // first in-edge's digit varying fastest.
+        let mut digits: Vec<usize> = Vec::new();
+        for node in 0..n {
+            let ins = graph.in_edges(node);
+            digits.clear();
+            digits.resize(ins.len(), 0);
+            'entries: loop {
+                for (&d, &f) in digits.iter().zip(ins) {
+                    labeling[f] = alphabet[d].clone();
+                }
+                probe(node, &labeling, &mut h);
+                for d in digits.iter_mut() {
+                    *d += 1;
+                    if *d < q {
+                        continue 'entries;
+                    }
+                    *d = 0;
+                }
+                break;
+            }
+            for &f in ins {
+                labeling[f] = alphabet[0].clone();
+            }
+        }
+    } else {
+        // A fixed pseudorandom sample of whole labelings (an LCG over
+        // alphabet indices — deterministic, platform-independent).
         let mut lcg: u64 = 0x9e37_79b9_7f4a_7c15;
-        let mut labeling: Vec<L> = Vec::with_capacity(e);
-        let mut in_buf: Vec<L> = Vec::new();
-        let mut react_buf: Vec<L> = Vec::new();
         for node in 0..n {
             for _ in 0..PROBES_PER_NODE {
-                labeling.clear();
-                for _ in 0..e {
+                for slot in labeling.iter_mut() {
                     lcg = lcg
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
-                    labeling.push(alphabet[(lcg >> 33) as usize % alphabet.len()].clone());
+                    *slot = alphabet[(lcg >> 33) as usize % q].clone();
                 }
-                let y = protocol.apply_buffered(
-                    node,
-                    &labeling,
-                    inputs.get(node).copied().unwrap_or(0),
-                    &mut in_buf,
-                    &mut react_buf,
-                );
-                h.write_u64(y);
-                h.write_usize(react_buf.len());
-                for l in &react_buf {
-                    l.hash(&mut h);
-                }
+                probe(node, &labeling, &mut h);
             }
         }
     }
@@ -311,6 +353,39 @@ mod tests {
             )
         };
         assert_ne!(base(&ring(3)), base(&not_ring));
+    }
+
+    #[test]
+    fn fingerprint_sees_every_reaction_entry_of_a_small_domain() {
+        // |Σ| = 16 on a 3-ring: 48 entries, far under PROBE_CAP. Node 0's
+        // table is perturbed at one in-label at a time; a sample of 8
+        // labelings sees at most 8 of its 16 entries.
+        let fp = |perturbed: Option<u64>| {
+            let p = Protocol::builder(topology::unidirectional_ring(3), 4.0)
+                .uniform_reaction(FnReaction::new(move |node, inc: &[u64], _| {
+                    let hit = node == 0 && Some(inc[0]) == perturbed;
+                    (vec![(inc[0] + u64::from(hit)) % 16], 0)
+                }))
+                .build()
+                .unwrap();
+            let alphabet: Vec<u64> = (0..16).collect();
+            instance_fingerprint(
+                &p,
+                &[0; 3],
+                &alphabet,
+                2,
+                false,
+                &FaultModel::none(),
+                SymmetryMode::Off,
+                1000,
+                10_000,
+            )
+        };
+        let base = fp(None);
+        assert_eq!(base, fp(None));
+        for x in 0..16 {
+            assert_ne!(fp(Some(x)), base, "entry {x} of node 0");
+        }
     }
 
     #[test]

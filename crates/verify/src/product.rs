@@ -23,8 +23,9 @@
 //! * **No stored edges.** The verifier holds **no full-graph CSR**: a
 //!   product transition is a pure function of its packed source row, so
 //!   every phase that needs edges regenerates them on the fly —
-//!   decode the row, enumerate activation sets, pack each successor,
-//!   and resolve it by a read-only fingerprint lookup
+//!   decode the row, call each correct node's reaction once, enumerate
+//!   activation sets, pack (and, under symmetry, canonicalize) each
+//!   successor, and resolve it by a read-only fingerprint lookup
 //!   ([`StateShard::lookup`]) against the shard arenas. This is the
 //!   classic on-the-fly / implicit-graph model-checking move: memory is
 //!   O(states) plus bounded transients (per-batch record buffers during
@@ -66,7 +67,9 @@
 //!
 //! 1. **Expand** (parallel over chunks): workers claim contiguous slices
 //!    of the batch's source states, decode each state from the shard
-//!    arenas (read locks only), enumerate its activation sets, and emit,
+//!    arenas (read locks only), call each correct node's reaction once
+//!    and resolve its out-labels to alphabet indices, enumerate its
+//!    activation sets (each set only copies those indices), and emit,
 //!    per target shard, a record stream of `(stream key, fingerprint,
 //!    packed words)` — successors are *not* resolved yet, and nothing
 //!    per-edge outlives the batch.
@@ -108,10 +111,14 @@
 //! Hence any full-graph cycle maps edge-by-edge onto a closed walk of
 //! the quotient, and conversely any interesting intra-SCC quotient edge
 //! lifts to a concrete cycle — the two verdicts coincide. Because the
-//! canonical form is a pure function of the state (Booth's minimal
-//! rotation on pure ring groups, generator-orbit scan otherwise) and
-//! never of thread timing, the cross-thread determinism contract holds
-//! verbatim under the quotient.
+//! canonical form is a pure function of the state and never of thread
+//! timing, the cross-thread determinism contract holds verbatim under
+//! the quotient. Pure ring groups take the keyed ring path of
+//! [`Symmetry::canonicalize`] (one `u128` key per position, Booth's
+//! minimal-rotation search over the keys written twice, the winner
+//! repacked straight from them); other groups run the generator-orbit
+//! scan. Each worker's [`CanonScratch`] keeps either path
+//! allocation-free per edge.
 //!
 //! **Witnesses.** Each regenerated quotient edge carries the group
 //! element `h` that canonicalized its successor. Witness reconstruction
@@ -500,7 +507,7 @@ pub struct ExploreStats {
     /// batch), maxed with the witness phase's single-component CSR.
     /// Replaces the stored-CSR figure of the pre-oracle verifier — see
     /// the module docs' migration note. The exploration contribution is
-    /// capped by the batch-budget ceiling ([`BATCH_EDGE_BUDGET`]); on a
+    /// capped by the batch-budget ceiling (`BATCH_EDGE_BUDGET`); on a
     /// cyclic verdict the witness CSR — proportional to the verdict
     /// SCC's intra-edges, not the whole graph — can exceed it and
     /// dominate this figure.
@@ -664,6 +671,11 @@ struct ExpandScratch<L> {
     labeling: Vec<L>,
     label_idx: Vec<u32>,
     next_label_idx: Vec<u32>,
+    /// Per edge, the alphabet index its (correct) source node's reaction
+    /// writes from the current state; per node, that reaction's output.
+    /// Filled once per state, copied per activation set.
+    react_idx: Vec<u32>,
+    react_out: Vec<u64>,
     countdown: Vec<u8>,
     out_words: Vec<u64>,
     next_out_words: Vec<u64>,
@@ -688,6 +700,8 @@ impl<L: Label> ExpandScratch<L> {
             labeling: Vec::with_capacity(cfg.e),
             label_idx: vec![0u32; cfg.e],
             next_label_idx: vec![0u32; cfg.e],
+            react_idx: vec![0u32; cfg.e],
+            react_out: vec![0u64; cfg.n],
             countdown: vec![0u8; cfg.n],
             out_words: vec![0u64; cfg.aux_len],
             next_out_words: vec![0u64; cfg.aux_len],
@@ -1615,7 +1629,9 @@ impl<'p, L: Label> Explorer<'p, L> {
     /// choice, code `0` — bit-for-bit the pre-fault behavior. Under
     /// quotient exploration the emitted row is the successor's **orbit
     /// representative**; mask, `interesting`, and `choice` stay in the
-    /// source state's frame. Allocation-free per edge given a
+    /// source state's frame. Each correct node's reaction runs once per
+    /// state, before the activation sets are enumerated; faulty nodes'
+    /// reactions never run. Allocation-free per edge given a
     /// warm `scratch`; the only error is a reaction emitting a label
     /// outside the declared alphabet, which exploration surfaces as
     /// [`VerifyError::BadParameters`] (post-exploration regeneration can
@@ -1651,6 +1667,33 @@ impl<'p, L: Label> Explorer<'p, L> {
                 sc.out_words.copy_from_slice(guards[s].aux_row(local));
             }
         }
+        let graph = cfg.protocol.graph();
+        // Every activation set reads the same pre-step labeling, and the
+        // full set activates every node, so reacting here once per
+        // correct node makes the same calls the subset loop would.
+        for i in 0..n {
+            if cfg.faults.is_faulty(i) {
+                continue;
+            }
+            sc.react_out[i] = cfg.protocol.apply_buffered(
+                i,
+                &sc.labeling,
+                cfg.inputs[i],
+                &mut sc.in_buf,
+                &mut sc.react_buf,
+            );
+            for (slot, &eid) in sc.react_buf.iter().zip(graph.out_edges(i)) {
+                let Some(&idx) = cfg.label_index.get(slot) else {
+                    return Err(VerifyError::BadParameters {
+                        what: format!(
+                            "node {i} emitted the label {slot:?}, which is \
+                             outside the declared alphabet"
+                        ),
+                    });
+                };
+                sc.react_idx[eid] = idx;
+            }
+        }
         let forced: u32 = (0..n)
             .filter(|&i| sc.countdown[i] == 1)
             .map(|i| 1 << i)
@@ -1658,7 +1701,6 @@ impl<'p, L: Label> Explorer<'p, L> {
         sc.free_nodes.clear();
         sc.free_nodes
             .extend((0..n).filter(|&i| sc.countdown[i] != 1));
-        let graph = cfg.protocol.graph();
         // Every activation set: forced nodes plus any subset of the
         // rest (skipping the empty total set).
         for subset in 0..(1u32 << sc.free_nodes.len()) {
@@ -1688,29 +1730,11 @@ impl<'p, L: Label> Explorer<'p, L> {
                     }
                     continue;
                 }
-                // Buffered reaction probe: all reads come from the
-                // pre-step labeling, so the per-node commits into
-                // next_label_idx cannot corrupt later probes.
-                let y = cfg.protocol.apply_buffered(
-                    i,
-                    &sc.labeling,
-                    cfg.inputs[i],
-                    &mut sc.in_buf,
-                    &mut sc.react_buf,
-                );
-                for (slot, &eid) in sc.react_buf.iter().zip(graph.out_edges(i)) {
-                    let Some(&idx) = cfg.label_index.get(slot) else {
-                        return Err(VerifyError::BadParameters {
-                            what: format!(
-                                "node {i} emitted the label {slot:?}, which is \
-                                 outside the declared alphabet"
-                            ),
-                        });
-                    };
-                    sc.next_label_idx[eid] = idx;
+                for &eid in graph.out_edges(i) {
+                    sc.next_label_idx[eid] = sc.react_idx[eid];
                 }
                 if cfg.track_outputs {
-                    sc.next_out_words[i] = y;
+                    sc.next_out_words[i] = sc.react_out[i];
                 }
             }
             // One branch per adversary choice: a base-|Σ| code whose

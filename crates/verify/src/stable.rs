@@ -20,7 +20,7 @@ use stateless_core::prelude::*;
 ///
 /// Returns length-validation errors up front. A reaction that misbehaves
 /// on the buffered path panics (see
-/// [`Reaction::react_into`](stateless_core::reaction::Reaction::react_into)).
+/// [`Reaction::react_into`]).
 pub fn enumerate_stable_labelings<L: Label>(
     protocol: &Protocol<L>,
     inputs: &[Input],

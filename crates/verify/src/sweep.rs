@@ -7,7 +7,7 @@
 //! `C(n − |exclude|, f)` placements in lexicographic order (skipping
 //! `exclude`d nodes — e.g. a BFS root that must stay correct), runs the
 //! exact verifier per placement on a
-//! [`par_sweep`](stateless_core::convergence::par_sweep) worker pool,
+//! [`par_sweep`] worker pool,
 //! and returns one [`PlacementVerdict`] row per placement, in placement
 //! order. Every `NotStabilizing` row carries a concrete replayable
 //! adversary strategy ([`CycleWitness::adversary`]).

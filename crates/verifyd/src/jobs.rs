@@ -326,18 +326,45 @@ fn json_ids(ids: &[NodeId]) -> String {
     format!("[{}]", inner.join(","))
 }
 
-/// The text of one JSON line right after `"key":`, with the JSON
-/// whitespace around the colon and before the value skipped, or `None`
-/// when the key is absent. An occurrence of `"key"` not followed by a
-/// colon (e.g. a string value that equals the key) is passed over.
+/// The text of one JSON line right after the top-level `"key":`, with
+/// the JSON whitespace around the colon and before the value skipped, or
+/// `None` when the line's outermost object has no such key. Strings are
+/// skipped whole (escapes included) and brackets are counted, so only a
+/// string directly inside the outermost object and followed by a colon
+/// is a key: a string value equal to the key, a key inside a string, and
+/// a key of a nested object or array element are all passed over.
 fn value_of<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     const WS: [char; 4] = [' ', '\t', '\n', '\r'];
-    let pat = format!("\"{key}\"");
-    let mut from = 0;
-    while let Some(at) = line[from..].find(&pat) {
-        from += at + pat.len();
-        if let Some(value) = line[from..].trim_start_matches(WS).strip_prefix(':') {
-            return Some(value.trim_start_matches(WS));
+    let bytes = line.as_bytes();
+    let mut depth = 0usize;
+    let mut at = 0;
+    while at < bytes.len() {
+        match bytes[at] {
+            b'"' => {
+                let start = at + 1;
+                let mut end = start;
+                while end < bytes.len() && bytes[end] != b'"' {
+                    end += if bytes[end] == b'\\' { 2 } else { 1 };
+                }
+                if end >= bytes.len() {
+                    return None;
+                }
+                if depth == 1 && &line[start..end] == key {
+                    if let Some(value) = line[end + 1..].trim_start_matches(WS).strip_prefix(':') {
+                        return Some(value.trim_start_matches(WS));
+                    }
+                }
+                at = end + 1;
+            }
+            b'{' | b'[' => {
+                depth += 1;
+                at += 1;
+            }
+            b'}' | b']' => {
+                depth = depth.saturating_sub(1);
+                at += 1;
+            }
+            _ => at += 1,
         }
     }
     None
@@ -473,6 +500,26 @@ mod tests {
         ] {
             let job = Job::parse(spaced).unwrap().unwrap();
             assert_eq!(job, Job::parse(unspaced).unwrap().unwrap(), "{spaced}");
+        }
+        // Keys of a nested object or array element, and key-like text
+        // inside an escaped string, are not top-level keys: each line
+        // parses like its flat twin.
+        for (nested, flat) in [
+            (
+                r#"{"id":"nested","meta":{"n":9,"cap":1},"graph":"biring","n":4,"cap":2,"r":1}"#,
+                r#"{"id":"nested","graph":"biring","n":4,"cap":2,"r":1}"#,
+            ),
+            (
+                r#"{"id":"arr","tags":[{"graph":"star"}],"graph":"biring","n":4,"cap":2,"r":1}"#,
+                r#"{"id":"arr","graph":"biring","n":4,"cap":2,"r":1}"#,
+            ),
+            (
+                r#"{"id":"q\"n\":5,\"x","graph":"biring","n":4}"#,
+                r#"{"id":"q\"n\":5,\"x","n":4,"graph":"biring"}"#,
+            ),
+        ] {
+            let job = Job::parse(nested).unwrap().unwrap();
+            assert_eq!(job, Job::parse(flat).unwrap().unwrap(), "{nested}");
         }
         // A string value equal to a key name is not that key.
         let job = Job::parse(r#"{"id":"f","graph":"biring","n":3,"f" : 1}"#)

@@ -388,3 +388,58 @@ fn cached_sweeps_warm_to_pure_hits_with_identical_rows() {
         assert_eq!(cold_row.stats, warm_row.stats);
     }
 }
+
+/// A two-node ring over `0..16` whose node 0 emits 0 and whose node 1
+/// answers 0 with `a` and anything else with 0. It settles at
+/// `(0, a)`. With `flip`, node 0 answers `a` with 1 instead: that one
+/// table entry turns the ring into an inverter loop with no fixed point.
+fn inverter_ring(a: u64, flip: bool) -> Protocol<u64> {
+    Protocol::builder(topology::unidirectional_ring(2), 4.0)
+        .reaction(
+            0,
+            FnReaction::new(move |_, inc: &[u64], _| (vec![u64::from(flip && inc[0] == a)], 0)),
+        )
+        .reaction(
+            1,
+            FnReaction::new(move |_, inc: &[u64], _| (vec![if inc[0] == 0 { a } else { 0 }], 0)),
+        )
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn a_one_entry_change_gets_its_own_verdict() {
+    // Each perturbed table differs from its base in one entry only. The
+    // key digests every entry of a table this small, so the base's
+    // cached `Stabilizing` must never answer for the perturbed twin.
+    let alphabet: Vec<u64> = (0..16).collect();
+    let cache = VerdictCache::in_memory(DEFAULT_BYTE_BUDGET);
+    for a in 1..16 {
+        let base = cache
+            .verify_label(
+                &inverter_ring(a, false),
+                &[0; 2],
+                &alphabet,
+                2,
+                &Limits::default(),
+            )
+            .unwrap();
+        assert_eq!(base.verdict, Verdict::Stabilizing, "a = {a}");
+        let flipped = cache
+            .verify_label(
+                &inverter_ring(a, true),
+                &[0; 2],
+                &alphabet,
+                2,
+                &Limits::default(),
+            )
+            .unwrap();
+        assert_ne!(flipped.fingerprint, base.fingerprint, "a = {a}");
+        assert_eq!(flipped.outcome, CacheOutcome::Miss, "a = {a}");
+        assert!(
+            matches!(flipped.verdict, Verdict::NotStabilizing(_)),
+            "a = {a}: {:?}",
+            flipped.verdict
+        );
+    }
+}
