@@ -437,6 +437,12 @@ pub struct SegmentReader {
 }
 
 impl SegmentReader {
+    /// Bytes of the epoch file not read yet — an upper bound on what any
+    /// count stated by the segments read so far can still describe.
+    pub fn remaining(&self) -> u64 {
+        self.remaining
+    }
+
     /// Reads the next segment, or `None` at a clean end of file.
     ///
     /// # Errors
@@ -526,7 +532,10 @@ impl Segment {
     ///
     /// [`CheckpointError::Corrupt`] if the payload is too short.
     pub fn take_u64s(&mut self, count: usize, out: &mut Vec<u64>) -> Result<(), CheckpointError> {
-        if self.remaining() < count * 8 {
+        if count
+            .checked_mul(8)
+            .is_none_or(|bytes| bytes > self.remaining())
+        {
             return Err(self.short("u64 run"));
         }
         out.reserve(count);
@@ -542,7 +551,10 @@ impl Segment {
     ///
     /// [`CheckpointError::Corrupt`] if the payload is too short.
     pub fn take_u32s(&mut self, count: usize, out: &mut Vec<u32>) -> Result<(), CheckpointError> {
-        if self.remaining() < count * 4 {
+        if count
+            .checked_mul(4)
+            .is_none_or(|bytes| bytes > self.remaining())
+        {
             return Err(self.short("u32 run"));
         }
         out.reserve(count);
@@ -605,6 +617,11 @@ mod tests {
         let mut body = r.next_segment().unwrap().unwrap();
         assert_eq!(body.tag, 8);
         let mut got = Vec::new();
+        // A count whose byte size overflows is short, not a panic.
+        for count in [usize::MAX / 4 + 1, usize::MAX] {
+            assert!(body.take_u64s(count, &mut got).is_err());
+            assert!(body.take_u32s(count, &mut Vec::new()).is_err());
+        }
         body.take_u64s(1000, &mut got).unwrap();
         assert_eq!(got, words);
         assert!(r.next_segment().unwrap().is_none());

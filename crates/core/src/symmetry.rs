@@ -38,13 +38,18 @@
 //! rotations runs the generator-orbit scan over the (small, capped)
 //! closure, comparing label indices, then countdown fields, then
 //! auxiliary output words. Pure cyclic groups on ring-shaped layouts
-//! take the ring path instead, in O(n): each position's
-//! `(label, countdown, aux)` triple becomes one `u128` key that orders
-//! exactly like the tuple, the keys are written twice into the caller's
-//! [`CanonScratch`], Booth's minimal-rotation search
-//! ([`booth_least_rotation`]) reads every rotation as a plain slice of
-//! them, and the least rotation is repacked straight from its keys. With
-//! a warm scratch neither path allocates. Either way the
+//! take the ring path instead, in O(n). When the row has no auxiliary
+//! words and its `n` `(label, countdown)` pairs fit 64 bits, they are
+//! interleaved into one `u64`, position 0 most significant, and the
+//! least of its `n` integer rotations is de-interleaved back into the
+//! row. Any other ring row turns each position's
+//! `(label, countdown, aux)` triple into one `u128` key that orders
+//! exactly like the tuple, writes the keys twice into the caller's
+//! [`CanonScratch`], lets Booth's minimal-rotation search
+//! ([`booth_least_rotation`]) read every rotation as a plain slice of
+//! them, and repacks the least rotation straight from its keys. Both
+//! ring forms order positions the same way, so they pick the same
+//! representative. With a warm scratch no path allocates. Either way the
 //! representative is a deterministic function of the state alone — never
 //! of thread timing — so the verifier's cross-thread determinism
 //! contract survives quotienting verbatim. The element that was applied
@@ -414,13 +419,14 @@ impl Symmetry {
 
 /// The ring fast path of [`Symmetry::canonicalize`]: the orbit is the `n`
 /// rotations of the per-position `(label, countdown, aux)` sequence, and
-/// `ring[j]` is the element index of rotation by `j`. Each position is
-/// one integer key, `label · 2^(cw+64) + countdown · 2^64 + aux`, which
-/// orders exactly like the tuple. The keys are written twice into
-/// `sc.keys`, so Booth's search reads rotation `m` as `keys[m..m + n]`
-/// without wrapping; the least start `m` is rotation *by* `n − m`, and
-/// the winner is repacked straight from its keys. Allocation-free once
-/// `sc` is warm.
+/// `ring[j]` is the element index of rotation by `j`. A row without aux
+/// words whose `n` positions fit one word takes [`canonicalize_ring_word`].
+/// Otherwise each position is one integer key,
+/// `label · 2^(cw+64) + countdown · 2^64 + aux`, which orders exactly
+/// like the tuple. The keys are written twice into `sc.keys`, so Booth's
+/// search reads rotation `m` as `keys[m..m + n]` without wrapping; the
+/// least start `m` is rotation *by* `n − m`, and the winner is repacked
+/// straight from its keys. Allocation-free once `sc` is warm.
 fn canonicalize_ring(
     ring: &[u32],
     layout: &PackedLayout,
@@ -431,6 +437,9 @@ fn canonicalize_ring(
     let n = layout.nodes;
     let (lw, cw) = (layout.label_width, layout.countdown_width);
     debug_assert!(lw <= 32 && cw <= 32, "fields are u32 indices");
+    if aux.is_empty() && n * (lw + cw) as usize <= 64 {
+        return canonicalize_ring_word(ring, layout, words);
+    }
     let cd_base = n * lw as usize;
     let label_shift = 64 + cw;
     sc.keys.clear();
@@ -455,6 +464,60 @@ fn canonicalize_ring(
         }
     }
     ring[n - m] as usize
+}
+
+/// The ring path for a row without aux words whose `n` positions fit one
+/// word, `n · (lw + cw) ≤ 64`. Each position's `(label, countdown)` pair
+/// becomes one `lw + cw`-bit digit of an integer, position 0 most
+/// significant, so integer order is the keyed path's tuple order and
+/// rotation start `m` is that integer rotated left by `m` digits. The
+/// least of the `n` rotations wins (ties go to the least start) and is
+/// de-interleaved back into `words[0]`.
+fn canonicalize_ring_word(ring: &[u32], layout: &PackedLayout, words: &mut [u64]) -> usize {
+    let n = layout.nodes;
+    let (lw, cw) = (layout.label_width, layout.countdown_width);
+    let k = lw + cw;
+    if k == 0 {
+        // One label and r = 1: the row is empty and every rotation ties.
+        return 0;
+    }
+    let bits = n as u32 * k;
+    let cd_base = n as u32 * lw;
+    let (label_mask, cd_mask) = ((1u64 << lw) - 1, (1u64 << cw) - 1);
+    let row = words[0];
+    let mut x = 0u64;
+    for i in 0..n as u32 {
+        let label = row >> (i * lw) & label_mask;
+        // A zero-width countdown field may sit at bit 64.
+        let cd = if cw == 0 {
+            0
+        } else {
+            row >> (cd_base + i * cw) & cd_mask
+        };
+        x = x << k | label << cw | cd;
+    }
+    let full = u64::MAX >> (64 - bits);
+    let (mut best, mut best_m) = (x, 0);
+    let mut rot = x;
+    for m in 1..n {
+        rot = (rot << k | rot >> (bits - k)) & full;
+        if rot < best {
+            (best, best_m) = (rot, m);
+        }
+    }
+    if best_m == 0 {
+        return 0;
+    }
+    let mut out = 0u64;
+    for i in 0..n as u32 {
+        let digit = best >> ((n as u32 - 1 - i) * k);
+        out |= (digit >> cw & label_mask) << (i * lw);
+        if cw != 0 {
+            out |= (digit & cd_mask) << (cd_base + i * cw);
+        }
+    }
+    words[0] = out;
+    ring[n - best_m] as usize
 }
 
 /// Booth's minimal-rotation algorithm: the least index `m` such that the
@@ -775,8 +838,10 @@ mod tests {
             let sym = Symmetry::from_generators(n, n, &[step]).unwrap();
             let ring = sym.ring.clone().expect("rotations take the ring path");
             let periods: Vec<usize> = (1..=n).filter(|p| n % p == 0).collect();
-            for lw in 1..=3u32 {
-                for cw in 1..=2u32 {
+            // cw = 0 is r = 1; n = 16 at lw + cw = 4 fills one word exactly
+            // and n = 13 at 5 needs 65 bits, so both ring paths run.
+            for lw in 1..=4u32 {
+                for cw in 0..=2u32 {
                     for aux_len in [0, n] {
                         let layout = PackedLayout {
                             label_width: lw,

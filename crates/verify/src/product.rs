@@ -23,9 +23,11 @@
 //! * **No stored edges.** The verifier holds **no full-graph CSR**: a
 //!   product transition is a pure function of its packed source row, so
 //!   every phase that needs edges regenerates them on the fly —
-//!   decode the row, call each correct node's reaction once, enumerate
-//!   activation sets, pack (and, under symmetry, canonicalize) each
-//!   successor, and resolve it by a read-only fingerprint lookup
+//!   decode the row, call each correct node's reaction once and pack
+//!   the reactions into one reacted row, enumerate activation sets,
+//!   build each successor from the source and reacted rows with
+//!   whole-word masks (and, under symmetry, canonicalize it), and
+//!   resolve it by a read-only fingerprint lookup
 //!   ([`StateShard::lookup`]) against the shard arenas. This is the
 //!   classic on-the-fly / implicit-graph model-checking move: memory is
 //!   O(states) plus bounded transients (per-batch record buffers during
@@ -68,8 +70,9 @@
 //! 1. **Expand** (parallel over chunks): workers claim contiguous slices
 //!    of the batch's source states, decode each state from the shard
 //!    arenas (read locks only), call each correct node's reaction once
-//!    and resolve its out-labels to alphabet indices, enumerate its
-//!    activation sets (each set only copies those indices), and emit,
+//!    and pack its out-labels' alphabet indices into a reacted row,
+//!    enumerate its activation sets (each set is a few whole-word
+//!    operations on the source and reacted rows), and emit,
 //!    per target shard, a record stream of `(stream key, fingerprint,
 //!    packed words)` — successors are *not* resolved yet, and nothing
 //!    per-edge outlives the batch.
@@ -113,12 +116,12 @@
 //! lifts to a concrete cycle — the two verdicts coincide. Because the
 //! canonical form is a pure function of the state and never of thread
 //! timing, the cross-thread determinism contract holds verbatim under
-//! the quotient. Pure ring groups take the keyed ring path of
-//! [`Symmetry::canonicalize`] (one `u128` key per position, Booth's
-//! minimal-rotation search over the keys written twice, the winner
-//! repacked straight from them); other groups run the generator-orbit
-//! scan. Each worker's [`CanonScratch`] keeps either path
-//! allocation-free per edge.
+//! the quotient. Pure ring groups take the ring path of
+//! [`Symmetry::canonicalize`]: a row without aux words whose positions
+//! fit one word is rotated as one integer, and any other row runs Booth's
+//! minimal-rotation search over one `u128` key per position. Other
+//! groups run the generator-orbit scan. Each worker's [`CanonScratch`]
+//! keeps every path allocation-free per edge.
 //!
 //! **Witnesses.** Each regenerated quotient edge carries the group
 //! element `h` that canonicalized its successor. Witness reconstruction
@@ -217,9 +220,11 @@ pub struct Limits {
     /// an error: exploration stops at the next batch boundary and the
     /// verifier returns [`Verdict::Partial`], carrying a resumable
     /// [`CheckpointHandle`] when a [`Limits::checkpoint`] policy is set.
-    /// The budget covers exploration only — a run that finishes
-    /// exploring always condenses and reports its full verdict, however
-    /// long the SCC phase takes. Batch boundaries depend only on
+    /// The budget covers exploration only — the seed phase included,
+    /// which is not interruptible, so the first check follows it — and a
+    /// run that finishes exploring always condenses and reports its full
+    /// verdict, however long the SCC phase takes. A resumed run's budget
+    /// starts once its epoch is loaded. Batch boundaries depend only on
     /// deterministic exploration totals, but *which* boundary the
     /// deadline trips at is inherently timing-dependent; determinism is
     /// preserved where it matters — any checkpoint, wherever taken,
@@ -582,12 +587,10 @@ struct Config<'p, L: Label> {
     symmetry: Option<Symmetry>,
     /// The fault model (validated against `n` up front).
     faults: FaultModel,
-    /// Edge ids whose *source* node is correct — the only edges whose
-    /// changes count as "interesting" under a fault model (Byzantine
-    /// edges change at the adversary's whim, crash edges never change).
-    /// Empty when the model is fault-free (full-slice comparison is
-    /// then the interesting test, exactly the pre-fault code path).
-    correct_src_edges: Vec<usize>,
+    /// Bit `i` set iff node `i` is Byzantine.
+    byzantine: u32,
+    /// The whole-word masks [`step_row`] builds successors from.
+    masks: RowMasks,
     /// Upper bound on the adversary branching factor of any activation
     /// set: `|Σ|^(total Byzantine out-degree)`, saturating. `1` when
     /// fault-free — every fan-out estimate degrades to the exact
@@ -596,16 +599,107 @@ struct Config<'p, L: Label> {
 }
 
 impl<L: Label> Config<'_, L> {
-    /// Number of *free* (not deadline-forced) nodes of a packed state: a
-    /// countdown field packs `cd − 1`, so nonzero means the node is not
-    /// forced. Sizes the state's fan-out as `2^free` activation sets.
-    fn free_count(&self, row: &[u64]) -> u8 {
+    /// The deadline-forced nodes of a packed state, as a bitmask: a
+    /// countdown field packs `cd − 1`, so zero means `cd = 1` and the node
+    /// must be in every activation set.
+    fn forced(&self, row: &[u64]) -> u32 {
         let base = self.e * self.label_width as usize;
         let cw = self.countdown_width;
         (0..self.n)
-            .filter(|&i| unpack(row, base + i * cw as usize, cw) != 0)
-            .count() as u8
+            .filter(|&i| unpack(row, base + i * cw as usize, cw) == 0)
+            .fold(0, |m, i| m | 1 << i)
     }
+
+    /// Number of *free* (not deadline-forced) nodes of a packed state.
+    /// Sizes the state's fan-out as `2^free` activation sets.
+    fn free_count(&self, row: &[u64]) -> u8 {
+        (self.n as u32 - self.forced(row).count_ones()) as u8
+    }
+}
+
+/// Whole-word masks over a packed row, each `words_per_state` words long,
+/// from which [`step_row`] builds every successor row without unpacking
+/// its fields.
+struct RowMasks {
+    /// Node-major, one row per node: the bits node `i`'s activation
+    /// overwrites — its countdown field, plus its out-edge label fields
+    /// unless it is a crash node (a crashed activation writes no label).
+    over: Vec<u64>,
+    /// A packed 1 in every countdown field. `ticks & !F` is what one step
+    /// subtracts from the nodes outside an activation set's mask `F`.
+    ticks: Vec<u64>,
+    /// The label fields of correct-sourced edges: a label-mode edge is
+    /// interesting iff one of these bits changes. Byzantine-sourced
+    /// labels flip at the adversary's whim and crash-sourced ones never
+    /// change, so neither counts.
+    watch: Vec<u64>,
+    /// `r − 1` in every countdown field and zero elsewhere — where each
+    /// state's reacted row starts.
+    reset: Vec<u64>,
+}
+
+impl RowMasks {
+    fn new(graph: &DiGraph, faults: FaultModel, layout: &PackedLayout, r: u8) -> Self {
+        let w = layout.words;
+        let (lw, cw) = (layout.label_width, layout.countdown_width);
+        let ones = |width: u32| u64::MAX.checked_shr(64 - width).unwrap_or(0);
+        let cd_at = |i: usize| layout.edges * lw as usize + i * cw as usize;
+        let mut m = RowMasks {
+            over: vec![0; layout.nodes * w],
+            ticks: vec![0; w],
+            watch: vec![0; w],
+            reset: vec![0; w],
+        };
+        for i in 0..layout.nodes {
+            let over = &mut m.over[i * w..(i + 1) * w];
+            pack(over, cd_at(i), cw, ones(cw));
+            if !faults.is_crash(i) {
+                for &eid in graph.out_edges(i) {
+                    pack(over, eid * lw as usize, lw, ones(lw));
+                }
+            }
+            pack(&mut m.ticks, cd_at(i), cw, 1);
+            pack(&mut m.reset, cd_at(i), cw, u64::from(r - 1));
+        }
+        for (eid, src, _) in graph.edges() {
+            if !faults.is_faulty(src) {
+                pack(&mut m.watch, eid * lw as usize, lw, ones(lw));
+            }
+        }
+        m
+    }
+}
+
+/// One activation set's successor row, built from its source row with
+/// whole-word operations: `((src & !F) | (reacted & F)) − (ticks & !F)`
+/// over the row's words with a borrow chain, where `F` is the union of
+/// the `over` masks of the nodes in `mask`. Activated nodes take their
+/// reacted labels and countdown `r` (a Byzantine node's label fields
+/// come out zero, ready for the adversary's digits); the rest keep their
+/// labels and count down by one. `mask` must contain every forced node,
+/// so each idle node's packed countdown is at least 1 and the
+/// subtraction borrows across a word only inside a field that straddles
+/// the boundary. Returns whether a watched (correct-sourced) label bit
+/// changed.
+fn step_row(masks: &RowMasks, src: &[u64], reacted: &[u64], mask: u32, out: &mut [u64]) -> bool {
+    let w = out.len();
+    let mut borrow = false;
+    let mut changed = 0u64;
+    for k in 0..w {
+        let mut f = 0u64;
+        let mut nodes = mask;
+        while nodes != 0 {
+            f |= masks.over[nodes.trailing_zeros() as usize * w + k];
+            nodes &= nodes - 1;
+        }
+        let kept = (src[k] & !f) | (reacted[k] & f);
+        let (d, b1) = kept.overflowing_sub(masks.ticks[k] & !f);
+        let (d, b2) = d.overflowing_sub(u64::from(borrow));
+        out[k] = d;
+        borrow = b1 | b2;
+        changed |= (d ^ src[k]) & masks.watch[k];
+    }
+    changed != 0
 }
 
 // The state fingerprint is `stateless_core::intern::state_fingerprint`
@@ -669,16 +763,20 @@ struct ShardIntern {
 /// allocates nothing.
 struct ExpandScratch<L> {
     labeling: Vec<L>,
-    label_idx: Vec<u32>,
-    next_label_idx: Vec<u32>,
-    /// Per edge, the alphabet index its (correct) source node's reaction
-    /// writes from the current state; per node, that reaction's output.
-    /// Filled once per state, copied per activation set.
-    react_idx: Vec<u32>,
+    /// The source row, and the row every activated node would write: each
+    /// correct node's reaction as alphabet indices on its out-edges,
+    /// `r − 1` in every countdown field, zeros in Byzantine label fields.
+    /// Filled once per state.
+    src: Vec<u64>,
+    reacted: Vec<u64>,
+    /// Per node, the output its reaction returns from the current state
+    /// (a faulty node keeps its current output). Filled once per state.
     react_out: Vec<u64>,
-    countdown: Vec<u8>,
     out_words: Vec<u64>,
     next_out_words: Vec<u64>,
+    /// One activation set's successor row before the adversary's digits,
+    /// and the emitted row.
+    next: Vec<u64>,
     state: Vec<u64>,
     in_buf: Vec<L>,
     react_buf: Vec<L>,
@@ -698,13 +796,12 @@ impl<L: Label> ExpandScratch<L> {
     fn new(cfg: &Config<'_, L>) -> Self {
         ExpandScratch {
             labeling: Vec::with_capacity(cfg.e),
-            label_idx: vec![0u32; cfg.e],
-            next_label_idx: vec![0u32; cfg.e],
-            react_idx: vec![0u32; cfg.e],
+            src: vec![0u64; cfg.words_per_state],
+            reacted: vec![0u64; cfg.words_per_state],
             react_out: vec![0u64; cfg.n],
-            countdown: vec![0u8; cfg.n],
             out_words: vec![0u64; cfg.aux_len],
             next_out_words: vec![0u64; cfg.aux_len],
+            next: vec![0u64; cfg.words_per_state],
             state: vec![0u64; cfg.words_per_state],
             in_buf: Vec::new(),
             react_buf: Vec::new(),
@@ -900,7 +997,8 @@ struct Explorer<'p, L: Label> {
 
 impl<'p, L: Label> Explorer<'p, L> {
     /// Full exploration: [`Explorer::prepare`], seed, then
-    /// [`Explorer::run`] from cursor 0.
+    /// [`Explorer::run`] from cursor 0. The deadline clock starts first,
+    /// so the seed phase counts against it.
     fn explore(
         protocol: &'p Protocol<L>,
         inputs: &[Input],
@@ -909,9 +1007,10 @@ impl<'p, L: Label> Explorer<'p, L> {
         track_outputs: bool,
         limits: &Limits,
     ) -> Result<Explored<'p, L>, VerifyError> {
+        let started = Instant::now();
         let mut ex = Explorer::prepare(protocol, inputs, alphabet, r, track_outputs, limits)?;
         ex.seed(limits)?;
-        ex.run(0, limits)
+        ex.run(0, limits, started)
     }
 
     /// Validates every parameter and constructs an empty explorer —
@@ -977,16 +1076,10 @@ impl<'p, L: Label> Explorer<'p, L> {
                 ),
             });
         }
-        let correct_src_edges: Vec<usize> = if faults.has_faults() {
-            protocol
-                .graph()
-                .edges()
-                .filter(|&(_, u, _)| !faults.is_faulty(u))
-                .map(|(id, _, _)| id)
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let byzantine = faults
+            .byzantine_nodes()
+            .filter(|&i| i < n)
+            .fold(0u32, |m, i| m | 1 << i);
         let label_width = bits_for(dedup.len());
         let countdown_width = bits_for(r as usize);
         let state_bits = e * label_width as usize + n * countdown_width as usize;
@@ -1035,6 +1128,7 @@ impl<'p, L: Label> Explorer<'p, L> {
                 Some(restricted).filter(|s| !s.is_trivial())
             }
         };
+        let masks = RowMasks::new(protocol.graph(), faults, &layout, r);
         let ex = Explorer {
             cfg: Config {
                 protocol,
@@ -1053,7 +1147,8 @@ impl<'p, L: Label> Explorer<'p, L> {
                 layout,
                 symmetry,
                 faults,
-                correct_src_edges,
+                byzantine,
+                masks,
                 byz_branch_bound,
             },
             index: ShardedStateIndex::new(words_per_state, aux_len),
@@ -1086,9 +1181,14 @@ impl<'p, L: Label> Explorer<'p, L> {
     /// [`Limits::deadline`], whichever comes first — writing checkpoint
     /// epochs per the [`Limits::checkpoint`] policy at batch boundaries.
     /// Both the fresh exploration and the resume path run through this
-    /// one loop, so their behavior can never drift apart.
-    fn run(mut self, mut cursor: usize, limits: &Limits) -> Result<Explored<'p, L>, VerifyError> {
-        let started = Instant::now();
+    /// one loop, so their behavior can never drift apart. The deadline
+    /// is measured from `started`.
+    fn run(
+        mut self,
+        mut cursor: usize,
+        limits: &Limits,
+        started: Instant,
+    ) -> Result<Explored<'p, L>, VerifyError> {
         let mut ckpt = CheckpointRun::begin(&self, cursor, limits)?;
         while cursor < self.n_states {
             if let Some(deadline) = limits.deadline {
@@ -1265,6 +1365,19 @@ impl<'p, L: Label> Explorer<'p, L> {
                 "inconsistent totals: cursor {cursor} of {n_states} states"
             )));
         }
+        // Every state stores its row words, its aux words and its dense
+        // id in the rest of the file, so a count the file cannot hold is
+        // rejected before anything is sized from it.
+        let state_bytes = 8 * (words + aux_len) as u64 + 4;
+        if (n_states as u64)
+            .checked_mul(state_bytes)
+            .is_none_or(|bytes| bytes > reader.remaining())
+        {
+            return Err(corrupt(format!(
+                "header claims {n_states} states, but only {} bytes follow",
+                reader.remaining()
+            )));
+        }
         let mut dense_ids = vec![u64::MAX; n_states];
         let mut free_bits = vec![0u8; n_states];
         let mut rows_flat: Vec<u64> = Vec::new();
@@ -1289,7 +1402,15 @@ impl<'p, L: Label> Explorer<'p, L> {
                     "shard segments out of order: {idx} at {s}"
                 )));
             }
+            // Bounded by the states still unaccounted for, so `len` times
+            // the instance's row width cannot overflow.
             let len = take(&mut meta)? as usize;
+            if len > n_states - total {
+                return Err(corrupt(format!(
+                    "shard {s} claims {len} rows, but only {} of {n_states} states remain",
+                    n_states - total
+                )));
+            }
             let n_row_blocks = take(&mut meta)? as usize;
             let n_aux_blocks = take(&mut meta)? as usize;
             rows_flat.clear();
@@ -1629,11 +1750,17 @@ impl<'p, L: Label> Explorer<'p, L> {
     /// choice, code `0` — bit-for-bit the pre-fault behavior. Under
     /// quotient exploration the emitted row is the successor's **orbit
     /// representative**; mask, `interesting`, and `choice` stay in the
-    /// source state's frame. Each correct node's reaction runs once per
-    /// state, before the activation sets are enumerated; faulty nodes'
-    /// reactions never run. Allocation-free per edge given a
-    /// warm `scratch`; the only error is a reaction emitting a label
-    /// outside the declared alphabet, which exploration surfaces as
+    /// source state's frame.
+    ///
+    /// Each correct node's reaction runs once per state, before the
+    /// activation sets are enumerated, and is packed into one reacted
+    /// row beside the source row; faulty nodes' reactions never run.
+    /// Each activation set then takes its successor row from those two
+    /// rows with a few whole-word operations ([`step_row`]), and each
+    /// adversary choice packs its digits into the zeroed Byzantine
+    /// fields. Allocation-free per edge given a warm `scratch`; the only
+    /// error is a reaction emitting a label outside the declared
+    /// alphabet, which exploration surfaces as
     /// [`VerifyError::BadParameters`] (post-exploration regeneration can
     /// therefore never hit it).
     fn for_each_successor<F>(
@@ -1647,32 +1774,28 @@ impl<'p, L: Label> Explorer<'p, L> {
         F: FnMut(&[u64], &[u64], u32, bool, u32, u64),
     {
         let cfg = &self.cfg;
-        let (n, e) = (cfg.n, cfg.e);
-        let (lw, cw) = (cfg.label_width, cfg.countdown_width);
+        let lw = cfg.label_width as usize;
         let sc = scratch;
         // Decode the source state from its shard arena.
         let (s, local) = unpack_state_id(self.dense_ids[u]);
-        {
-            let row = guards[s].row(local);
-            sc.labeling.clear();
-            for (k, idx) in sc.label_idx.iter_mut().enumerate() {
-                let v = unpack(row, k * lw as usize, lw) as u32;
-                *idx = v;
-                sc.labeling.push(cfg.alphabet[v as usize].clone());
-            }
-            for (i, cd) in sc.countdown.iter_mut().enumerate() {
-                *cd = unpack(row, e * lw as usize + i * cw as usize, cw) as u8 + 1;
-            }
-            if cfg.track_outputs {
-                sc.out_words.copy_from_slice(guards[s].aux_row(local));
-            }
+        sc.src.copy_from_slice(guards[s].row(local));
+        if cfg.track_outputs {
+            sc.out_words.copy_from_slice(guards[s].aux_row(local));
         }
+        sc.labeling.clear();
+        sc.labeling.extend(
+            (0..cfg.e).map(|k| cfg.alphabet[unpack(&sc.src, k * lw, lw as u32) as usize].clone()),
+        );
         let graph = cfg.protocol.graph();
         // Every activation set reads the same pre-step labeling, and the
         // full set activates every node, so reacting here once per
         // correct node makes the same calls the subset loop would.
-        for i in 0..n {
+        sc.reacted.copy_from_slice(&cfg.masks.reset);
+        for i in 0..cfg.n {
             if cfg.faults.is_faulty(i) {
+                // The tracked output of a faulty node stays frozen — it
+                // is 0 in the seeds and never written.
+                sc.react_out[i] = sc.out_words.get(i).copied().unwrap_or(0);
                 continue;
             }
             sc.react_out[i] = cfg.protocol.apply_buffered(
@@ -1691,16 +1814,14 @@ impl<'p, L: Label> Explorer<'p, L> {
                         ),
                     });
                 };
-                sc.react_idx[eid] = idx;
+                pack(&mut sc.reacted, eid * lw, lw as u32, u64::from(idx));
             }
         }
-        let forced: u32 = (0..n)
-            .filter(|&i| sc.countdown[i] == 1)
-            .map(|i| 1 << i)
-            .sum();
+        let forced = cfg.forced(&sc.src);
         sc.free_nodes.clear();
         sc.free_nodes
-            .extend((0..n).filter(|&i| sc.countdown[i] != 1));
+            .extend((0..cfg.n).filter(|&i| forced >> i & 1 == 0));
+        let q = cfg.alphabet.len() as u64;
         // Every activation set: forced nodes plus any subset of the
         // rest (skipping the empty total set).
         for subset in 0..(1u32 << sc.free_nodes.len()) {
@@ -1713,73 +1834,39 @@ impl<'p, L: Label> Explorer<'p, L> {
             if mask == 0 {
                 continue;
             }
-            sc.next_label_idx.copy_from_slice(&sc.label_idx);
-            if cfg.track_outputs {
+            let labels_changed = step_row(&cfg.masks, &sc.src, &sc.reacted, mask, &mut sc.next);
+            let interesting = if cfg.track_outputs {
                 sc.next_out_words.copy_from_slice(&sc.out_words);
-            }
-            sc.byz_edges.clear();
-            for i in (0..n).filter(|&i| mask >> i & 1 == 1) {
-                if cfg.faults.is_faulty(i) {
-                    // Crash: the activation commits nothing. Byzantine:
-                    // the out-labels are set per adversary branch below.
-                    // Either way the tracked output stays frozen — it is
-                    // 0 in the seeds and never written, so faulty output
-                    // slots are 0 in every reachable state.
-                    if cfg.faults.is_byzantine(i) {
-                        sc.byz_edges.extend_from_slice(graph.out_edges(i));
-                    }
-                    continue;
-                }
-                for &eid in graph.out_edges(i) {
-                    sc.next_label_idx[eid] = sc.react_idx[eid];
-                }
-                if cfg.track_outputs {
+                let mut nodes = mask;
+                while nodes != 0 {
+                    let i = nodes.trailing_zeros() as usize;
                     sc.next_out_words[i] = sc.react_out[i];
+                    nodes &= nodes - 1;
                 }
+                // Faulty output slots are 0 on both sides, so the
+                // full-row comparison only ever sees correct nodes.
+                sc.next_out_words != sc.out_words
+            } else {
+                labels_changed
+            };
+            sc.byz_edges.clear();
+            let mut byz = mask & cfg.byzantine;
+            while byz != 0 {
+                sc.byz_edges
+                    .extend_from_slice(graph.out_edges(byz.trailing_zeros() as usize));
+                byz &= byz - 1;
             }
             // One branch per adversary choice: a base-|Σ| code whose
             // digits (LSD first) are the labels the activated Byzantine
             // nodes write, in `byz_edges` order. Fault-free runs take
             // exactly one iteration with choice 0 and no digit writes.
-            let q = cfg.alphabet.len() as u64;
             let n_choices = q.pow(sc.byz_edges.len() as u32);
             for choice in 0..n_choices {
+                sc.state.copy_from_slice(&sc.next);
                 let mut digits = choice;
                 for &eid in &sc.byz_edges {
-                    sc.next_label_idx[eid] = (digits % q) as u32;
+                    pack(&mut sc.state, eid * lw, lw as u32, digits % q);
                     digits /= q;
-                }
-                let interesting = if cfg.track_outputs {
-                    // Faulty output slots are 0 on both sides, so the
-                    // full-row comparison only ever sees correct nodes.
-                    sc.next_out_words != sc.out_words
-                } else if cfg.faults.has_faults() {
-                    // Byzantine-sourced labels flip freely, so label
-                    // stabilization is judged on correct-sourced edges.
-                    cfg.correct_src_edges
-                        .iter()
-                        .any(|&k| sc.next_label_idx[k] != sc.label_idx[k])
-                } else {
-                    sc.next_label_idx != sc.label_idx
-                };
-                // Pack the successor: labels, then countdowns (reset to
-                // r for activated nodes, decremented otherwise).
-                sc.state.fill(0);
-                for (k, &idx) in sc.next_label_idx.iter().enumerate() {
-                    pack(&mut sc.state, k * lw as usize, lw, u64::from(idx));
-                }
-                for (i, &cd_now) in sc.countdown.iter().enumerate() {
-                    let cd = if mask >> i & 1 == 1 {
-                        cfg.r
-                    } else {
-                        cd_now - 1
-                    };
-                    pack(
-                        &mut sc.state,
-                        e * lw as usize + i * cw as usize,
-                        cw,
-                        u64::from(cd - 1),
-                    );
                 }
                 // Quotient step: rewrite the successor to its orbit
                 // representative (a pure function of the packed row, so
@@ -2332,7 +2419,7 @@ pub fn verify_label_stabilization_resumed_at<L: Label>(
     epoch: Option<u64>,
 ) -> Result<(Verdict<L>, ExploreStats), VerifyError> {
     let (ex, cursor) = Explorer::resume(protocol, inputs, alphabet, r, false, &limits, dir, epoch)?;
-    let explored = ex.run(cursor, &limits)?;
+    let explored = ex.run(cursor, &limits, Instant::now())?;
     Ok(settle(explored))
 }
 
@@ -2370,7 +2457,7 @@ pub fn verify_output_stabilization_resumed_at<L: Label>(
     epoch: Option<u64>,
 ) -> Result<(Verdict<L>, ExploreStats), VerifyError> {
     let (ex, cursor) = Explorer::resume(protocol, inputs, alphabet, r, true, &limits, dir, epoch)?;
-    let explored = ex.run(cursor, &limits)?;
+    let explored = ex.run(cursor, &limits, Instant::now())?;
     Ok(settle(explored))
 }
 
@@ -3115,6 +3202,122 @@ mod tests {
         let base = run(1);
         for threads in [2, 4, 7] {
             assert_eq!(base, run(threads), "t{threads}");
+        }
+    }
+
+    /// Field-by-field successor of `src` under activation set `mask`:
+    /// activated correct nodes write `react`, activated Byzantine nodes
+    /// write `digits` and crash nodes nothing; activated countdowns reset
+    /// to `r` and the rest count down. Returns the packed row and whether
+    /// a correct-sourced label changed.
+    fn reference_step<L: Label>(
+        cfg: &Config<'_, L>,
+        src: &[u64],
+        react: &[u64],
+        digits: &[u64],
+        mask: u32,
+    ) -> (Vec<u64>, bool) {
+        let (lw, cw) = (cfg.label_width, cfg.countdown_width);
+        let cd_at = |i: usize| cfg.e * lw as usize + i * cw as usize;
+        let graph = cfg.protocol.graph();
+        let before: Vec<u64> = (0..cfg.e)
+            .map(|k| unpack(src, k * lw as usize, lw))
+            .collect();
+        let mut labels = before.clone();
+        let mut row = vec![0u64; cfg.words_per_state];
+        for i in 0..cfg.n {
+            let cd = unpack(src, cd_at(i), cw) + 1;
+            if mask >> i & 1 == 1 {
+                pack(&mut row, cd_at(i), cw, u64::from(cfg.r) - 1);
+                if !cfg.faults.is_crash(i) {
+                    for &eid in graph.out_edges(i) {
+                        let byz = cfg.faults.is_byzantine(i);
+                        labels[eid] = if byz { digits[eid] } else { react[eid] };
+                    }
+                }
+            } else {
+                pack(&mut row, cd_at(i), cw, cd - 2);
+            }
+        }
+        for (k, &l) in labels.iter().enumerate() {
+            pack(&mut row, k * lw as usize, lw, l);
+        }
+        let changed = graph
+            .edges()
+            .any(|(k, from, _)| !cfg.faults.is_faulty(from) && labels[k] != before[k]);
+        (row, changed)
+    }
+
+    #[test]
+    fn word_parallel_rows_match_a_per_field_reference() {
+        // (graph, |Σ|, r, words): 75 bits with a countdown field across
+        // bit 64; 115 bits with a label field across it; 135 bits with a
+        // label field across bit 64 and a countdown field across 128;
+        // 210 bits with a countdown field across 192.
+        let cases = [
+            (topology::clique(5), 8u64, 5u8, 2usize),
+            (topology::clique(5), 20, 5, 2),
+            (topology::clique(5), 40, 5, 3),
+            (topology::bidirectional_ring(10), 200, 20, 4),
+        ];
+        let placements: [(&[NodeId], &[NodeId]); 4] =
+            [(&[], &[]), (&[], &[1]), (&[2], &[]), (&[0], &[3])];
+        let mut seed = 0x5EED_0123_u64;
+        let mut draw = |below: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % below
+        };
+        for (graph, q, r, words) in cases {
+            let (n, e) = (graph.node_count(), graph.edge_count());
+            let alphabet: Vec<u8> = (0..q as u8).collect();
+            let p = Protocol::builder(graph, 1.0)
+                .uniform_reaction(FnReaction::new(|_, inc: &[u8], _| (inc.to_vec(), 0)))
+                .build()
+                .unwrap();
+            for (byz, crash) in placements {
+                let limits = Limits {
+                    faults: FaultModel::new(byz, crash).unwrap(),
+                    ..Limits::default()
+                };
+                let ex = Explorer::prepare(&p, &vec![0; n], &alphabet, r, false, &limits).unwrap();
+                let cfg = &ex.cfg;
+                assert_eq!(cfg.words_per_state, words);
+                let (lw, cw) = (cfg.label_width as usize, cfg.countdown_width);
+                for _ in 0..24 {
+                    let mut src = vec![0u64; words];
+                    for k in 0..e {
+                        pack(&mut src, k * lw, lw as u32, draw(q));
+                    }
+                    for i in 0..n {
+                        pack(&mut src, e * lw + i * cw as usize, cw, draw(u64::from(r)));
+                    }
+                    let react: Vec<u64> = (0..e).map(|_| draw(q)).collect();
+                    let digits: Vec<u64> = (0..e).map(|_| draw(q)).collect();
+                    let mut reacted = cfg.masks.reset.clone();
+                    for (k, from, _) in p.graph().edges() {
+                        if !cfg.faults.is_faulty(from) {
+                            pack(&mut reacted, k * lw, lw as u32, react[k]);
+                        }
+                    }
+                    let forced = cfg.forced(&src);
+                    for mask in (1..1u32 << n).filter(|m| m & forced == forced) {
+                        let mut row = vec![0u64; words];
+                        let changed = step_row(&cfg.masks, &src, &reacted, mask, &mut row);
+                        for i in (0..n).filter(|&i| mask >> i & 1 == 1 && byz.contains(&i)) {
+                            for &eid in p.graph().out_edges(i) {
+                                pack(&mut row, eid * lw, lw as u32, digits[eid]);
+                            }
+                        }
+                        assert_eq!(
+                            (row, changed),
+                            reference_step(cfg, &src, &react, &digits, mask),
+                            "{words} words, byzantine {byz:?}, crash {crash:?}, mask {mask:#b}"
+                        );
+                    }
+                }
+            }
         }
     }
 

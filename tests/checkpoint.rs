@@ -204,6 +204,33 @@ fn deadline_yields_resumable_partial_verdict() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The deadline clock starts before the seed phase, so a budget the
+/// seeds alone exhaust truncates before any state is expanded: seeding
+/// the 2^16 labelings of the n = 16 ring outlasts 0.2 ms.
+#[test]
+fn a_deadline_shorter_than_seeding_expands_nothing() {
+    let v = verify_label_stabilization(
+        &rotate_ring(16),
+        &[0u64; 16],
+        &[false, true],
+        2,
+        Limits {
+            deadline: Some(Duration::from_micros(200)),
+            ..Limits::default()
+        },
+    )
+    .unwrap();
+    let Verdict::Partial {
+        states_explored,
+        frontier_len,
+        ..
+    } = v
+    else {
+        panic!("a 0.2 ms deadline must truncate the exploration, got {v:?}")
+    };
+    assert_eq!(frontier_len, states_explored, "no state was expanded");
+}
+
 /// Flipping one byte in the newest epoch file must not poison resume:
 /// the store falls back to the previous (still-valid) epoch, and the
 /// resumed verdict is still bit-identical. Explicitly requesting the
@@ -587,4 +614,78 @@ fn crashed_commit_orphans_are_swept_on_reopen() {
             .unwrap();
     assert_eq!(clean, resumed, "sweep must not disturb committed epochs");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Writes one epoch of the resume format by hand — a header, then shard 0
+/// only (metadata, a row block holding `rows` unless it is empty, a
+/// dense-id segment) — for an instance of `words` packed words per
+/// state, with valid checksums.
+fn craft_epoch(dir: &std::path::Path, fp: u64, n_states: u64, len: u64, rows: &[u64], words: u64) {
+    // Segment tags: 1 header, 2 shard metadata, 3 row block, 5 dense ids.
+    let store = CheckpointStore::open(dir).unwrap();
+    let mut w = store.begin_epoch(1).unwrap();
+    w.begin_segment(1);
+    for v in [0x5354_4c53_434b_5031, 1, fp, n_states, 0, 0, 0, words, 0] {
+        w.put_u64(v);
+    }
+    w.end_segment().unwrap();
+    w.begin_segment(2);
+    for v in [0, len, u64::from(!rows.is_empty()), 0] {
+        w.put_u64(v);
+    }
+    w.end_segment().unwrap();
+    if !rows.is_empty() {
+        w.begin_segment(3);
+        w.put_u64s(rows);
+        w.end_segment().unwrap();
+    }
+    w.begin_segment(5);
+    w.put_u32s(&vec![0; rows.len() / words as usize]);
+    w.end_segment().unwrap();
+    store.commit(w, 1).unwrap();
+}
+
+/// An epoch whose length fields claim more than its bytes hold is a
+/// typed [`ResumeError::Corrupt`], never a panic or an allocation sized
+/// from the claim: a shard of 2^63 rows with no row blocks, and a header
+/// of nearly 2^32 states over a one-row shard.
+#[test]
+fn inflated_length_fields_are_corrupt_not_a_panic() {
+    use stateless_computation::verify::checkpoint::instance_fingerprint;
+    use stateless_computation::verify::FaultModel;
+    // 16 edges × 4 label bits + 8 countdown bits: 2 words per state.
+    let n = 8;
+    let p = Protocol::builder(topology::bidirectional_ring(n), 1.0)
+        .uniform_reaction(FnReaction::new(|_, inc: &[u8], _| (inc.to_vec(), 0)))
+        .build()
+        .unwrap();
+    let (inputs, alphabet, r) = (vec![0u64; n], (0..16u8).collect::<Vec<_>>(), 2);
+    let limits = Limits::default();
+    let fp = instance_fingerprint(
+        &p,
+        &inputs,
+        &alphabet,
+        r,
+        false,
+        &FaultModel::none(),
+        SymmetryMode::Off,
+        limits.max_states,
+        limits.max_edges,
+    );
+    let cases: [(&str, u64, u64, &[u64]); 2] = [
+        ("huge-shard", 1, 1 << 63, &[]),
+        ("huge-header", u64::from(u32::MAX) - 1, 1, &[0, 0]),
+    ];
+    for (name, n_states, len, rows) in cases {
+        let dir = scratch_dir(name);
+        craft_epoch(&dir, fp, n_states, len, rows, 2);
+        let err =
+            verify_label_stabilization_resumed(&p, &inputs, &alphabet, r, limits.clone(), &dir)
+                .unwrap_err();
+        assert!(
+            matches!(err, VerifyError::Resume(ResumeError::Corrupt { .. })),
+            "{name}: {err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
