@@ -223,9 +223,10 @@ fn sweep_rows(n: usize) -> Vec<String> {
 /// state words read off [`ExploreStats`] (per-shard arena-block slack
 /// and the fingerprint index, ~16 B/state, sit on top, bounded and
 /// amortizing away at the state counts where memory matters), and
-/// `peak_edge_bytes`, the peak **transient** edge footprint — per-batch
-/// record buffers and the witness-component CSR, the only edge storage
-/// left anywhere. The naive row's `naive_state_bytes` is the per-state
+/// `peak_edge_bytes`, the peak **transient** edge footprint — the
+/// largest per-batch record buffer of exploration, the only edge storage
+/// left anywhere (the SCC pass and the witness search regenerate edges
+/// and store none). The naive row's `naive_state_bytes` is the per-state
 /// footprint of the old representation, counted analytically: the
 /// `(Vec<L>, Vec<u8>, Vec<Output>)` tuple (three 24-byte Vec headers +
 /// e·|L| + n + 8n heap bytes) stored twice (once in the state table,

@@ -221,17 +221,20 @@ impl DiGraph {
         if self.node_count == 0 {
             return true;
         }
-        let oracle = crate::scc::from_fn(self.node_count, |u, out| {
+        let mut oracle = crate::scc::from_fn(self.node_count, |u, out| {
             out.clear();
             out.extend(
                 self.out_edges[u as usize]
                     .iter()
-                    .map(|&e| self.edges[e].1 as u32),
+                    .map(|&e| (self.edges[e].1 as u32, false)),
             );
         });
         // Canonical numbering: strongly connected ⇔ every component id
         // is the component of node 0, which numbers 0.
-        crate::scc::condense(&oracle).iter().all(|&c| c == 0)
+        crate::scc::condense(&mut oracle)
+            .comp
+            .iter()
+            .all(|&c| c == 0)
     }
 
     /// Eccentricity of `node`: the maximum BFS distance to any node.

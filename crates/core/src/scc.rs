@@ -5,9 +5,9 @@
 //! graph: successors are regenerated on demand from the interned packed
 //! state words. [`condense`] therefore computes the SCC condensation
 //! against a [`SuccessorOracle`] — anything that can answer "how many
-//! states?" and "overwrite this buffer with the successors of `u`" — so
-//! the verifier and [`crate::graph::DiGraph`] share one implementation,
-//! and [`from_fn`] turns any closure into an oracle.
+//! states?" and "overwrite this buffer with the edges of `u`" — so the
+//! verifier and [`crate::graph::DiGraph`] share one implementation, and
+//! [`from_fn`] turns any closure into an oracle.
 //!
 //! The engine is a serial iterative Tarjan: one depth-first pass that
 //! asks the oracle for each state's successors exactly once. It is serial
@@ -16,6 +16,13 @@
 //! Forward–Backward decomposition measured 1.3–5× slower than this one
 //! pass on the verifier's product graphs, at one worker and at two.
 //!
+//! Every edge carries a mark, and the same pass reports the least
+//! `(source, edge index)` marked edge inside a component
+//! ([`Condensation::marked`]): the verifier marks label-changing edges,
+//! so Theorem 3.1's question needs no second sweep. An edge `u → w` is
+//! decided when it closes: it stays inside a component iff `w` is still
+//! on the Tarjan stack — for a tree edge, once `w`'s frame has popped.
+//!
 //! # Determinism
 //!
 //! [`condense`] returns the **canonical** component numbering:
@@ -23,17 +30,18 @@
 //! increasing order of that id (equivalently: by first occurrence when
 //! scanning states `0, 1, 2, …`). That numbering depends only on the
 //! component *partition* — a property of the graph, not of the DFS
-//! order — which is what lets the verifier's witness scan compare
-//! component ids directly.
+//! order — which is what lets the verifier's witness search compare
+//! component ids directly. The marked edge, too, is the least one
+//! whatever order the DFS closes edges in.
 //!
 //! # Memory
 //!
 //! Nothing here materializes a forward or reverse CSR. The working set
 //! is O(states) — component id, discovery index, low-link, and on-stack
-//! flag per state, about 13 bytes — plus the successor buffers of the
-//! live DFS call frames, bounded by the sum of out-degrees along one DFS
-//! path. Edge storage is whatever the oracle itself holds; for the
-//! verifier that is nothing beyond the packed states.
+//! flag per state, about 13 bytes — plus the edge buffers of the live
+//! DFS call frames, bounded by the sum of out-degrees along one DFS path.
+//! Edge storage is whatever the oracle itself holds; for the verifier
+//! that is nothing beyond the packed states.
 //!
 //! Unlike [`crate::graph::DiGraph`], oracle graphs may contain
 //! self-loops (the verifier's product graph does); a state with a
@@ -42,19 +50,23 @@
 /// `comp` value of a state not yet assigned to any component.
 const UNASSIGNED: u32 = u32::MAX;
 
-/// An implicit digraph: `state_count()` states addressed `0..n`, edges
-/// answered one source state at a time.
+/// A Tarjan call frame: state, edge buffer, cursor into it.
+type Frame = (u32, Vec<(u32, bool)>, usize);
+
+/// An implicit digraph with marked edges: `state_count()` states
+/// addressed `0..n`, edges answered one source state at a time.
 ///
 /// `successors` must **replace** the contents of `out` with the
-/// successor list of `u` (clear, then fill). Duplicate targets and
-/// self-loops are allowed; target ids must be `< state_count()`. The
-/// successor list of a given state must be identical on every call —
-/// the condensation rests on the graph not shifting under it.
+/// `(target, marked)` edges of `u` (clear, then fill); an edge's index is
+/// its position in that list. Duplicate targets and self-loops are
+/// allowed; target ids must be `< state_count()`. The edge list of a
+/// given state, marks included, must be identical on every call — the
+/// condensation rests on the graph not shifting under it.
 pub trait SuccessorOracle {
     /// Number of states; ids run `0..state_count()`.
     fn state_count(&self) -> usize;
-    /// Overwrites `out` with the successors of `u`.
-    fn successors(&self, u: u32, out: &mut Vec<u32>);
+    /// Overwrites `out` with the `(target, marked)` edges of `u`.
+    fn successors(&mut self, u: u32, out: &mut Vec<(u32, bool)>);
 }
 
 /// Closure-backed oracle from [`from_fn`].
@@ -66,29 +78,38 @@ pub struct FnOracle<F> {
 /// Wraps a closure `f(u, &mut out)` (same overwrite contract as
 /// [`SuccessorOracle::successors`]) over `n` states as an oracle — the
 /// lightest way to condense a graph that exists only as a function.
-pub fn from_fn<F: Fn(u32, &mut Vec<u32>)>(n: usize, f: F) -> FnOracle<F> {
+pub fn from_fn<F: FnMut(u32, &mut Vec<(u32, bool)>)>(n: usize, f: F) -> FnOracle<F> {
     FnOracle { n, f }
 }
 
-impl<F: Fn(u32, &mut Vec<u32>)> SuccessorOracle for FnOracle<F> {
+impl<F: FnMut(u32, &mut Vec<(u32, bool)>)> SuccessorOracle for FnOracle<F> {
     fn state_count(&self) -> usize {
         self.n
     }
 
-    fn successors(&self, u: u32, out: &mut Vec<u32>) {
+    fn successors(&mut self, u: u32, out: &mut Vec<(u32, bool)>) {
         (self.f)(u, out)
     }
 }
 
-/// Computes the SCC condensation of an implicit digraph and returns the
-/// component id of every state in the canonical numbering (components
-/// ordered by their minimum state id — see the [module docs](self)).
+/// What [`condense`] returns (see the [module docs](self)).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Condensation {
+    /// Component id of every state, in the canonical numbering.
+    pub comp: Vec<u32>,
+    /// The least `(source, edge index)` marked edge whose endpoints share
+    /// a component, if any.
+    pub marked: Option<(u32, usize)>,
+}
+
+/// Computes the SCC condensation of an implicit digraph and its least
+/// marked intra-component edge.
 ///
-/// Serial iterative Tarjan: call frames own their materialized successor
+/// Serial iterative Tarjan: call frames own their materialized edge
 /// buffers (generated once when the frame is pushed, recycled through a
 /// spare pool), so transient memory is bounded by the sum of out-degrees
 /// along one DFS path.
-pub fn condense<O: SuccessorOracle + ?Sized>(oracle: &O) -> Vec<u32> {
+pub fn condense<O: SuccessorOracle + ?Sized>(oracle: &mut O) -> Condensation {
     let n = oracle.state_count();
     let mut comp = vec![UNASSIGNED; n];
     // Discovery indices, offset by one so 0 means "unvisited".
@@ -96,11 +117,11 @@ pub fn condense<O: SuccessorOracle + ?Sized>(oracle: &O) -> Vec<u32> {
     let mut low = vec![0u32; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<u32> = Vec::new();
-    // Call frames: (state, successor buffer, cursor into it).
-    let mut call: Vec<(u32, Vec<u32>, usize)> = Vec::new();
-    let mut spare: Vec<Vec<u32>> = Vec::new();
+    let mut call: Vec<Frame> = Vec::new();
+    let mut spare: Vec<Vec<(u32, bool)>> = Vec::new();
     let mut next_order: u32 = 1;
     let mut comp_count: u32 = 0;
+    let mut marked: Option<(u32, usize)> = None;
     for root in 0..n as u32 {
         if order[root as usize] != 0 {
             continue;
@@ -116,9 +137,12 @@ pub fn condense<O: SuccessorOracle + ?Sized>(oracle: &O) -> Vec<u32> {
         while let Some(&mut (v, ref succs, ref mut cursor)) = call.last_mut() {
             let vu = v as usize;
             if *cursor < succs.len() {
-                let w = succs[*cursor] as usize;
+                let k = *cursor;
+                let (w, mark) = succs[k];
+                let w = w as usize;
                 *cursor += 1;
                 if order[w] == 0 {
+                    // A tree edge: decided when `w`'s frame pops.
                     order[w] = next_order;
                     low[w] = next_order;
                     next_order += 1;
@@ -129,6 +153,9 @@ pub fn condense<O: SuccessorOracle + ?Sized>(oracle: &O) -> Vec<u32> {
                     call.push((w as u32, succs, 0));
                 } else if on_stack[w] {
                     low[vu] = low[vu].min(order[w]);
+                    if mark {
+                        marked = Some(marked.map_or((v, k), |best| best.min((v, k))));
+                    }
                 }
             } else {
                 if low[vu] == order[vu] {
@@ -144,15 +171,20 @@ pub fn condense<O: SuccessorOracle + ?Sized>(oracle: &O) -> Vec<u32> {
                 }
                 let (_, buf, _) = call.pop().expect("frame present");
                 spare.push(buf);
-                if let Some(&mut (parent, _, _)) = call.last_mut() {
+                if let Some(&mut (parent, ref succs, cursor)) = call.last_mut() {
                     let pu = parent as usize;
                     low[pu] = low[pu].min(low[vu]);
+                    // The tree edge parent → v, at the parent's cursor − 1.
+                    let edge = (parent, cursor - 1);
+                    if on_stack[vu] && succs[edge.1].1 {
+                        marked = Some(marked.map_or(edge, |best| best.min(edge)));
+                    }
                 }
             }
         }
     }
     canonicalize(&mut comp, comp_count);
-    comp
+    Condensation { comp, marked }
 }
 
 /// Renumbers raw component ids (each `< raw_count`) into the canonical
@@ -176,16 +208,18 @@ mod tests {
     use super::*;
 
     /// Condenses the digraph given by an explicit edge list over `n`
-    /// states.
+    /// states, every edge unmarked.
     fn comps(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
         let mut adj = vec![Vec::new(); n];
         for &(u, v) in edges {
-            adj[u as usize].push(v);
+            adj[u as usize].push((v, false));
         }
-        condense(&from_fn(n, |u, out: &mut Vec<u32>| {
+        let cond = condense(&mut from_fn(n, |u, out: &mut Vec<(u32, bool)>| {
             out.clear();
             out.extend_from_slice(&adj[u as usize]);
-        }))
+        }));
+        assert_eq!(cond.marked, None, "no edge is marked");
+        cond.comp
     }
 
     #[test]

@@ -86,8 +86,11 @@ const ENTRY_TAG: u32 = 0x5643_4531; // "VCE1"
 /// Magic word opening the header segment.
 const HEADER_MAGIC: u64 = 0x7374_6c73_2d76_6331; // "stls-vc1"
 /// Entry format version; entries of another version are skipped on load
-/// (a recompute, never a misdecode).
-const ENTRY_VERSION: u64 = 2;
+/// (a recompute, never a misdecode). Version 3 entries carry an
+/// [`ExploreStats::edge_bytes`] that counts exploration's record buffers
+/// alone; a version 2 entry may hold a witness-phase figure this build
+/// never computes.
+const ENTRY_VERSION: u64 = 3;
 
 /// Entry kind words.
 const KIND_STABILIZING: u64 = 0;

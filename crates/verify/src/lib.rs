@@ -23,10 +23,11 @@
 //! (`(shard, local)` ids packed into one `u64`), stores no transitions —
 //! every phase that needs edges regenerates them from the packed states —
 //! and condenses the graph with one serial Tarjan pass over a successor
-//! oracle (`stateless_core::scc::condense`). Frontier expansion and the
-//! witness edge scan are parallel over [`Limits::threads`] workers and
-//! *deterministic*: verdicts, state numbering, and witnesses are
-//! bit-identical at every thread count — see the [`product`] module docs
+//! oracle (`stateless_core::scc::condense`), which also reports the
+//! least labeling-changing edge inside an SCC, so no other sweep runs
+//! after it. Frontier expansion is parallel over [`Limits::threads`]
+//! workers and *deterministic*: verdicts, state numbering, and witnesses
+//! are bit-identical at every thread count — see the [`product`] module docs
 //! for the memory model and the determinism contract. Experiment E4 uses
 //! it to confirm Example 1's tightness, and bench `verify` plus the
 //! per-thread `verify_scaling` perf rows (including the isolated SCC

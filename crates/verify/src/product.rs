@@ -31,10 +31,10 @@
 //!   ([`StateShard::lookup`]) against the shard arenas. This is the
 //!   classic on-the-fly / implicit-graph model-checking move: memory is
 //!   O(states) plus bounded transients (per-batch record buffers during
-//!   exploration, the successor buffers along one DFS path during SCC,
-//!   and one small CSR over the single verdict SCC during witness
-//!   reconstruction), never O(edges). [`Limits::max_edges`] survives as
-//!   a **traversal budget**: exploration still counts every transition
+//!   exploration, the edge buffers along one DFS path during SCC, and
+//!   the witness search's map over the states it reaches), never
+//!   O(edges). [`Limits::max_edges`] survives as a **traversal
+//!   budget**: exploration still counts every transition
 //!   it generates (each exactly once) and fails with
 //!   [`VerifyError::TooManyEdges`] past the budget, bounding wall time
 //!   on dense activation sets — it just no longer corresponds to any
@@ -42,10 +42,15 @@
 //! * **SCC over a successor oracle.** Components come from
 //!   [`stateless_core::scc::condense`], one serial iterative Tarjan pass
 //!   driven through the [`scc::SuccessorOracle`] trait, which regenerates
-//!   each state's successors from its packed row exactly once. The
-//!   numbering is canonical (components ordered by minimum member id),
-//!   a property of the graph alone, so component ids — and hence
-//!   verdicts and witnesses — are bit-identical at every thread count.
+//!   each state's successors from its packed row exactly once and marks
+//!   the interesting (label- or output-changing) ones. The same pass
+//!   reports the least interesting edge inside a component, which
+//!   decides the verdict (Theorem 3.1) and anchors the witness, so
+//!   after exploration the graph is regenerated once, plus the states a
+//!   witness search visits. The numbering is canonical (components
+//!   ordered by minimum member id), a property of the graph alone, so
+//!   component ids — and hence verdicts and witnesses — are
+//!   bit-identical at every thread count.
 //!
 //! ## Migration note (`max_edges` / `TooManyEdges`)
 //!
@@ -58,9 +63,8 @@
 //! on `TooManyEdges { limit }` keep working unchanged — but the default
 //! budget is now sized for wall time, not for a 8-byte-per-edge array
 //! (see [`Limits::default`]). [`ExploreStats::edge_bytes`] likewise now
-//! reports the **peak transient** edge bytes (largest per-batch record
-//! buffer, plus the witness-phase component CSR) instead of final CSR
-//! storage.
+//! reports the **peak transient** edge bytes (the largest per-batch
+//! record buffer of exploration) instead of final CSR storage.
 //!
 //! # Parallel exploration and determinism
 //!
@@ -141,8 +145,8 @@
 //! where the naive explorer would silently grow the state space until
 //! [`Limits::max_states`] tripped.
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -184,11 +188,11 @@ pub struct Limits {
     /// time; this one does. Exceeding it fails with
     /// [`VerifyError::TooManyEdges`], exactly as it always did.
     pub max_edges: usize,
-    /// Worker threads for frontier expansion and the interesting-edge
-    /// scan; `0` means all available cores. SCC condensation is one
-    /// serial pass whatever the value. Verdicts, state ids, and
-    /// witnesses are bit-identical for every value — the thread count is
-    /// purely a throughput knob.
+    /// Worker threads for frontier expansion; `0` means all available
+    /// cores. SCC condensation, which also finds the witness edge, and
+    /// the witness search are serial whatever the value. Verdicts, state
+    /// ids, and witnesses are bit-identical for every value — the thread
+    /// count is purely a throughput knob.
     pub threads: usize,
     /// Symmetry-quotient exploration. [`SymmetryMode::Off`] (the
     /// default) explores the full product graph exactly as before;
@@ -493,8 +497,7 @@ impl<L> Verdict<L> {
 /// Every field is bit-identical across thread counts —
 /// the differential suite asserts stats equality — so the transient
 /// peak is computed only from thread-independent quantities (batch
-/// boundaries derive from degree estimates, the witness CSR from the
-/// verdict component).
+/// boundaries derive from degree estimates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExploreStats {
     /// Product states materialized.
@@ -509,13 +512,10 @@ pub struct ExploreStats {
     pub state_bytes: usize,
     /// **Peak transient** edge bytes: the largest per-batch successor
     /// record buffer exploration ever held (records die with their
-    /// batch), maxed with the witness phase's single-component CSR.
+    /// batch), capped by the batch-budget ceiling (`BATCH_EDGE_BUDGET`).
     /// Replaces the stored-CSR figure of the pre-oracle verifier — see
-    /// the module docs' migration note. The exploration contribution is
-    /// capped by the batch-budget ceiling (`BATCH_EDGE_BUDGET`); on a
-    /// cyclic verdict the witness CSR — proportional to the verdict
-    /// SCC's intra-edges, not the whole graph — can exceed it and
-    /// dominate this figure.
+    /// the module docs' migration note. The phases after exploration
+    /// store no edges, so they add nothing here.
     pub edge_bytes: usize,
 }
 
@@ -551,11 +551,6 @@ const SEED_BATCH_STATES: usize = 1 << 17;
 /// pipeline's results are deterministic by construction, so execution
 /// strategy never affects verdicts, ids, or witnesses.
 const PARALLEL_MIN_BATCH_EDGES: u64 = 1 << 16;
-/// States per chunk of the parallel interesting-edge scan. A fixed
-/// constant for the same reason as the budgets above: the scan returns
-/// the first hit of the earliest chunk, so chunk boundaries must not
-/// depend on the thread count.
-const SCAN_CHUNK_STATES: usize = 1 << 14;
 
 /// Read-only exploration parameters, shared by every worker.
 struct Config<'p, L: Label> {
@@ -813,11 +808,6 @@ impl<L: Label> ExpandScratch<L> {
     }
 }
 
-/// Runs `count` independent jobs on up to `threads` workers (claimed via
-/// an atomic cursor, like the sweep drivers in `stateless-core`) and
-/// returns the results **in job order** — callers depend on index order,
-/// never completion order, which is what keeps the pipeline
-/// deterministic. `threads = 1` runs inline on the caller thread.
 /// Renders a caught panic payload for error reporting: the `&str` /
 /// `String` payloads `panic!` produces, or a placeholder otherwise.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -830,6 +820,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Runs `count` independent jobs on up to `threads` workers (claimed via
+/// an atomic cursor, like the sweep drivers in `stateless-core`) and
+/// returns the results **in job order** — callers depend on index order,
+/// never completion order, which is what keeps the pipeline
+/// deterministic. `threads = 1` runs inline on the caller thread.
 fn run_indexed<T, F>(threads: usize, count: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -990,9 +985,8 @@ struct Explorer<'p, L: Label> {
     /// storage backs it.
     n_edges: usize,
     /// Peak transient edge bytes (see [`ExploreStats::edge_bytes`]):
-    /// max over batches of the record-buffer payload, later maxed with
-    /// the witness CSR by `&self` phases — hence atomic.
-    peak_edge_bytes: AtomicUsize,
+    /// max over seed and expansion batches of the record-buffer payload.
+    peak_edge_bytes: usize,
 }
 
 impl<'p, L: Label> Explorer<'p, L> {
@@ -1156,7 +1150,7 @@ impl<'p, L: Label> Explorer<'p, L> {
             free_bits: Vec::new(),
             n_states: 0,
             n_edges: 0,
-            peak_edge_bytes: AtomicUsize::new(0),
+            peak_edge_bytes: 0,
         };
         Ok(ex)
     }
@@ -1248,7 +1242,7 @@ impl<'p, L: Label> Explorer<'p, L> {
         writer.put_u64(self.n_states as u64);
         writer.put_u64(cursor as u64);
         writer.put_u64(self.n_edges as u64);
-        writer.put_u64(self.peak_edge_bytes.load(Ordering::Relaxed) as u64);
+        writer.put_u64(self.peak_edge_bytes as u64);
         writer.put_u64(self.cfg.words_per_state as u64);
         writer.put_u64(self.cfg.aux_len as u64);
         writer.end_segment()?;
@@ -1482,7 +1476,7 @@ impl<'p, L: Label> Explorer<'p, L> {
         ex.free_bits = free_bits;
         ex.n_states = n_states;
         ex.n_edges = n_edges;
-        ex.peak_edge_bytes = AtomicUsize::new(peak_edge_bytes);
+        ex.peak_edge_bytes = peak_edge_bytes;
         Ok((ex, cursor))
     }
 
@@ -1493,8 +1487,8 @@ impl<'p, L: Label> Explorer<'p, L> {
     }
 
     /// Folds a transient figure into the deterministic peak.
-    fn note_transient_bytes(&self, bytes: usize) {
-        self.peak_edge_bytes.fetch_max(bytes, Ordering::Relaxed);
+    fn note_transient_bytes(&mut self, bytes: usize) {
+        self.peak_edge_bytes = self.peak_edge_bytes.max(bytes);
     }
 
     /// Interns the initialization vertices — every labeling with full
@@ -1901,33 +1895,21 @@ impl<'p, L: Label> Explorer<'p, L> {
         Ok(())
     }
 
-    /// Regenerates and resolves the outgoing edges of dense state `u`:
-    /// every successor is packed, fingerprinted, and looked up read-only
-    /// in its shard ([`StateShard::lookup`] — exploration interned all
-    /// of them), then mapped to its dense id. `out` is overwritten with
-    /// `(dense target, activation mask, interesting, canonicalizing
-    /// element, adversary choice)` in the canonical edge order.
+    /// Regenerates and resolves the outgoing edges of dense state `u`
+    /// ([`resolve`]). `out` is overwritten with `(dense target,
+    /// activation mask, canonicalizing element, adversary choice)` in the
+    /// canonical edge order.
     fn successors_resolved(
         &self,
         guards: &[RwLockReadGuard<'_, StateShard>],
         u: usize,
         scratch: &mut ExpandScratch<L>,
-        out: &mut Vec<(u32, u32, bool, u32, u64)>,
+        out: &mut Vec<(u32, u32, u32, u64)>,
     ) {
         out.clear();
-        self.for_each_successor(
-            guards,
-            u,
-            scratch,
-            |words, aux, mask, interesting, elem, choice| {
-                let fp = fingerprint(words, aux);
-                let s = shard_of(fp);
-                let local = guards[s]
-                    .lookup(fp, words, aux)
-                    .expect("every successor was interned during exploration");
-                out.push((guards[s].dense_of(local), mask, interesting, elem, choice));
-            },
-        )
+        self.for_each_successor(guards, u, scratch, |words, aux, mask, _, elem, choice| {
+            out.push((resolve(guards, words, aux), mask, elem, choice));
+        })
         .expect("alphabet closure was validated during exploration");
     }
 
@@ -1993,21 +1975,38 @@ impl<'p, L: Label> Explorer<'p, L> {
     }
 
     /// Condenses the explored product graph **without materializing
-    /// it**: a [`ProductOracle`] regenerates successors on demand for
-    /// [`stateless_core::scc::condense`], in the canonical numbering.
-    fn sccs(&self) -> Vec<u32> {
-        scc::condense(&ProductOracle::new(self))
+    /// it**. The [`scc::SuccessorOracle`] is a closure that owns read
+    /// guards over the shard arenas and one expansion scratch: a query
+    /// regenerates the state's edges ([`Explorer::for_each_successor`],
+    /// which under quotient exploration canonicalizes every successor
+    /// itself) and emits each as its dense target id, marked when the
+    /// edge is interesting. So the canonical numbering comes back with
+    /// the witness edge, and no full-graph edge array ever exists.
+    fn sccs(&self) -> scc::Condensation {
+        let guards = self.index.read_all();
+        let mut scratch = ExpandScratch::new(&self.cfg);
+        scc::condense(&mut scc::from_fn(self.n_states, |u, out| {
+            out.clear();
+            self.for_each_successor(
+                &guards,
+                u as usize,
+                &mut scratch,
+                |words, aux, _, interesting, _, _| {
+                    out.push((resolve(&guards, words, aux), interesting));
+                },
+            )
+            .expect("alphabet closure was validated during exploration");
+        }))
     }
 
-    /// Finds a cycle through an "interesting" intra-SCC edge, as a
-    /// witness. The *first* such edge suffices — its endpoints share an
-    /// SCC, so the closing path always exists and one BFS settles the
-    /// whole component. The BFS needs repeated edge access over that one
-    /// component, so the verdict SCC — and only it — is re-expanded into
-    /// a small **transient** CSR (component-local targets + activation
-    /// masks + canonicalizing elements), discarded when the witness is
-    /// built; its size is folded into the [`ExploreStats::edge_bytes`]
-    /// peak.
+    /// Builds a witness cycle through the condensation's marked edge
+    /// `u → v`: the least interesting edge, in canonical edge order
+    /// (ascending source state, then activation-set order), whose
+    /// endpoints share an SCC. Since they do, the closing path always
+    /// exists, and a BFS from `v` back to `u` inside `u`'s component finds
+    /// it. Like every other phase, the BFS regenerates the edges of each
+    /// state it dequeues; it keeps only a map over the states it reaches,
+    /// keyed by dense id, and stores no edges.
     ///
     /// Under quotient exploration the cycle found here lives in the
     /// **quotient** graph, so it is de-canonicalized before being
@@ -2017,86 +2016,52 @@ impl<'p, L: Label> Explorer<'p, L> {
     /// element `h`) and unrolling laps until `c` is the identity again
     /// yields a concrete cycle of the unquotiented system, starting at
     /// the decoded (canonical) entry labeling.
-    fn witness(&self, comp: &[u32]) -> Option<CycleWitness<L>> {
-        let (u, v, mask, elem, choice) = self.first_interesting_intra_scc_edge(comp)?;
-        // Re-expand the verdict component into local-id CSR arrays.
-        let cid = comp[u];
-        let members: Vec<u32> = (0..self.n_states as u32)
-            .filter(|&x| comp[x as usize] == cid)
-            .collect();
-        let mut local_of: Vec<u32> = vec![u32::MAX; self.n_states];
-        for (i, &x) in members.iter().enumerate() {
-            local_of[x as usize] = i as u32;
-        }
+    fn witness(&self, cond: &scc::Condensation) -> Option<CycleWitness<L>> {
+        let (u, k) = cond.marked?;
         let guards = self.index.read_all();
         let mut scratch = ExpandScratch::new(&self.cfg);
-        let mut edges: Vec<(u32, u32, bool, u32, u64)> = Vec::new();
-        let mut offsets: Vec<usize> = Vec::with_capacity(members.len() + 1);
-        offsets.push(0);
-        let mut targets: Vec<u32> = Vec::new();
-        let mut masks: Vec<u32> = Vec::new();
-        let mut elems: Vec<u32> = Vec::new();
-        let mut choices: Vec<u64> = Vec::new();
-        for &x in &members {
-            self.successors_resolved(&guards, x as usize, &mut scratch, &mut edges);
-            for &(t, m, _, h, c) in &edges {
-                if comp[t as usize] == cid {
-                    targets.push(local_of[t as usize]);
-                    masks.push(m);
-                    elems.push(h);
-                    choices.push(c);
-                }
-            }
-            offsets.push(targets.len());
-        }
-        self.note_transient_bytes(
-            offsets.len() * std::mem::size_of::<usize>()
-                + targets.len() * 4
-                + masks.len() * 4
-                + elems.len() * 4
-                + choices.len() * 8,
-        );
-        let (lu, lv) = (local_of[u] as usize, local_of[v] as usize);
-        let m = members.len();
-        let mut prev: Vec<u32> = vec![u32::MAX; m];
-        let mut prev_mask: Vec<u32> = vec![0; m];
-        let mut prev_elem: Vec<u32> = vec![0; m];
-        let mut prev_choice: Vec<u64> = vec![0; m];
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        // BFS from v back to u inside the component.
-        queue.push_back(lv as u32);
-        let mut found = lv == lu;
-        'bfs: while let Some(w) = queue.pop_front() {
-            let wu = w as usize;
-            for c in offsets[wu]..offsets[wu + 1] {
-                let x = targets[c] as usize;
-                if x != lv && prev[x] == u32::MAX {
-                    prev[x] = w;
-                    prev_mask[x] = masks[c];
-                    prev_elem[x] = elems[c];
-                    prev_choice[x] = choices[c];
-                    if x == lu {
-                        found = true;
-                        break 'bfs;
-                    }
-                    queue.push_back(x as u32);
-                }
-            }
-        }
-        debug_assert!(found, "u and v share an SCC, so v reaches u");
-        if !found {
-            return None;
-        }
-        // Reconstruct the quotient cycle u →(mask, elem, choice) v → …
-        // → u in forward order.
+        let mut edges: Vec<(u32, u32, u32, u64)> = Vec::new();
+        self.successors_resolved(&guards, u as usize, &mut scratch, &mut edges);
+        // Expanding `u` decoded its labeling, the witness's entry point.
+        let labeling = scratch.labeling.clone();
+        let (v, mask, elem, choice) = edges[k];
+        // The quotient cycle u →(mask, elem, choice) v → … → u, in
+        // forward order; a self-loop closes it at once.
         let mut quot = vec![(mask, elem, choice)];
-        let mut path_rev = Vec::new();
-        let mut at = lu;
-        while at != lv {
-            path_rev.push((prev_mask[at], prev_elem[at], prev_choice[at]));
-            at = prev[at] as usize;
+        if v != u {
+            let cid = cond.comp[u as usize];
+            // Per reached state: its BFS parent and the (mask, elem,
+            // choice) of the edge that reached it.
+            let mut prev: HashMap<u32, (u32, u32, u32, u64), FxBuildHasher> = HashMap::default();
+            let mut queue = VecDeque::from([v]);
+            'bfs: while let Some(w) = queue.pop_front() {
+                self.successors_resolved(&guards, w as usize, &mut scratch, &mut edges);
+                for &(x, m, h, c) in &edges {
+                    if x == v || cond.comp[x as usize] != cid {
+                        continue;
+                    }
+                    if let Entry::Vacant(slot) = prev.entry(x) {
+                        slot.insert((w, m, h, c));
+                        if x == u {
+                            break 'bfs;
+                        }
+                        queue.push_back(x);
+                    }
+                }
+            }
+            debug_assert!(
+                prev.contains_key(&u),
+                "u and v share an SCC, so v reaches u"
+            );
+            let mut path_rev = Vec::new();
+            let mut at = u;
+            while at != v {
+                let &(p, m, h, c) = prev.get(&at)?;
+                path_rev.push((m, h, c));
+                at = p;
+            }
+            quot.extend(path_rev.into_iter().rev());
         }
-        quot.extend(path_rev.into_iter().rev());
         let n = self.cfg.n;
         let graph = self.cfg.protocol.graph();
         let ident = Automorphism::identity(n, self.cfg.e);
@@ -2149,62 +2114,10 @@ impl<'p, L: Label> Explorer<'p, L> {
             .map(|m| (0..n).filter(|&i| m >> i & 1 == 1).collect())
             .collect();
         Some(CycleWitness {
-            labeling: self.decode_labeling(u),
+            labeling,
             schedule,
             adversary,
         })
-    }
-
-    /// Finds the first (in canonical edge order — ascending source
-    /// state, then activation-set order) labeling/output-changing edge
-    /// whose endpoints share a component, regenerating each state's
-    /// edges on the fly. The scan is chunked over fixed state ranges and
-    /// the chunks run on [`Limits::threads`] workers; taking the
-    /// earliest non-empty chunk reproduces the serial scan's answer
-    /// exactly (chunk boundaries are constants, never derived from the
-    /// thread count), and a shared low-water mark lets workers skip
-    /// chunks that can no longer win.
-    fn first_interesting_intra_scc_edge(
-        &self,
-        comp: &[u32],
-    ) -> Option<(usize, usize, u32, u32, u64)> {
-        let chunks = self.n_states.div_ceil(SCAN_CHUNK_STATES);
-        let best = AtomicUsize::new(usize::MAX);
-        let guards = self.index.read_all();
-        let scan = |c: usize| -> Option<(usize, usize, u32, u32, u64)> {
-            if c > best.load(Ordering::Relaxed) {
-                return None;
-            }
-            let start = c * SCAN_CHUNK_STATES;
-            let end = (start + SCAN_CHUNK_STATES).min(self.n_states);
-            let mut scratch = ExpandScratch::new(&self.cfg);
-            let mut edges: Vec<(u32, u32, bool, u32, u64)> = Vec::new();
-            for u in start..end {
-                self.successors_resolved(&guards, u, &mut scratch, &mut edges);
-                for &(v, mask, interesting, elem, choice) in &edges {
-                    if interesting && comp[u] == comp[v as usize] {
-                        best.fetch_min(c, Ordering::Relaxed);
-                        return Some((u, v as usize, mask, elem, choice));
-                    }
-                }
-            }
-            None
-        };
-        run_indexed(self.cfg.threads.min(chunks), chunks, scan)
-            .into_iter()
-            .flatten()
-            .next()
-    }
-
-    /// Decodes state `u`'s labeling from its shard arena.
-    fn decode_labeling(&self, u: usize) -> Vec<L> {
-        let (s, local) = unpack_state_id(self.dense_ids[u]);
-        let shard = self.index.read(s);
-        let row = shard.row(local);
-        let lw = self.cfg.label_width;
-        (0..self.cfg.e)
-            .map(|k| self.cfg.alphabet[unpack(row, k * lw as usize, lw) as usize].clone())
-            .collect()
     }
 
     fn stats(&self) -> ExploreStats {
@@ -2213,7 +2126,7 @@ impl<'p, L: Label> Explorer<'p, L> {
             edges: self.n_edges,
             words_per_state: self.cfg.words_per_state,
             state_bytes: self.n_states * (self.cfg.words_per_state + self.cfg.aux_len) * 8,
-            edge_bytes: self.peak_edge_bytes.load(Ordering::Relaxed),
+            edge_bytes: self.peak_edge_bytes,
         }
     }
 }
@@ -2261,46 +2174,16 @@ fn decode_adversary<L: Label>(
     out
 }
 
-/// Oracle scratch: expansion state plus a resolved `(target, mask,
-/// interesting, element, choice)` edge buffer.
-type OracleScratch<L> = (ExpandScratch<L>, Vec<(u32, u32, bool, u32, u64)>);
-
-/// The verifier's [`scc::SuccessorOracle`]: read guards over the shard
-/// arenas plus one expansion scratch. A successor query regenerates the
-/// state's edges via [`Explorer::successors_resolved`] and strips them
-/// to dense target ids — the SCC engine never sees (and the process
-/// never stores) a full-graph edge array. Under quotient exploration the
-/// regenerated successors are re-canonicalized by `successors_resolved`
-/// itself, so the oracle serves exactly the interned quotient graph.
-struct ProductOracle<'e, 'p, L: Label> {
-    ex: &'e Explorer<'p, L>,
-    guards: Vec<RwLockReadGuard<'e, StateShard>>,
-    /// Reused across queries; the SCC pass is serial, so one suffices.
-    scratch: RefCell<OracleScratch<L>>,
-}
-
-impl<'e, 'p, L: Label> ProductOracle<'e, 'p, L> {
-    fn new(ex: &'e Explorer<'p, L>) -> Self {
-        ProductOracle {
-            ex,
-            guards: ex.index.read_all(),
-            scratch: RefCell::new((ExpandScratch::new(&ex.cfg), Vec::new())),
-        }
-    }
-}
-
-impl<L: Label> scc::SuccessorOracle for ProductOracle<'_, '_, L> {
-    fn state_count(&self) -> usize {
-        self.ex.n_states
-    }
-
-    fn successors(&self, u: u32, out: &mut Vec<u32>) {
-        let (scratch, edges) = &mut *self.scratch.borrow_mut();
-        self.ex
-            .successors_resolved(&self.guards, u as usize, scratch, edges);
-        out.clear();
-        out.extend(edges.iter().map(|&(v, _, _, _, _)| v));
-    }
+/// Resolves a regenerated successor row to its dense id by a read-only
+/// fingerprint lookup in its shard ([`StateShard::lookup`]) — exploration
+/// interned every successor.
+fn resolve(guards: &[RwLockReadGuard<'_, StateShard>], words: &[u64], aux: &[u64]) -> u32 {
+    let fp = fingerprint(words, aux);
+    let s = shard_of(fp);
+    let local = guards[s]
+        .lookup(fp, words, aux)
+        .expect("every successor was interned during exploration");
+    guards[s].dense_of(local)
 }
 
 /// Decides **label** r-stabilization of `protocol` under the given inputs,
@@ -2353,8 +2236,8 @@ pub fn verify_label_stabilization_with_stats<L: Label>(
 fn settle<L: Label>(explored: Explored<'_, L>) -> (Verdict<L>, ExploreStats) {
     match explored {
         Explored::Complete(ex) => {
-            let comp = ex.sccs();
-            let verdict = match ex.witness(&comp) {
+            let cond = ex.sccs();
+            let verdict = match ex.witness(&cond) {
                 Some(w) => Verdict::NotStabilizing(w),
                 None => Verdict::Stabilizing,
             };
@@ -2496,7 +2379,7 @@ impl<L: Label> ExploredProduct<'_, L> {
     /// Condenses via the successor oracle, exactly as the verifier
     /// does. Both arguments are ignored: there is one serial SCC engine.
     pub fn condense(&self, _backend: SccBackend, _threads: usize) -> Vec<u32> {
-        self.0.sccs()
+        self.0.sccs().comp
     }
 
     /// Exploration stats ([`ExploreStats`]).

@@ -68,6 +68,17 @@ pub struct BadLine {
     pub what: String,
 }
 
+impl BadLine {
+    /// `what` went wrong with `line`: keyed by the line's `id`, or by the
+    /// empty id when it has none that decodes.
+    pub fn new(line: &str, what: String) -> BadLine {
+        BadLine {
+            id: string_field(line, "id").ok().flatten().unwrap_or_default(),
+            what,
+        }
+    }
+}
+
 impl Job {
     /// Parses one job line. Blank lines are `Ok(None)`; anything else
     /// that does not parse is a [`BadLine`] keyed by the line's `id`.
@@ -76,15 +87,14 @@ impl Job {
         if line.trim().is_empty() {
             return Ok(None);
         }
-        Job::from_fields(line).map(Some).map_err(|what| BadLine {
-            id: string_field(line, "id").unwrap_or_default(),
-            what,
-        })
+        Job::from_fields(line)
+            .map(Some)
+            .map_err(|what| BadLine::new(line, what))
     }
 
     fn from_fields(line: &str) -> Result<Job, String> {
-        let id = string_field(line, "id").ok_or("missing \"id\"")?;
-        let graph = string_field(line, "graph").ok_or("missing \"graph\"")?;
+        let id = string_field(line, "id")?.ok_or("missing \"id\"")?;
+        let graph = string_field(line, "graph")?.ok_or("missing \"graph\"")?;
         let n: usize = int_field(line, "n")?.ok_or("missing \"n\"")?;
         if n > MAX_NODES {
             return Err(format!(
@@ -109,7 +119,7 @@ impl Job {
             root: int_field(line, "root")?.unwrap_or(0),
             cap,
             r,
-            model: string_field(line, "model").unwrap_or_else(|| "byzantine".into()),
+            model: string_field(line, "model")?.unwrap_or_else(|| "byzantine".into()),
             f: int_field(line, "f")?,
             exclude: list_field(line, "exclude")?.unwrap_or_default(),
             faulty: list_field(line, "faulty")?.unwrap_or_default(),
@@ -370,19 +380,55 @@ fn value_of<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     None
 }
 
-/// Extracts the string value of `"key":"…"` from one JSON line.
-fn string_field(line: &str, key: &str) -> Option<String> {
-    let rest = value_of(line, key)?.strip_prefix('"')?;
+/// Extracts the string value of `"key":"…"` from one JSON line, with its
+/// escapes decoded: `\" \\ \/ \b \f \n \r \t` and `\uXXXX`, where a
+/// surrogate pair makes one character. `Ok(None)` when the key is absent
+/// or its value is not a string; an unknown escape, a lone surrogate or
+/// an unterminated string is an error.
+fn string_field(line: &str, key: &str) -> Result<Option<String>, String> {
+    let Some(rest) = value_of(line, key).and_then(|v| v.strip_prefix('"')) else {
+        return Ok(None);
+    };
+    let bad = |what: &str| format!("\"{key}\" holds {what}");
     let mut out = String::new();
     let mut chars = rest.chars();
     while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
-            _ => out.push(c),
-        }
+        let decoded = match c {
+            '"' => return Ok(Some(out)),
+            '\\' => match chars.next() {
+                Some(e @ ('"' | '\\' | '/')) => e,
+                Some('b') => '\u{8}',
+                Some('f') => '\u{c}',
+                Some('n') => '\n',
+                Some('r') => '\r',
+                Some('t') => '\t',
+                Some('u') => unicode_escape(&mut chars)
+                    .ok_or_else(|| bad("a malformed \\u escape or a lone surrogate"))?,
+                _ => return Err(bad("an unknown escape")),
+            },
+            c => c,
+        };
+        out.push(decoded);
     }
-    None
+    Err(bad("an unterminated string"))
+}
+
+/// The character a `\u` escape spells, read after its `u`: four hex
+/// digits, followed for a high surrogate by the `\u` escape of a low one.
+/// `None` on a malformed escape or a lone surrogate.
+fn unicode_escape(chars: &mut std::str::Chars<'_>) -> Option<char> {
+    let hex4 = |chars: &mut std::str::Chars<'_>| {
+        (0..4).try_fold(0, |unit, _| Some(unit << 4 | chars.next()?.to_digit(16)?))
+    };
+    let high = hex4(chars)?;
+    if !(0xD800..0xDC00).contains(&high) {
+        return char::from_u32(high);
+    }
+    if chars.next()? != '\\' || chars.next()? != 'u' {
+        return None;
+    }
+    let low = hex4(chars).filter(|low| (0xDC00..0xE000).contains(low))?;
+    char::from_u32(0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00))
 }
 
 /// Extracts `"key":…` from one JSON line as a `T`; `Ok(None)` when the
@@ -558,7 +604,7 @@ mod tests {
             ),
         ] {
             let bad = Job::parse(line).unwrap_err();
-            let id = string_field(line, "id").unwrap();
+            let id = string_field(line, "id").unwrap().unwrap();
             assert_eq!(bad.id, id, "{line}");
             assert!(bad.what.contains(needle), "{line} -> {}", bad.what);
         }
@@ -567,6 +613,72 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!((job.n, job.cap, job.r), (4, 2, 255));
+    }
+
+    #[test]
+    fn json_string_escapes_decode() {
+        // Ids as Python's `json.dumps` writes them.
+        for (line, id) in [
+            (r#"{"id":"caf\u00e9","graph":"biring","n":3}"#, "café"),
+            (r#"{"id":"a\nb","graph":"biring","n":3}"#, "a\nb"),
+            (
+                r#"{"id":"smile\ud83d\ude00","graph":"biring","n":3}"#,
+                "smile😀",
+            ),
+            (
+                r#"{"id":"\"\\\/\b\f\r\t","graph":"biring","n":3}"#,
+                "\"\\/\u{8}\u{c}\r\t",
+            ),
+            (r#"{"id":"\u00E9\u20ac","graph":"biring","n":3}"#, "é€"),
+        ] {
+            assert_eq!(Job::parse(line).unwrap().unwrap().id, id, "{line}");
+        }
+        // Unknown escapes, lone or malformed surrogates, short `\u`
+        // escapes and unterminated strings are bad lines, never misread.
+        for line in [
+            r#"{"id":"x\q","graph":"biring","n":3}"#,
+            r#"{"graph":"biring","id":"hi\ud83d","n":3}"#,
+            r#"{"graph":"biring","id":"hi\ud83dx","n":3}"#,
+            r#"{"graph":"biring","id":"hi\ud83d\u0041","n":3}"#,
+            r#"{"graph":"biring","id":"lo\ude00","n":3}"#,
+            r#"{"graph":"biring","id":"short\u00e","n":3}"#,
+            r#"{"graph":"biring","id":"hex\u00g0","n":3}"#,
+            r#"{"graph":"biring","n":3,"id":"open"#,
+        ] {
+            let bad = Job::parse(line).unwrap_err();
+            assert_eq!(bad.id, "", "{line}");
+            assert!(bad.what.contains("\"id\""), "{line} -> {}", bad.what);
+        }
+        let bad = Job::parse(r#"{"id":"g","graph":"bi\xring","n":3}"#).unwrap_err();
+        assert_eq!(bad.id, "g");
+        assert!(bad.what.contains("\"graph\""), "{}", bad.what);
+    }
+
+    #[test]
+    fn string_field_inverts_json_string() {
+        let mut ids: Vec<String> = ["\"", "\\", "\n", "\t", "\u{1}", "é", "😀", "", "a\"b\\c"]
+            .map(String::from)
+            .to_vec();
+        // Random strings over every scalar value, biased toward ASCII and
+        // the control characters `json_string` escapes.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..200 {
+            let mut id = String::new();
+            for _ in 0..(state >> 60) {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let bound = [0x20, 0x80, 0x1_0000, 0x11_0000][(state >> 33) as usize % 4];
+                if let Some(c) = char::from_u32((state >> 40) as u32 % bound) {
+                    id.push(c);
+                }
+            }
+            ids.push(id);
+        }
+        for id in ids {
+            let line = format!("{{\"id\":{}}}", json_string(&id));
+            assert_eq!(string_field(&line, "id"), Ok(Some(id)), "{line}");
+        }
     }
 
     #[test]

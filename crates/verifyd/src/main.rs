@@ -9,7 +9,8 @@
 //! # Modes
 //!
 //! **Stdin** (default): one job per line on stdin, one result row per
-//! instance on stdout, in job order.
+//! instance on stdout, in job order. A bad line, one that is not UTF-8
+//! included, gets an error row keyed by its `id`, and the batch goes on.
 //!
 //! ```text
 //! echo '{"id":"j1","graph":"biring","n":4,"cap":2,"r":1,"f":1}' | verifyd
@@ -41,7 +42,7 @@ use stabilization_verify::VerdictCache;
 
 mod jobs;
 
-use jobs::{error_row, run_job, Job};
+use jobs::{error_row, run_job, BadLine, Job};
 
 struct Config {
     spool: Option<PathBuf>,
@@ -89,13 +90,21 @@ fn parse_args() -> Result<Config, String> {
     Ok(config)
 }
 
-/// Runs every job line of `text`, appending result rows to `out`.
-fn run_batch(text: &str, cache: &VerdictCache, config: &Config, out: &mut Vec<String>) {
+/// Runs every job line of `bytes`, appending result rows to `out`. Lines
+/// split as [`BufRead::lines`] splits them and are decoded one by one, so
+/// a line that is not UTF-8 only gets an error row, keyed by its `id` as
+/// far as a lossy decode reads it.
+fn run_batch(bytes: &[u8], cache: &VerdictCache, config: &Config, out: &mut Vec<String>) {
     // Deadline checkpoints live beside the cache so resume pointers
     // stay valid across restarts of a persistent service.
     let ckpt_root = config.cache_dir.as_deref();
-    for line in text.lines() {
-        match Job::parse(line) {
+    for line in bytes.split_inclusive(|&b| b == b'\n') {
+        let line = line
+            .strip_suffix(b"\n")
+            .map_or(line, |l| l.strip_suffix(b"\r").unwrap_or(l));
+        let text = std::str::from_utf8(line)
+            .map_err(|e| BadLine::new(&String::from_utf8_lossy(line), format!("not UTF-8 ({e})")));
+        match text.and_then(Job::parse) {
             Ok(Some(job)) => out.extend(run_job(&job, cache, config.threads, ckpt_root)),
             Ok(None) => {}
             Err(bad) => out.push(error_row(&bad.id, &format!("bad job line: {}", bad.what))),
@@ -103,20 +112,30 @@ fn run_batch(text: &str, cache: &VerdictCache, config: &Config, out: &mut Vec<St
     }
 }
 
-fn run_stdin(cache: &VerdictCache, config: &Config) -> Result<(), String> {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut stdout = stdout.lock();
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| format!("reading stdin: {e}"))?;
+/// Stdin mode over any reader and writer: answers each line of `input`
+/// as it arrives, flushing its rows to `output` before reading the next.
+fn serve(
+    mut input: impl BufRead,
+    mut output: impl Write,
+    cache: &VerdictCache,
+    config: &Config,
+) -> Result<(), String> {
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let read = input
+            .read_until(b'\n', &mut line)
+            .map_err(|e| format!("reading stdin: {e}"))?;
+        if read == 0 {
+            return Ok(());
+        }
         let mut rows = Vec::new();
         run_batch(&line, cache, config, &mut rows);
         for row in rows {
-            writeln!(stdout, "{row}").map_err(|e| format!("writing stdout: {e}"))?;
+            writeln!(output, "{row}").map_err(|e| format!("writing stdout: {e}"))?;
         }
-        stdout.flush().map_err(|e| format!("writing stdout: {e}"))?;
+        output.flush().map_err(|e| format!("writing stdout: {e}"))?;
     }
-    Ok(())
 }
 
 /// One spool pass: returns how many batch files were processed.
@@ -128,9 +147,9 @@ fn spool_pass(dir: &Path, cache: &VerdictCache, config: &Config) -> Result<usize
         .collect();
     batches.sort();
     for batch in &batches {
-        let text = std::fs::read_to_string(batch).map_err(|e| format!("reading {batch:?}: {e}"))?;
+        let bytes = std::fs::read(batch).map_err(|e| format!("reading {batch:?}: {e}"))?;
         let mut rows = Vec::new();
-        run_batch(&text, cache, config, &mut rows);
+        run_batch(&bytes, cache, config, &mut rows);
         // Results land tmp-then-rename so a concurrent reader never
         // sees a torn file, then the input is marked done — exactly
         // once even if we crash between the two (a reprocessed batch
@@ -182,7 +201,12 @@ fn main() -> ExitCode {
     };
     let outcome = match &config.spool {
         Some(dir) => run_spool(dir, &cache, &config),
-        None => run_stdin(&cache, &config),
+        None => serve(
+            std::io::stdin().lock(),
+            std::io::stdout().lock(),
+            &cache,
+            &config,
+        ),
     };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
@@ -197,42 +221,115 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    #[test]
-    fn hostile_lines_get_keyed_error_rows_and_the_batch_goes_on() {
-        let config = Config {
+    fn test_config() -> Config {
+        Config {
             spool: None,
             once: false,
             poll_ms: 200,
             cache_dir: None,
             budget: DEFAULT_BYTE_BUDGET,
             threads: 1,
-        };
-        let batch = [
-            r#"{"id":"cap","graph":"biring","n":4,"cap":1e12}"#,
-            r#"{"id":"r","graph":"biring","n":4,"r":300}"#,
-            r#"{"id":"n","graph":"biring","n":1e9}"#,
-            r#"{"id":"ok","graph":"biring","n":3,"cap":2}"#,
-            r#"{"id":"ready","graph":"ready-probe","n":1}"#,
+        }
+    }
+
+    /// A job line whose `id` holds a raw 0xFF byte: not UTF-8.
+    const NOT_UTF8: &[u8] = b"{\"id\":\"raw-\xff\",\"graph\":\"biring\",\"n\":3}";
+
+    #[test]
+    fn hostile_lines_get_keyed_error_rows_and_the_batch_goes_on() {
+        let batch: [&[u8]; 6] = [
+            br#"{"id":"cap","graph":"biring","n":4,"cap":1e12}"#,
+            br#"{"id":"r","graph":"biring","n":4,"r":300}"#,
+            br#"{"id":"n","graph":"biring","n":1e9}"#,
+            NOT_UTF8,
+            br#"{"id":"ok","graph":"biring","n":3,"cap":2}"#,
+            br#"{"id":"ready","graph":"ready-probe","n":1}"#,
         ];
         let mut rows = Vec::new();
         run_batch(
-            &batch.join("\n"),
+            &batch.join(&b"\r\n"[..]),
             &VerdictCache::in_memory(DEFAULT_BYTE_BUDGET),
-            &config,
+            &test_config(),
             &mut rows,
         );
         assert_eq!(rows.len(), batch.len(), "{rows:#?}");
-        for (row, id) in rows.iter().zip(["cap", "r", "n"]) {
+        for (row, id) in rows.iter().zip(["cap", "r", "n", "raw-\u{fffd}"]) {
             assert!(
                 row.starts_with(&format!("{{\"id\":\"{id}\",\"error\":")),
                 "{row}"
             );
         }
+        assert!(rows[3].contains("not UTF-8"), "{}", rows[3]);
         assert!(
-            rows[3].contains("\"verdict\":\"stabilizing\""),
+            rows[4].contains("\"verdict\":\"stabilizing\""),
             "{}",
-            rows[3]
+            rows[4]
         );
-        assert!(rows[4].contains("\"id\":\"ready\""), "{}", rows[4]);
+        assert!(rows[5].contains("\"id\":\"ready\""), "{}", rows[5]);
+    }
+
+    #[test]
+    fn stdin_answers_every_line_around_one_that_is_not_utf8() {
+        let mut input = br#"{"id":"a","graph":"biring","n":3,"cap":1}"#.to_vec();
+        input.push(b'\n');
+        input.extend_from_slice(NOT_UTF8);
+        input.extend_from_slice(b"\n{\"id\":\"b\",\"graph\":\"path\",\"n\":3,\"cap\":1}");
+        let mut output = Vec::new();
+        let cache = VerdictCache::in_memory(DEFAULT_BYTE_BUDGET);
+        serve(&input[..], &mut output, &cache, &test_config()).unwrap();
+        let rows: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
+        assert_eq!(rows.len(), 3, "{rows:#?}");
+        assert!(
+            rows[0].starts_with(r#"{"id":"a","placement""#),
+            "{}",
+            rows[0]
+        );
+        assert!(
+            rows[1].starts_with("{\"id\":\"raw-\u{fffd}\",\"error\":"),
+            "{}",
+            rows[1]
+        );
+        assert!(
+            rows[2].starts_with(r#"{"id":"b","placement""#),
+            "{}",
+            rows[2]
+        );
+    }
+
+    #[test]
+    fn spool_answers_a_batch_file_that_is_not_utf8_and_moves_on() {
+        let dir = std::env::temp_dir().join(format!("verifyd-spool-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut first = NOT_UTF8.to_vec();
+        first.extend_from_slice(b"\n{\"id\":\"after\",\"graph\":\"biring\",\"n\":3,\"cap\":1}\n");
+        std::fs::write(dir.join("001.jobs"), first).unwrap();
+        std::fs::write(
+            dir.join("002.jobs"),
+            "{\"id\":\"next\",\"graph\":\"path\",\"n\":3,\"cap\":1}\n",
+        )
+        .unwrap();
+        let cache = VerdictCache::in_memory(DEFAULT_BYTE_BUDGET);
+        assert_eq!(spool_pass(&dir, &cache, &test_config()), Ok(2));
+        let first = std::fs::read_to_string(dir.join("001.results")).unwrap();
+        let rows: Vec<&str> = first.lines().collect();
+        assert_eq!(rows.len(), 2, "{rows:#?}");
+        assert!(
+            rows[0].starts_with("{\"id\":\"raw-\u{fffd}\",\"error\":"),
+            "{}",
+            rows[0]
+        );
+        assert!(
+            rows[1].starts_with(r#"{"id":"after","placement""#),
+            "{}",
+            rows[1]
+        );
+        let second = std::fs::read_to_string(dir.join("002.results")).unwrap();
+        assert!(
+            second.starts_with(r#"{"id":"next","placement""#),
+            "{second}"
+        );
+        assert!(dir.join("001.jobs.done").exists() && !dir.join("001.jobs").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

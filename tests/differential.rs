@@ -11,6 +11,9 @@
 //! are bit-identical across thread counts — and verdict-identical to the
 //! owned-`Vec` naive explorer.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -609,10 +612,10 @@ proptest! {
 /// The edge-less verifier's memory win, pinned end to end on the
 /// clique(4) dense-activation regression (the same instance whose CSR
 /// made `TooManyEdges` the binding limit): the **peak transient** edge
-/// bytes the exploration + witness pipeline ever holds
-/// ([`ExploreStats::edge_bytes`] — per-batch record buffers plus the
-/// re-expanded verdict-component CSR) must stay below half of what
-/// storing the full product CSR used to cost. The old figure is
+/// bytes the verifier ever holds ([`ExploreStats::edge_bytes`] — the
+/// largest per-batch record buffer of exploration; the SCC pass and the
+/// witness search store no edges) must stay below half of what storing
+/// the full product CSR used to cost. The old figure is
 /// computed from the stats in the exact layout the pre-oracle verifier
 /// kept resident: `states + 1` offsets at 8 bytes, and targets plus
 /// activation metadata at 8 bytes per edge (exploration generates each
@@ -638,5 +641,50 @@ fn edgeless_verifier_peak_transient_stays_below_half_the_old_csr() {
             stats.edge_bytes > 0,
             "r = {r}: the peak must be tracked, not dropped"
         );
+    }
+}
+
+/// The verifier's work, pinned end to end: after exploration expands
+/// every state once, a query regenerates its edges exactly once more, in
+/// the Tarjan pass, which also finds any interesting intra-SCC edge. Each
+/// expansion runs every node's reaction once, so a Stabilizing,
+/// fault-free, symmetry-`Off` query with no checkpoint (nothing to
+/// fingerprint, no witness to build) calls the reaction exactly
+/// `2 · n · states` times, at every thread count.
+#[test]
+fn stabilizing_query_regenerates_its_edges_once_after_exploration() {
+    for n in [4usize, 5] {
+        for r in 1..=3u8 {
+            for threads in [1, 2] {
+                let calls = Arc::new(AtomicUsize::new(0));
+                let counter = Arc::clone(&calls);
+                let p = Protocol::builder(topology::unidirectional_ring(n), 1.0)
+                    .uniform_reaction(FnReaction::new(move |_, _: &[bool], _| {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                        (vec![false], 0)
+                    }))
+                    .build()
+                    .unwrap();
+                let limits = Limits {
+                    threads,
+                    ..Limits::default()
+                };
+                let (verdict, stats) = verify_label_stabilization_with_stats(
+                    &p,
+                    &vec![0; n],
+                    &[false, true],
+                    r,
+                    limits,
+                )
+                .unwrap();
+                assert!(verdict.is_stabilizing(), "n = {n}, r = {r}: {verdict:?}");
+                assert_eq!(
+                    calls.load(Ordering::Relaxed),
+                    2 * n * stats.states,
+                    "n = {n}, r = {r}, {threads} threads: {} states",
+                    stats.states
+                );
+            }
+        }
     }
 }
