@@ -317,6 +317,52 @@ fn verify_scaling_rows(n: usize, thread_counts: &[usize]) -> Vec<String> {
     rows
 }
 
+/// An `r = 1` query, naive reference vs the default path at one thread:
+/// the BFS spanning-tree protocol on the bidirectional 5-ring (root 0,
+/// cap 2) with node 2 Byzantine — 59,049 states and 531,441 edges. At
+/// `r = 1` a label-mode state is its labeling, so every successor is a
+/// seed; with its reactions tabulated the default path counts the
+/// seeds' edges instead of expanding them, and regenerates each edge
+/// once, in the SCC pass.
+fn verify_bfs_rows() -> Vec<String> {
+    let (n, cap, r) = (5usize, 2u64, 1u8);
+    let p = bfs_tree_protocol(topology::bidirectional_ring(n), 0, cap, FaultModel::none()).unwrap();
+    let inputs = vec![0u64; n];
+    let alphabet = bfs_alphabet(cap);
+    let limits = Limits {
+        threads: 1,
+        faults: FaultModel::byzantine(&[2]).unwrap(),
+        ..Limits::default()
+    };
+    let (verdict, stats) =
+        verify_label_stabilization_with_stats(&p, &inputs, &alphabet, r, limits.clone()).unwrap();
+    let naive = time(|| {
+        let naive =
+            verify_label_stabilization_naive(&p, &inputs, &alphabet, r, limits.clone()).unwrap();
+        assert_eq!(naive.is_stabilizing(), verdict.is_stabilizing());
+    });
+    let packed = time_verify(&p, &inputs, &alphabet, r, &limits);
+    let (states, edges) = (stats.states as u64, stats.edges as u64);
+    vec![
+        row(
+            &format!("perf/verify_bfs/{n}/naive"),
+            naive,
+            states,
+            &[("states", states)],
+        ),
+        row(
+            &format!("perf/verify_bfs/{n}/packed/t1"),
+            packed,
+            states,
+            &[
+                ("states", states),
+                ("edges", edges),
+                ("stabilizing", u64::from(verdict.is_stabilizing())),
+            ],
+        ),
+    ]
+}
+
 /// Byzantine-adversary verification throughput: the BFS spanning-tree
 /// protocol on small rooted bidirectional rings (root 0, cap = 2,
 /// r = 1), fault-free (`f0`), with one Byzantine node at the root's
@@ -664,6 +710,7 @@ pub fn write_rows(max_threads: usize, mut out: impl Write) -> std::io::Result<()
     for n in [6, 8, 10] {
         emit(verify_scaling_rows(n, &counts))?;
     }
+    emit(verify_bfs_rows())?;
     emit(byzantine_rows())?;
     emit(checkpoint_rows())?;
     emit(cache_service_rows())

@@ -69,7 +69,7 @@ use stateless_core::symmetry::SymmetryMode;
 
 use crate::checkpoint::{instance_fingerprint, CheckpointHandle};
 use crate::product::{
-    verify_label_stabilization_resumed_at, verify_label_stabilization_with_stats,
+    retry_once, verify_label_stabilization_resumed_at, verify_label_stabilization_with_stats,
     verify_output_stabilization_resumed_at, verify_output_stabilization_with_stats, CycleWitness,
     ExploreStats, Limits, Verdict, VerifyError,
 };
@@ -86,11 +86,12 @@ const ENTRY_TAG: u32 = 0x5643_4531; // "VCE1"
 /// Magic word opening the header segment.
 const HEADER_MAGIC: u64 = 0x7374_6c73_2d76_6331; // "stls-vc1"
 /// Entry format version; entries of another version are skipped on load
-/// (a recompute, never a misdecode). Version 3 entries carry an
-/// [`ExploreStats::edge_bytes`] that counts exploration's record buffers
-/// alone; a version 2 entry may hold a witness-phase figure this build
-/// never computes.
-const ENTRY_VERSION: u64 = 3;
+/// (a recompute, never a misdecode). Version 4 entries carry the
+/// [`ExploreStats::edge_bytes`] of an `r = 1` label-mode run whose
+/// successors are all seeds, which never expands a batch: its peak is
+/// the seed phase's. A version 3 entry may hold an expansion batch's
+/// figure this build never computes for such an instance.
+const ENTRY_VERSION: u64 = 4;
 
 /// Entry kind words.
 const KIND_STABILIZING: u64 = 0;
@@ -370,7 +371,9 @@ impl VerdictCache {
     ) -> Result<CachedVerdict<L>, VerifyError> {
         limits.validate()?;
         let dedup = dedup_alphabet(alphabet);
-        let fp = fingerprint_of(protocol, inputs, &dedup, r, track_outputs, limits);
+        let fp = retry_once("instance fingerprint", || {
+            fingerprint_of(protocol, inputs, &dedup, r, track_outputs, limits)
+        })?;
         // Lookup under the lock; decode failures drop the entry (a
         // corrupt record must fall back to recompute, not error).
         let cached = {

@@ -71,6 +71,7 @@ pub mod checkpoint;
 pub mod product;
 pub mod stable;
 pub mod sweep;
+mod table;
 
 pub use cache::{CacheOutcome, CachedVerdict, Provenance, VerdictCache};
 pub use checkpoint::{CheckpointHandle, CheckpointPolicy, ResumeError};

@@ -23,12 +23,17 @@
 //! * **No stored edges.** The verifier holds **no full-graph CSR**: a
 //!   product transition is a pure function of its packed source row, so
 //!   every phase that needs edges regenerates them on the fly —
-//!   decode the row, call each correct node's reaction once and pack
-//!   the reactions into one reacted row, enumerate activation sets,
-//!   build each successor from the source and reacted rows with
-//!   whole-word masks (and, under symmetry, canonicalize it), and
-//!   resolve it by a read-only fingerprint lookup
-//!   ([`StateShard::lookup`]) against the shard arenas. This is the
+//!   react each correct node once into one reacted row, enumerate
+//!   activation sets, build each successor from the source and reacted
+//!   rows with whole-word masks (and, under symmetry, canonicalize it),
+//!   and resolve it by a read-only fingerprint lookup
+//!   ([`StateShard::lookup`]) against the shard arenas. Reacting is a
+//!   table lookup: when the instance has at most [`PROBE_CAP`] reaction
+//!   entries (`Σᵥ |Σ|^indeg(v)`), `Explorer::prepare` calls every
+//!   correct node's reaction once per in-labeling and stores the
+//!   out-labels as whole-word masks, so a state reads each node's
+//!   in-edge digits from its row and ORs in that node's entry. Larger
+//!   instances decode the row and call the reactions instead. This is the
 //!   classic on-the-fly / implicit-graph model-checking move: memory is
 //!   O(states) plus bounded transients (per-batch record buffers during
 //!   exploration, the edge buffers along one DFS path during SCC, and
@@ -72,10 +77,10 @@
 //! bounded fan-out, in three phases per batch:
 //!
 //! 1. **Expand** (parallel over chunks): workers claim contiguous slices
-//!    of the batch's source states, decode each state from the shard
-//!    arenas (read locks only), call each correct node's reaction once
-//!    and pack its out-labels' alphabet indices into a reacted row,
-//!    enumerate its activation sets (each set is a few whole-word
+//!    of the batch's source states, read each state's row from the shard
+//!    arenas (read locks only), react each correct node once into a
+//!    reacted row (by table lookup, or by calling the reaction over the
+//!    cap), enumerate its activation sets (each set is a few whole-word
 //!    operations on the source and reacted rows), and emit,
 //!    per target shard, a record stream of `(stream key, fingerprint,
 //!    packed words)` — successors are *not* resolved yet, and nothing
@@ -91,6 +96,17 @@
 //!    is exactly the order the sequential explorer interns in. The
 //!    batch's record buffers are then dropped; only the edge count (the
 //!    traversal budget) and the peak transient byte figure survive.
+//!
+//! An `r = 1` label-mode query with a reaction table skips the batches.
+//! Its countdown fields are zero bits wide and outputs are not tracked,
+//! so a state is its labeling alone, and every labeling is a seed: the
+//! batches would generate every edge only to intern nothing. Instead the
+//! loop counts those edges (each state's lone activation set branches
+//! over every adversary choice), charges them against
+//! [`Limits::max_edges`], and goes straight to the SCC pass, which
+//! generates each edge once. The table build has already checked every
+//! reaction entry against the alphabet, the one check those batches
+//! made.
 //!
 //! Batch and chunk boundaries derive only from per-state degree
 //! estimates (never the thread count), shard assignment depends only on
@@ -141,7 +157,8 @@
 //! and differentially tested against this one (`tests/differential.rs`);
 //! it exists for testing only. One behavioral refinement: the packed
 //! explorer requires the reactions to be closed over `alphabet` and
-//! reports a violation immediately as [`VerifyError::BadParameters`],
+//! reports a violation immediately as [`VerifyError::BadParameters`] —
+//! from the reaction table's build, before seeding, when it has one —
 //! where the naive explorer would silently grow the state space until
 //! [`Limits::max_states`] tripped.
 
@@ -165,9 +182,12 @@ use stateless_core::intern::{
 use stateless_core::label::Label;
 use stateless_core::prelude::*;
 use stateless_core::scc;
-use stateless_core::symmetry::{Automorphism, CanonScratch, PackedLayout, Symmetry, SymmetryMode};
+use stateless_core::symmetry::{
+    reaction_domain, Automorphism, CanonScratch, PackedLayout, Symmetry, SymmetryMode, PROBE_CAP,
+};
 
 use crate::checkpoint::{instance_fingerprint, CheckpointHandle, CheckpointPolicy, ResumeError};
+use crate::table::{outside_alphabet, ReactionTable};
 
 /// Largest node count the exact verifier accepts; a larger protocol is
 /// rejected as [`VerifyError::BadParameters`] before anything is
@@ -227,7 +247,10 @@ pub struct Limits {
     /// The budget covers exploration only — the seed phase included,
     /// which is not interruptible, so the first check follows it — and a
     /// run that finishes exploring always condenses and reports its full
-    /// verdict, however long the SCC phase takes. A resumed run's budget
+    /// verdict, however long the SCC phase takes. For an `r = 1`
+    /// label-mode query whose reactions fit a table, exploration is the
+    /// seed phase alone (see the module docs), so the budget trips only
+    /// if seeding outlasts it. A resumed run's budget
     /// starts once its epoch is loaded. Batch boundaries depend only on
     /// deterministic exploration totals, but *which* boundary the
     /// deadline trips at is inherently timing-dependent; determinism is
@@ -351,6 +374,12 @@ pub enum VerifyError {
     /// everything interned *before* the poisoned batch was written as a
     /// final epoch first, so the work is not lost; fix the reaction and
     /// resume from [`checkpoint`](VerifyError::PoisonedChunk::checkpoint).
+    ///
+    /// Reactions also run before any batch: once per entry while the
+    /// reaction table is built, and in symmetry derivation and the
+    /// instance fingerprint's probes. A panic there is retried once the
+    /// same way, and a second one is this error with no checkpoint,
+    /// since nothing was explored that one could resume.
     PoisonedChunk {
         /// The panic payload (when it was a string) and the chunk range.
         what: String,
@@ -586,6 +615,18 @@ struct Config<'p, L: Label> {
     byzantine: u32,
     /// The whole-word masks [`step_row`] builds successors from.
     masks: RowMasks,
+    /// Every correct node's reaction, tabulated once, when the instance
+    /// has at most [`PROBE_CAP`] reaction entries; `None` above it, where
+    /// expansion calls the protocol's reactions.
+    table: Option<ReactionTable>,
+    /// Whether every successor is a seed: with a table, an `r = 1`
+    /// label-mode state is its labeling alone (countdown fields are zero
+    /// bits wide and outputs are not tracked), and every labeling is
+    /// seeded. Exploration then finds nothing past the seeds, so
+    /// [`Explorer::run`] counts their edges instead of expanding them.
+    /// The table matters: building it checks every reaction entry
+    /// against the alphabet, which expansion would otherwise do.
+    successors_are_seeds: bool,
     /// Upper bound on the adversary branching factor of any activation
     /// set: `|Σ|^(total Byzantine out-degree)`, saturating. `1` when
     /// fault-free — every fan-out estimate degrades to the exact
@@ -609,6 +650,15 @@ impl<L: Label> Config<'_, L> {
     /// Sizes the state's fan-out as `2^free` activation sets.
     fn free_count(&self, row: &[u64]) -> u8 {
         (self.n as u32 - self.forced(row).count_ones()) as u8
+    }
+
+    /// Decodes the labeling of a packed row into `out`.
+    fn decode_labeling(&self, row: &[u64], out: &mut Vec<L>) {
+        let lw = self.label_width;
+        out.clear();
+        out.extend(
+            (0..self.e).map(|k| self.alphabet[unpack(row, k * lw as usize, lw) as usize].clone()),
+        );
     }
 }
 
@@ -765,7 +815,7 @@ struct ExpandScratch<L> {
     src: Vec<u64>,
     reacted: Vec<u64>,
     /// Per node, the output its reaction returns from the current state
-    /// (a faulty node keeps its current output). Filled once per state.
+    /// (a faulty node's slot stays 0). Filled once per state.
     react_out: Vec<u64>,
     out_words: Vec<u64>,
     next_out_words: Vec<u64>,
@@ -818,6 +868,23 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// Runs `f`, a step that calls reactions outside the expand workers —
+/// building the reaction table, deriving symmetries, or probing the
+/// instance fingerprint — and retries it once if it panics, as a
+/// panicked chunk is retried. A second panic is
+/// [`VerifyError::PoisonedChunk`] without a checkpoint, so a reaction
+/// panic never unwinds out of the packed verifier or the verdict cache.
+pub(crate) fn retry_once<T>(what: &str, mut f: impl FnMut() -> T) -> Result<T, VerifyError> {
+    let first = match catch_unwind(AssertUnwindSafe(&mut f)) {
+        Ok(t) => return Ok(t),
+        Err(payload) => panic_message(payload),
+    };
+    catch_unwind(AssertUnwindSafe(f)).map_err(|second| VerifyError::PoisonedChunk {
+        what: format!("{what}: {first}; retry: {}", panic_message(second)),
+        checkpoint: None,
+    })
 }
 
 /// Runs `count` independent jobs on up to `threads` workers (claimed via
@@ -925,7 +992,7 @@ impl CheckpointRun {
             every_states: policy.every_states,
             every_secs: policy.every_secs,
             retain: policy.retain,
-            instance_fp: ex.instance_fp(limits),
+            instance_fp: ex.instance_fp(limits)?,
             next_epoch,
             progress_at_last: ex.n_states + cursor,
             last_write: Instant::now(),
@@ -1102,7 +1169,9 @@ impl<'p, L: Label> Explorer<'p, L> {
         let symmetry = match limits.symmetry {
             SymmetryMode::Off => None,
             SymmetryMode::Auto => {
-                let derived = Symmetry::derive(protocol, inputs, &dedup);
+                let derived = retry_once("symmetry derivation", || {
+                    Symmetry::derive(protocol, inputs, &dedup)
+                })?;
                 let restricted = if faults.has_faults() {
                     let colors: Vec<u64> = (0..n)
                         .map(|i| {
@@ -1123,6 +1192,16 @@ impl<'p, L: Label> Explorer<'p, L> {
             }
         };
         let masks = RowMasks::new(protocol.graph(), faults, &layout, r);
+        let table = if !dedup.is_empty()
+            && reaction_domain(protocol.graph(), dedup.len()) <= PROBE_CAP
+        {
+            let build =
+                || ReactionTable::build(protocol, inputs, &dedup, &label_index, faults, &layout);
+            Some(retry_once("reaction table", build)??)
+        } else {
+            None
+        };
+        let successors_are_seeds = table.is_some() && r == 1 && !track_outputs;
         let ex = Explorer {
             cfg: Config {
                 protocol,
@@ -1143,6 +1222,8 @@ impl<'p, L: Label> Explorer<'p, L> {
                 faults,
                 byzantine,
                 masks,
+                table,
+                successors_are_seeds,
                 byz_branch_bound,
             },
             index: ShardedStateIndex::new(words_per_state, aux_len),
@@ -1156,19 +1237,22 @@ impl<'p, L: Label> Explorer<'p, L> {
     }
 
     /// The canonical fingerprint of this exploration instance — what
-    /// every checkpoint epoch stamps and the resume path verifies.
-    fn instance_fp(&self, limits: &Limits) -> u64 {
-        instance_fingerprint(
-            self.cfg.protocol,
-            &self.cfg.inputs,
-            &self.cfg.alphabet,
-            self.cfg.r,
-            self.cfg.track_outputs,
-            &self.cfg.faults,
-            limits.symmetry,
-            limits.max_states,
-            limits.max_edges,
-        )
+    /// every checkpoint epoch stamps and the resume path verifies. Its
+    /// reaction probes are guarded like the table build ([`retry_once`]).
+    fn instance_fp(&self, limits: &Limits) -> Result<u64, VerifyError> {
+        retry_once("instance fingerprint", || {
+            instance_fingerprint(
+                self.cfg.protocol,
+                &self.cfg.inputs,
+                &self.cfg.alphabet,
+                self.cfg.r,
+                self.cfg.track_outputs,
+                &self.cfg.faults,
+                limits.symmetry,
+                limits.max_states,
+                limits.max_edges,
+            )
+        })
     }
 
     /// Drives the batch loop from `cursor` to completion — or to the
@@ -1176,7 +1260,11 @@ impl<'p, L: Label> Explorer<'p, L> {
     /// epochs per the [`Limits::checkpoint`] policy at batch boundaries.
     /// Both the fresh exploration and the resume path run through this
     /// one loop, so their behavior can never drift apart. The deadline
-    /// is measured from `started`.
+    /// is measured from `started`. When every successor is a seed
+    /// ([`Config::successors_are_seeds`]) the loop makes one pass that
+    /// counts the remaining states' edges ([`Explorer::charge_seed_edges`])
+    /// instead of expanding them, with the same deadline check before it
+    /// and the same edge budget and checkpoint write after it.
     fn run(
         mut self,
         mut cursor: usize,
@@ -1198,7 +1286,12 @@ impl<'p, L: Label> Explorer<'p, L> {
                     });
                 }
             }
-            cursor = match self.expand_batch(cursor, limits) {
+            let batch = if self.cfg.successors_are_seeds {
+                self.charge_seed_edges(cursor, limits)
+            } else {
+                self.expand_batch(cursor, limits)
+            };
+            cursor = match batch {
                 Ok(end) => end,
                 Err(VerifyError::PoisonedChunk { what, .. }) => {
                     // Checkpoint-and-fail: the batch that poisoned did
@@ -1300,7 +1393,7 @@ impl<'p, L: Label> Explorer<'p, L> {
     ) -> Result<(Self, usize), VerifyError> {
         let corrupt = |what: String| VerifyError::Resume(ResumeError::Corrupt { what });
         let mut ex = Explorer::prepare(protocol, inputs, alphabet, r, track_outputs, limits)?;
-        let expected = ex.instance_fp(limits);
+        let expected = ex.instance_fp(limits)?;
         let store = CheckpointStore::open(dir).map_err(ResumeError::from)?;
         let epoch = match epoch {
             Some(k) => k,
@@ -1677,13 +1770,37 @@ impl<'p, L: Label> Explorer<'p, L> {
         self.assign_dense(&interned, limits)?;
         let emitted: usize = chunk_outs.iter().map(|c| c.emitted).sum();
         self.note_transient_bytes(emitted * self.record_bytes());
+        self.charge_edges(emitted, limits)?;
+        Ok(end)
+    }
+
+    /// Charges `emitted` generated transitions against the
+    /// [`Limits::max_edges`] traversal budget.
+    fn charge_edges(&mut self, emitted: usize, limits: &Limits) -> Result<(), VerifyError> {
         self.n_edges += emitted;
         if self.n_edges > limits.max_edges {
             return Err(VerifyError::TooManyEdges {
                 limit: limits.max_edges,
             });
         }
-        Ok(end)
+        Ok(())
+    }
+
+    /// The batch loop's one pass when every successor is a seed
+    /// ([`Config::successors_are_seeds`]): expanding states
+    /// `cursor..n_states` would intern nothing and emit exactly
+    /// [`Explorer::est_edges`] edges per state (every node is forced, so
+    /// the lone activation set branches over every adversary choice), so
+    /// only that count is charged. No records are built, so the
+    /// transient peak stays the seed phase's. Returns the cursor past
+    /// every state.
+    fn charge_seed_edges(&mut self, cursor: usize, limits: &Limits) -> Result<usize, VerifyError> {
+        let emitted: u64 = self.free_bits[cursor..]
+            .iter()
+            .map(|&f| self.est_edges(f))
+            .sum();
+        self.charge_edges(emitted as usize, limits)?;
+        Ok(self.n_states)
     }
 
     /// Phase 1: expands source states `start..end`, emitting the
@@ -1746,17 +1863,17 @@ impl<'p, L: Label> Explorer<'p, L> {
     /// representative**; mask, `interesting`, and `choice` stay in the
     /// source state's frame.
     ///
-    /// Each correct node's reaction runs once per state, before the
-    /// activation sets are enumerated, and is packed into one reacted
-    /// row beside the source row; faulty nodes' reactions never run.
-    /// Each activation set then takes its successor row from those two
-    /// rows with a few whole-word operations ([`step_row`]), and each
-    /// adversary choice packs its digits into the zeroed Byzantine
-    /// fields. Allocation-free per edge given a warm `scratch`; the only
-    /// error is a reaction emitting a label outside the declared
-    /// alphabet, which exploration surfaces as
-    /// [`VerifyError::BadParameters`] (post-exploration regeneration can
-    /// therefore never hit it).
+    /// Each correct node reacts once per state, before the activation
+    /// sets are enumerated, into one reacted row beside the source row:
+    /// by a [`ReactionTable`] lookup, or over the table's cap by calling
+    /// its reaction. Faulty nodes never react. Each activation set then
+    /// takes its successor row from those two rows with a few whole-word
+    /// operations ([`step_row`]), and each adversary choice packs its
+    /// digits into the zeroed Byzantine fields. Allocation-free per edge
+    /// given a warm `scratch`; the only error is a called reaction
+    /// emitting a label outside the declared alphabet, which exploration
+    /// surfaces as [`VerifyError::BadParameters`] (post-exploration
+    /// regeneration can therefore never hit it).
     fn for_each_successor<F>(
         &self,
         guards: &[RwLockReadGuard<'_, StateShard>],
@@ -1770,45 +1887,38 @@ impl<'p, L: Label> Explorer<'p, L> {
         let cfg = &self.cfg;
         let lw = cfg.label_width as usize;
         let sc = scratch;
-        // Decode the source state from its shard arena.
+        // Read the source state from its shard arena.
         let (s, local) = unpack_state_id(self.dense_ids[u]);
         sc.src.copy_from_slice(guards[s].row(local));
         if cfg.track_outputs {
             sc.out_words.copy_from_slice(guards[s].aux_row(local));
         }
-        sc.labeling.clear();
-        sc.labeling.extend(
-            (0..cfg.e).map(|k| cfg.alphabet[unpack(&sc.src, k * lw, lw as u32) as usize].clone()),
-        );
         let graph = cfg.protocol.graph();
         // Every activation set reads the same pre-step labeling, and the
         // full set activates every node, so reacting here once per
-        // correct node makes the same calls the subset loop would.
+        // correct node gives what the subset loop would. A faulty node
+        // never reacts: its tracked output stays frozen at the seeds' 0,
+        // and so does its `react_out` slot.
         sc.reacted.copy_from_slice(&cfg.masks.reset);
-        for i in 0..cfg.n {
-            if cfg.faults.is_faulty(i) {
-                // The tracked output of a faulty node stays frozen — it
-                // is 0 in the seeds and never written.
-                sc.react_out[i] = sc.out_words.get(i).copied().unwrap_or(0);
-                continue;
-            }
-            sc.react_out[i] = cfg.protocol.apply_buffered(
-                i,
-                &sc.labeling,
-                cfg.inputs[i],
-                &mut sc.in_buf,
-                &mut sc.react_buf,
-            );
-            for (slot, &eid) in sc.react_buf.iter().zip(graph.out_edges(i)) {
-                let Some(&idx) = cfg.label_index.get(slot) else {
-                    return Err(VerifyError::BadParameters {
-                        what: format!(
-                            "node {i} emitted the label {slot:?}, which is \
-                             outside the declared alphabet"
-                        ),
-                    });
-                };
-                pack(&mut sc.reacted, eid * lw, lw as u32, u64::from(idx));
+        match &cfg.table {
+            Some(table) => table.react(&sc.src, &mut sc.reacted, &mut sc.react_out),
+            None => {
+                cfg.decode_labeling(&sc.src, &mut sc.labeling);
+                for i in (0..cfg.n).filter(|&i| !cfg.faults.is_faulty(i)) {
+                    sc.react_out[i] = cfg.protocol.apply_buffered(
+                        i,
+                        &sc.labeling,
+                        cfg.inputs[i],
+                        &mut sc.in_buf,
+                        &mut sc.react_buf,
+                    );
+                    for (slot, &eid) in sc.react_buf.iter().zip(graph.out_edges(i)) {
+                        let Some(&idx) = cfg.label_index.get(slot) else {
+                            return Err(outside_alphabet(i, slot));
+                        };
+                        pack(&mut sc.reacted, eid * lw, lw as u32, u64::from(idx));
+                    }
+                }
             }
         }
         let forced = cfg.forced(&sc.src);
@@ -2022,8 +2132,10 @@ impl<'p, L: Label> Explorer<'p, L> {
         let mut scratch = ExpandScratch::new(&self.cfg);
         let mut edges: Vec<(u32, u32, u32, u64)> = Vec::new();
         self.successors_resolved(&guards, u as usize, &mut scratch, &mut edges);
-        // Expanding `u` decoded its labeling, the witness's entry point.
-        let labeling = scratch.labeling.clone();
+        // Expanding `u` left its row in the scratch: the witness's entry
+        // labeling.
+        let mut labeling = Vec::new();
+        self.cfg.decode_labeling(&scratch.src, &mut labeling);
         let (v, mask, elem, choice) = edges[k];
         // The quotient cycle u →(mask, elem, choice) v → … → u, in
         // forward order; a self-loop closes it at once.
@@ -2893,13 +3005,31 @@ mod tests {
 
     #[test]
     fn non_closed_alphabet_is_rejected() {
-        // The reaction emits `true`, which the declared alphabet lacks.
+        // The reaction emits `true`, which the declared alphabet lacks;
+        // the reaction table's build rejects it.
         let p = Protocol::builder(topology::unidirectional_ring(3), 1.0)
             .uniform_reaction(FnReaction::new(|_, _: &[bool], _| (vec![true], 0)))
             .build()
             .unwrap();
         let err =
             verify_label_stabilization(&p, &[0; 3], &[false], 2, Limits::default()).unwrap_err();
+        assert!(matches!(err, VerifyError::BadParameters { .. }), "{err:?}");
+        // Over `PROBE_CAP` (node 0 of `1…14 → 0`, `0 → 1` has 2^14
+        // in-labelings) there is no table, and expansion rejects it: node
+        // 0 emits 2 once two of its in-labels are 1.
+        let mut fan_in = DiGraph::new(15);
+        for v in 1..15 {
+            fan_in.add_edge(v, 0).unwrap();
+        }
+        fan_in.add_edge(0, 1).unwrap();
+        let p = Protocol::builder(fan_in, 1.0)
+            .uniform_reaction(FnReaction::new(|_, inc: &[u8], _| {
+                (vec![inc.iter().sum::<u8>().min(2)], 0)
+            }))
+            .build()
+            .unwrap();
+        let err =
+            verify_label_stabilization(&p, &[0; 15], &[0, 1], 1, Limits::default()).unwrap_err();
         assert!(matches!(err, VerifyError::BadParameters { .. }), "{err:?}");
     }
 

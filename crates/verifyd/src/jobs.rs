@@ -6,12 +6,12 @@
 //! routed through the shared [`VerdictCache`] and carrying its
 //! hit / miss / resumed provenance.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use stabilization_verify::{
-    sweep_byzantine_placements_cached, sweep_crash_placements_cached, CheckpointPolicy, Limits,
-    Verdict, VerdictCache, MAX_NODES,
+    sweep_byzantine_placements_cached, sweep_crash_placements_cached, CacheOutcome,
+    CheckpointPolicy, Limits, Verdict, VerdictCache, MAX_NODES,
 };
 use stateless_core::prelude::*;
 use stateless_core::topology;
@@ -135,7 +135,8 @@ impl Job {
 /// enclosing job (a sweep's rows share it). `ckpt_root`, when given,
 /// hosts a per-fingerprint checkpoint directory for deadline-bearing
 /// single-placement jobs, so an expired deadline leaves a resumable
-/// checkpoint behind the cache's resume pointer.
+/// checkpoint behind the cache's resume pointer; the directory is
+/// deleted once a final verdict for the instance is memoized.
 pub fn run_job(
     job: &Job,
     cache: &VerdictCache,
@@ -253,13 +254,28 @@ fn run_job_inner(
                     let fp = VerdictCache::label_fingerprint(
                         &protocol, &inputs, &alphabet, job.r, &limits,
                     );
-                    limits.checkpoint =
-                        Some(CheckpointPolicy::new(root.join(format!("ckpt-{fp:016x}"))));
+                    limits.checkpoint = Some(CheckpointPolicy::new(ckpt_dir(root, fp)));
                 }
             }
             let hit = cache
                 .verify_label(&protocol, &inputs, &alphabet, job.r, &limits)
                 .map_err(|e| e.to_string())?;
+            // Once a final verdict replaced the resume pointer, nothing
+            // reads the deadline checkpoint again. Only a resumed row or
+            // a checkpointed deadline job can have left one, so a cache
+            // hit never touches the disk.
+            let spent = match hit.outcome {
+                CacheOutcome::Hit => false,
+                CacheOutcome::Miss => limits.checkpoint.is_some(),
+                CacheOutcome::Resumed => true,
+            };
+            if spent && !hit.verdict.is_partial() {
+                if let Some(root) = ckpt_root {
+                    // Best-effort: a store left behind costs disk, not
+                    // correctness.
+                    let _ = std::fs::remove_dir_all(ckpt_dir(root, hit.fingerprint));
+                }
+            }
             Ok(vec![Row {
                 placement: job.faulty.clone(),
                 verdict: verdict_str(&hit.verdict),
@@ -268,6 +284,12 @@ fn run_job_inner(
             }])
         }
     }
+}
+
+/// The checkpoint store of the deadline job whose instance fingerprint
+/// is `fp`, under the checkpoint root.
+fn ckpt_dir(root: &Path, fp: u64) -> PathBuf {
+    root.join(format!("ckpt-{fp:016x}"))
 }
 
 fn build_graph(family: &str, n: usize) -> Result<DiGraph, String> {
@@ -712,6 +734,46 @@ mod tests {
             warm.iter().all(|row| row.contains("\"cache\":\"hit\"")),
             "warm rows: {warm:?}"
         );
+    }
+
+    /// A deadline job leaves `ckpt-<fp>/` under the cache directory for
+    /// its resubmission to resume from; once that resubmission memoizes
+    /// the final verdict, the store is deleted. Seeding the 3^10
+    /// labelings of the n = 5 biring outlasts the 1 ms deadline.
+    #[test]
+    fn a_resumed_deadline_job_deletes_its_spent_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("verifyd-ckpt-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = VerdictCache::open(&dir, DEFAULT_BYTE_BUDGET).unwrap();
+        let line = r#"{"id":"dl","graph":"biring","n":5,"cap":2,"r":1"#;
+        let stores = || {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .filter(|e| {
+                    let name = e.as_ref().unwrap().file_name();
+                    name.to_string_lossy().starts_with("ckpt-")
+                })
+                .count()
+        };
+        let first = Job::parse(&format!("{line},\"deadline_ms\":1}}"))
+            .unwrap()
+            .unwrap();
+        let rows = run_job(&first, &cache, 1, Some(&dir));
+        assert!(
+            rows[0].contains(r#""verdict":"partial""#) && rows[0].contains(r#""cache":"miss""#),
+            "{}",
+            rows[0]
+        );
+        assert_eq!(stores(), 1, "the partial row leaves its checkpoint");
+        let again = Job::parse(&format!("{line}}}")).unwrap().unwrap();
+        let rows = run_job(&again, &cache, 1, Some(&dir));
+        assert!(
+            rows[0].contains(r#""verdict":"stabilizing","states":59049,"cache":"resumed""#),
+            "{}",
+            rows[0]
+        );
+        assert_eq!(stores(), 0, "the resumed row deletes the spent checkpoint");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

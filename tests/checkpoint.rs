@@ -15,12 +15,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use stateless_computation::core::checkpoint::CheckpointStore;
+use stateless_computation::core::graph::DiGraph;
 use stateless_computation::core::prelude::*;
+use stateless_computation::protocols::bfs_tree::{bfs_alphabet, bfs_tree_protocol};
+use stateless_computation::verify::cache::DEFAULT_BYTE_BUDGET;
 use stateless_computation::verify::{
     verify_label_stabilization, verify_label_stabilization_resumed,
     verify_label_stabilization_resumed_at, verify_label_stabilization_with_stats,
     verify_output_stabilization, verify_output_stabilization_resumed, CheckpointPolicy,
-    ExploreStats, Limits, ResumeError, SymmetryMode, Verdict, VerifyError,
+    ExploreStats, Limits, ResumeError, SymmetryMode, Verdict, VerdictCache, VerifyError,
 };
 
 /// Thread counts the resume-equality matrix runs at (mirrors the
@@ -400,54 +403,64 @@ fn meaningless_policies_are_rejected_up_front() {
     assert!(!dir.exists(), "rejected policies must not touch the disk");
 }
 
-/// A rotation ring whose uniform reaction starts panicking at the
-/// `trip`-th call and never recovers (`trip = usize::MAX` never trips).
-/// The behavior below the trip point is exactly [`rotate_ring`]'s, so
-/// tripped and untripped instances share one fingerprint.
-fn tripwire_ring(n: usize, trip: usize) -> (Protocol<bool>, Arc<AtomicUsize>) {
+/// Every node writes the XOR of its in-labels on its one out-edge and
+/// outputs 42 — on a unidirectional ring exactly [`rotate_ring`]'s copy
+/// — except that reaction call `k` (counting from 0) panics whenever
+/// `panics(k)`. Below its first panic a tripwire behaves like the healthy
+/// protocol, so the two share one instance fingerprint. Returns the
+/// protocol and its call counter.
+fn tripwire(
+    graph: DiGraph,
+    panics: impl Fn(usize) -> bool + Send + Sync + 'static,
+) -> (Protocol<bool>, Arc<AtomicUsize>) {
     let calls = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&calls);
-    let p = Protocol::builder(topology::unidirectional_ring(n), 1.0)
+    let p = Protocol::builder(graph, 1.0)
         .uniform_reaction(FnReaction::new(move |_, inc: &[bool], _| {
-            if counter.fetch_add(1, Ordering::Relaxed) >= trip {
+            if panics(counter.fetch_add(1, Ordering::Relaxed)) {
                 panic!("tripwire: injected reaction fault");
             }
-            (vec![inc[0]], 42)
+            (vec![inc.iter().fold(false, |a, &b| a ^ b)], 42)
         }))
         .build()
         .unwrap();
     (p, calls)
 }
 
-/// A reaction that panics **once** is isolated: the poisoned chunk is
-/// retried serially, the retry succeeds, and the verdict and stats are
-/// bit-identical to a clean run's.
+/// Fifteen nodes with edges `1…14 → 0` and `0 → 1`. Node 0 alone has
+/// 2^14 Boolean in-labelings, so the reaction domain, 16,399, is over
+/// `PROBE_CAP`: the verifier builds no reaction table and calls the
+/// reactions on every expansion, in the expand workers the chunk-panic
+/// tests guard. At `r = 1` the product graph is its 2^15 labelings.
+fn fan_in() -> DiGraph {
+    let mut g = DiGraph::new(15);
+    for v in 1..15 {
+        g.add_edge(v, 0).unwrap();
+    }
+    g.add_edge(0, 1).unwrap();
+    g
+}
+
+/// A reaction that panics **once** in an expand worker is isolated: the
+/// poisoned chunk is retried serially, the retry succeeds, and the
+/// verdict and stats are bit-identical to a clean run's.
 #[test]
 fn single_worker_panic_is_retried_and_absorbed() {
-    let p = rotate_ring(4);
-    let inputs = [0u64; 4];
+    let inputs = [0u64; 15];
     let alphabet = [false, true];
-    let clean = verify_label_stabilization_with_stats(&p, &inputs, &alphabet, 3, Limits::default())
-        .unwrap();
-    // A one-shot tripwire: exactly the 200th reaction call panics (well
-    // past the seed phase, inside batch expansion), every later call
-    // succeeds — so the serial chunk retry goes through.
-    let fired = Arc::new(AtomicUsize::new(0));
-    let armed = Arc::clone(&fired);
-    let p_once = Protocol::builder(topology::unidirectional_ring(4), 1.0)
-        .uniform_reaction(FnReaction::new(move |_, inc: &[bool], _| {
-            if armed.fetch_add(1, Ordering::Relaxed) == 200 {
-                panic!("tripwire: injected one-shot reaction fault");
-            }
-            (vec![inc[0]], 42)
-        }))
-        .build()
-        .unwrap();
+    let (healthy, _) = tripwire(fan_in(), |_| false);
+    let clean =
+        verify_label_stabilization_with_stats(&healthy, &inputs, &alphabet, 1, Limits::default())
+            .unwrap();
+    // A one-shot tripwire: exactly the 200th reaction call panics (the
+    // seed phase calls none, so this is inside batch expansion), every
+    // later call succeeds — so the serial chunk retry goes through.
+    let (p_once, fired) = tripwire(fan_in(), |k| k == 200);
     let recovered = verify_label_stabilization_with_stats(
         &p_once,
         &inputs,
         &alphabet,
-        3,
+        1,
         Limits {
             threads: 1,
             ..Limits::default()
@@ -467,26 +480,23 @@ fn single_worker_panic_is_retried_and_absorbed() {
 /// and a healthy protocol resumes from that handle to the exact verdict.
 #[test]
 fn persistent_panic_checkpoints_and_fails() {
-    let inputs = [0u64; 4];
+    let inputs = [0u64; 15];
     let alphabet = [false, true];
     let dir = scratch_dir("poisoned");
-    let clean = verify_label_stabilization_with_stats(
-        &rotate_ring(4),
-        &inputs,
-        &alphabet,
-        3,
-        Limits::default(),
-    )
-    .unwrap();
-    // The instance fingerprint's behavioral probes run ~n·8 reactions at
-    // `begin`; trip far past them so the fingerprint matches
-    // `rotate_ring`'s, but well inside the first expand batches.
-    let (poisoned, _) = tripwire_ring(4, 500);
+    let (healthy, _) = tripwire(fan_in(), |_| false);
+    let clean =
+        verify_label_stabilization_with_stats(&healthy, &inputs, &alphabet, 1, Limits::default())
+            .unwrap();
+    // The instance fingerprint's behavioral probes run 8 reactions per
+    // node (120) when the checkpoint store opens; trip past them so the
+    // fingerprint matches the healthy protocol's, but well inside the
+    // first expand batch.
+    let (poisoned, _) = tripwire(fan_in(), |k| k >= 500);
     let err = verify_label_stabilization(
         &poisoned,
         &inputs,
         &alphabet,
-        3,
+        1,
         Limits {
             threads: 2,
             checkpoint: Some(CheckpointPolicy::new(&dir)),
@@ -501,10 +511,10 @@ fn persistent_panic_checkpoints_and_fails() {
     let handle = checkpoint.expect("checkpoint-and-fail flushes an epoch");
     assert_eq!(handle.dir, dir);
     let resumed = verify_label_stabilization_resumed(
-        &rotate_ring(4),
+        &healthy,
         &inputs,
         &alphabet,
-        3,
+        1,
         Limits::default(),
         &dir,
     )
@@ -517,12 +527,12 @@ fn persistent_panic_checkpoints_and_fails() {
 /// with no handle to resume from.
 #[test]
 fn persistent_panic_without_policy_has_no_handle() {
-    let (poisoned, _) = tripwire_ring(4, 100);
+    let (poisoned, _) = tripwire(fan_in(), |k| k >= 100);
     let err = verify_label_stabilization(
         &poisoned,
-        &[0u64; 4],
+        &[0u64; 15],
         &[false, true],
-        3,
+        1,
         Limits {
             threads: 1,
             ..Limits::default()
@@ -539,6 +549,167 @@ fn persistent_panic_without_policy_has_no_handle() {
         ),
         "{err:?}"
     );
+}
+
+/// On a tabled instance the reactions run only while the reaction table
+/// is built, once per entry (8 on the 4-ring). A reaction that panics
+/// once there is absorbed by one rebuild: 4 calls up to the panic, 8 in
+/// the retry, none after, and the verdict and stats match a clean run's.
+#[test]
+fn table_build_panic_is_retried_and_absorbed() {
+    let inputs = [0u64; 4];
+    let alphabet = [false, true];
+    let clean = verify_label_stabilization_with_stats(
+        &rotate_ring(4),
+        &inputs,
+        &alphabet,
+        3,
+        Limits::default(),
+    )
+    .unwrap();
+    let (p_once, calls) = tripwire(topology::unidirectional_ring(4), |k| k == 3);
+    let recovered =
+        verify_label_stabilization_with_stats(&p_once, &inputs, &alphabet, 3, Limits::default())
+            .unwrap();
+    assert_eq!(calls.load(Ordering::Relaxed), 4 + 8);
+    assert_eq!(clean, recovered, "one panic, rebuilt, absorbed");
+}
+
+/// A reaction that panics on every call of a tabled instance fails the
+/// table build twice: the typed [`VerifyError::PoisonedChunk`] with no
+/// checkpoint (nothing was explored, and no store is opened), from
+/// `verify_*` and from the [`VerdictCache`] alike — whether the cache's
+/// fingerprint probes are the first calls to panic or the table build
+/// after them is. Nothing unwinds out of either.
+#[test]
+fn persistent_table_build_panic_is_typed_without_a_checkpoint() {
+    let inputs = [0u64; 4];
+    let alphabet = [false, true];
+    let dir = scratch_dir("table-panic");
+    let (poisoned, _) = tripwire(topology::unidirectional_ring(4), |_| true);
+    let err = verify_label_stabilization(
+        &poisoned,
+        &inputs,
+        &alphabet,
+        3,
+        Limits {
+            checkpoint: Some(CheckpointPolicy::new(&dir)),
+            ..Limits::default()
+        },
+    )
+    .unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            VerifyError::PoisonedChunk { what, checkpoint: None } if what.contains("reaction table")
+        ),
+        "{err:?}"
+    );
+    assert!(!dir.exists(), "a failed table build opens no store");
+    // The fingerprint probes all 8 entries first, so a trip at call 8
+    // passes them and poisons the table build instead.
+    for trip in [0, 8] {
+        let (poisoned, _) = tripwire(topology::unidirectional_ring(4), move |k| k >= trip);
+        let cache = VerdictCache::open(&dir, DEFAULT_BYTE_BUDGET).unwrap();
+        let err = cache
+            .verify_label(&poisoned, &inputs, &alphabet, 3, &Limits::default())
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                VerifyError::PoisonedChunk {
+                    checkpoint: None,
+                    ..
+                }
+            ),
+            "trip {trip}: {err:?}"
+        );
+        assert!(cache.is_empty(), "trip {trip}: nothing is memoized");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With a reaction table, an `r = 1` label-mode state is its labeling
+/// alone, so every successor is a seed and exploration counts the seeds'
+/// edges instead of expanding them. On the f = 1 Byzantine BFS biring
+/// n = 5 the edge count and the edge budget are the batch loop's, the
+/// transient peak is the seed batch's (one 24-byte record per seed), and
+/// resuming from a checkpoint taken after seeding, or from one written
+/// once exploration is done, reproduces the uninterrupted run's stats.
+#[test]
+fn r1_label_queries_count_seed_edges_instead_of_expanding() {
+    let p = bfs_tree_protocol(topology::bidirectional_ring(5), 0, 2, FaultModel::none()).unwrap();
+    let (inputs, alphabet) = ([0u64; 5], bfs_alphabet(2));
+    let limits = Limits {
+        faults: FaultModel::byzantine(&[2]).unwrap(),
+        ..Limits::default()
+    };
+    let clean =
+        verify_label_stabilization_with_stats(&p, &inputs, &alphabet, 1, limits.clone()).unwrap();
+    let stats = clean.1;
+    assert_eq!((stats.states, stats.edges), (59_049, 531_441));
+    // The seed batch's records, 24 bytes each (stream key, fingerprint,
+    // one packed word): no expansion batch ran.
+    assert_eq!(stats.edge_bytes, 59_049 * 24);
+    for (max_edges, ok) in [(531_440, false), (531_441, true)] {
+        let got = verify_label_stabilization_with_stats(
+            &p,
+            &inputs,
+            &alphabet,
+            1,
+            Limits {
+                max_edges,
+                ..limits.clone()
+            },
+        );
+        match got {
+            Ok(run) => assert!(ok && run == clean, "{max_edges}: {run:?}"),
+            Err(e) => assert!(
+                !ok && e == VerifyError::TooManyEdges { limit: max_edges },
+                "{max_edges}: {e}"
+            ),
+        }
+    }
+    let dir = scratch_dir("r1-seed-edges");
+    let (partial, _) = verify_label_stabilization_with_stats(
+        &p,
+        &inputs,
+        &alphabet,
+        1,
+        Limits {
+            deadline: Some(Duration::from_nanos(1)),
+            checkpoint: Some(CheckpointPolicy::new(&dir)),
+            ..limits.clone()
+        },
+    )
+    .unwrap();
+    assert!(
+        matches!(
+            partial,
+            Verdict::Partial {
+                frontier_len: 59_049,
+                ..
+            }
+        ),
+        "the deadline trips after seeding: {partial:?}"
+    );
+    let resumed =
+        verify_label_stabilization_resumed(&p, &inputs, &alphabet, 1, limits.clone(), &dir)
+            .unwrap();
+    assert_eq!(clean, resumed, "resumed after seeding");
+    let _ = std::fs::remove_dir_all(&dir);
+    let checkpointed = Limits {
+        checkpoint: Some(every_batch(&dir)),
+        ..limits.clone()
+    };
+    assert_eq!(
+        clean,
+        verify_label_stabilization_with_stats(&p, &inputs, &alphabet, 1, checkpointed).unwrap()
+    );
+    let resumed =
+        verify_label_stabilization_resumed(&p, &inputs, &alphabet, 1, limits, &dir).unwrap();
+    assert_eq!(clean, resumed, "resumed from the finished exploration");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `ExploreStats` sanity on a resumed run: the struct still carries the

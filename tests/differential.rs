@@ -644,46 +644,88 @@ fn edgeless_verifier_peak_transient_stays_below_half_the_old_csr() {
     }
 }
 
-/// The verifier's work, pinned end to end: after exploration expands
-/// every state once, a query regenerates its edges exactly once more, in
-/// the Tarjan pass, which also finds any interesting intra-SCC edge. Each
-/// expansion runs every node's reaction once, so a Stabilizing,
-/// fault-free, symmetry-`Off` query with no checkpoint (nothing to
-/// fingerprint, no witness to build) calls the reaction exactly
-/// `2 · n · states` times, at every thread count.
+/// The verifier's work on the closure path, pinned end to end: after
+/// exploration expands every state once, a query regenerates its edges
+/// exactly once more, in the Tarjan pass, which also finds any
+/// interesting intra-SCC edge. Each expansion runs every node's reaction
+/// once, so a Stabilizing, fault-free, symmetry-`Off` query with no
+/// checkpoint (nothing to fingerprint, no witness to build) calls the
+/// reaction exactly `2 · n · states` times, at every thread count. The
+/// instance has 15 nodes with edges `1…14 → 0` and `0 → 1`: node 0 alone
+/// has 2^14 Boolean in-labelings, so the reaction domain (16,399) is over
+/// `PROBE_CAP`, no reaction table is built, and even at `r = 1` every
+/// state is expanded. Every node has one out-edge and writes `false`.
 #[test]
 fn stabilizing_query_regenerates_its_edges_once_after_exploration() {
+    let mut fan_in = DiGraph::new(15);
+    for v in 1..15 {
+        fan_in.add_edge(v, 0).unwrap();
+    }
+    fan_in.add_edge(0, 1).unwrap();
+    for threads in [1, 2] {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        let p = Protocol::builder(fan_in.clone(), 1.0)
+            .uniform_reaction(FnReaction::new(move |_, _: &[bool], _| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                (vec![false], 0)
+            }))
+            .build()
+            .unwrap();
+        let limits = Limits {
+            threads,
+            ..Limits::default()
+        };
+        let (verdict, stats) =
+            verify_label_stabilization_with_stats(&p, &[0; 15], &[false, true], 1, limits).unwrap();
+        assert!(verdict.is_stabilizing(), "{verdict:?}");
+        assert_eq!(stats.states, 1 << 15);
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            2 * 15 * stats.states,
+            "{threads} threads"
+        );
+    }
+}
+
+/// The table path's twin: under `PROBE_CAP` each correct node's reaction
+/// runs exactly once per table entry, `Σᵥ |Σ|^indeg(v)` calls (`2n` on
+/// the Boolean unidirectional ring), whatever `r`, the thread count, the
+/// query mode, or whether a witness is built — exploration, Tarjan and
+/// the witness search all react by table lookups.
+#[test]
+fn tabled_reactions_run_once_per_entry() {
     for n in [4usize, 5] {
         for r in 1..=3u8 {
             for threads in [1, 2] {
-                let calls = Arc::new(AtomicUsize::new(0));
-                let counter = Arc::clone(&calls);
-                let p = Protocol::builder(topology::unidirectional_ring(n), 1.0)
-                    .uniform_reaction(FnReaction::new(move |_, _: &[bool], _| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        (vec![false], 0)
-                    }))
-                    .build()
-                    .unwrap();
-                let limits = Limits {
-                    threads,
-                    ..Limits::default()
-                };
-                let (verdict, stats) = verify_label_stabilization_with_stats(
-                    &p,
-                    &vec![0; n],
-                    &[false, true],
-                    r,
-                    limits,
-                )
-                .unwrap();
-                assert!(verdict.is_stabilizing(), "n = {n}, r = {r}: {verdict:?}");
-                assert_eq!(
-                    calls.load(Ordering::Relaxed),
-                    2 * n * stats.states,
-                    "n = {n}, r = {r}, {threads} threads: {} states",
-                    stats.states
-                );
+                for copy in [false, true] {
+                    let calls = Arc::new(AtomicUsize::new(0));
+                    let counter = Arc::clone(&calls);
+                    let p = Protocol::builder(topology::unidirectional_ring(n), 1.0)
+                        .uniform_reaction(FnReaction::new(move |_, inc: &[bool], _| {
+                            counter.fetch_add(1, Ordering::Relaxed);
+                            (vec![copy && inc[0]], 0)
+                        }))
+                        .build()
+                        .unwrap();
+                    let limits = Limits {
+                        threads,
+                        ..Limits::default()
+                    };
+                    let (inputs, alphabet) = (vec![0; n], [false, true]);
+                    let label =
+                        verify_label_stabilization(&p, &inputs, &alphabet, r, limits.clone())
+                            .unwrap();
+                    assert_eq!(label.is_stabilizing(), !copy, "n = {n}, r = {r}");
+                    let output =
+                        verify_output_stabilization(&p, &inputs, &alphabet, r, limits).unwrap();
+                    assert!(output.is_stabilizing(), "n = {n}, r = {r}");
+                    assert_eq!(
+                        calls.load(Ordering::Relaxed),
+                        2 * 2 * n,
+                        "n = {n}, r = {r}, {threads} threads, copy = {copy}"
+                    );
+                }
             }
         }
     }
