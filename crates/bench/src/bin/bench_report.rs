@@ -28,12 +28,18 @@
 //! checkpoint resume scratch per state, must stay within 1.25× the
 //! baseline's, and a violation exits nonzero — the state-linear budget
 //! guarding the edge-less verifier.
+//!
+//! With `--gate <file>` (one row file) nothing is rendered either: the
+//! in-run ratio gate prints one `naive / packed/t1` time ratio per gated
+//! bench and exits nonzero when one is below 1.5 or its rows are missing
+//! or sentinels.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use stateless_bench::report::{
-    check_memory_gate, collect_trend, parse_lines, render_compare, render_markdown, BenchLine,
+    check_memory_gate, check_ratio_gate, collect_trend, parse_lines, render_compare,
+    render_markdown, BenchLine,
 };
 
 /// Slack factor of the memory gate: per-state bytes may grow this much
@@ -46,11 +52,13 @@ fn main() -> ExitCode {
     let compare = args.iter().any(|a| a == "--compare");
     let memgate = args.iter().any(|a| a == "--memgate");
     let trend = args.iter().any(|a| a == "--trend");
-    args.retain(|a| a != "--compare" && a != "--memgate" && a != "--trend");
-    let modes = usize::from(compare) + usize::from(memgate) + usize::from(trend);
+    let gate = args.iter().any(|a| a == "--gate");
+    args.retain(|a| a != "--compare" && a != "--memgate" && a != "--trend" && a != "--gate");
+    let modes =
+        usize::from(compare) + usize::from(memgate) + usize::from(trend) + usize::from(gate);
     if modes > 1 || args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
-            "usage: bench-report [--compare | --memgate | --trend] \
+            "usage: bench-report [--compare | --memgate | --trend | --gate] \
              <bench-lines.jsonl | dir>..."
         );
         eprintln!("renders measurement files as a per-bench median markdown table");
@@ -59,6 +67,10 @@ fn main() -> ExitCode {
         eprintln!(
             "--memgate takes exactly two row files (baseline, current) and fails when the \
              largest verify_scaling row's per-state memory exceeds {MEMGATE_SLACK}x the baseline"
+        );
+        eprintln!(
+            "--gate takes one row file and fails when a naive / packed/t1 time ratio is \
+             below 1.5"
         );
         return if args.is_empty() || modes > 1 {
             ExitCode::FAILURE
@@ -73,9 +85,9 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    if trend && args.len() != 1 {
+    if (trend || gate) && args.len() != 1 {
         eprintln!(
-            "bench-report: --trend takes exactly one artifact directory, got {}",
+            "bench-report: --trend/--gate take exactly one argument, got {}",
             args.len()
         );
         return ExitCode::FAILURE;
@@ -105,6 +117,20 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         };
+    }
+    if gate {
+        let rows = match read(&args[0]) {
+            Ok(text) => parse_lines(&text),
+            Err(code) => return code,
+        };
+        let (lines, code) = match check_ratio_gate(&rows) {
+            Ok(lines) => (lines, ExitCode::SUCCESS),
+            Err(lines) => (lines, ExitCode::FAILURE),
+        };
+        for line in lines {
+            println!("{line}");
+        }
+        return code;
     }
     let files: Vec<(String, Vec<BenchLine>)> = if trend {
         match collect_trend(Path::new(&args[0])) {

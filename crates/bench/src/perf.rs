@@ -212,7 +212,7 @@ fn sweep_rows(n: usize) -> Vec<String> {
 ///
 /// The `scc` row times the SCC phase in isolation through the
 /// [`explore_product`] handle — the successor-oracle condensation on the
-/// live shard arenas, exactly what the verifier runs. The `sym` row
+/// live row arenas, exactly what the verifier runs. The `sym` row
 /// verifies under [`SymmetryMode::Auto`] at one worker; its `states`
 /// are the orbit-canonical (quotient) count, ≈ n× fewer than the packed
 /// row's on the rotation ring, whose derived group is the full Cₙ. A
@@ -220,7 +220,7 @@ fn sweep_rows(n: usize) -> Vec<String> {
 ///
 /// Every packed row carries the memory figures `bench-report --memgate`
 /// budgets: `packed_arena_bytes`, the logical payload of the packed
-/// state words read off [`ExploreStats`] (per-shard arena-block slack
+/// state words read off [`ExploreStats`] (the last arena block's slack
 /// and the fingerprint index, ~16 B/state, sit on top, bounded and
 /// amortizing away at the state counts where memory matters), and
 /// `peak_edge_bytes`, the peak **transient** edge footprint — the

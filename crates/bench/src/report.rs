@@ -21,7 +21,10 @@
 //!   commit's fresh rows against `BENCH_engine.jsonl` this way
 //!   (`bench-report --compare`);
 //! * [`check_memory_gate`] fails when the verifier's bytes per state grow
-//!   past a slack over the baseline's (`bench-report --memgate`).
+//!   past a slack over the baseline's (`bench-report --memgate`);
+//! * [`check_ratio_gate`] fails when, inside one file, the default
+//!   verifier is less than [`MIN_NAIVE_RATIO`]× faster than the naive
+//!   reference (`bench-report --gate`).
 //!
 //! The `bench-report` binary is the CLI wrapper.
 
@@ -328,6 +331,59 @@ pub fn check_memory_gate(
     }
 }
 
+/// The benches whose `naive` reference and default `packed/t1` rows the
+/// ratio gate compares.
+pub const RATIO_GATED_BENCHES: [&str; 3] = [
+    "perf/verify_scaling/6",
+    "perf/verify_scaling/8",
+    "perf/verify_bfs/5",
+];
+
+/// The least `naive / packed/t1` time ratio [`check_ratio_gate`] accepts:
+/// the default verifier must be at least this much faster than the naive
+/// reference measured in the same run.
+pub const MIN_NAIVE_RATIO: f64 = 1.5;
+
+/// The in-run ratio gate: for each of [`RATIO_GATED_BENCHES`], the
+/// `naive` row's `median_ns_per_iter` over the `packed/t1` row's (the
+/// last row of each id counts). Both rows come from the same file, so
+/// the ratio holds still when the runner's speed moves. Returns one line
+/// per ratio; `Err` when a ratio is below [`MIN_NAIVE_RATIO`] or a row is
+/// missing or a sentinel (a non-positive time).
+pub fn check_ratio_gate(rows: &[BenchLine]) -> Result<Vec<String>, Vec<String>> {
+    let time = |bench: &str, row: &str| {
+        let id = format!("{bench}/{row}");
+        rows.iter()
+            .rev()
+            .find(|l| l.bench == id)
+            .map(|l| l.median_ns)
+    };
+    let mut pass = true;
+    let lines = RATIO_GATED_BENCHES
+        .iter()
+        .map(|bench| {
+            let (verdict, ok) = match (time(bench, "naive"), time(bench, "packed/t1")) {
+                (Some(naive), Some(packed)) if naive > 0.0 && packed > 0.0 => {
+                    let ratio = naive / packed;
+                    (format!("{ratio:.2}"), ratio >= MIN_NAIVE_RATIO)
+                }
+                (Some(_), Some(_)) => ("sentinel row".into(), false),
+                _ => ("missing row".into(), false),
+            };
+            pass &= ok;
+            format!(
+                "ratio gate: {bench} naive / packed/t1 = {verdict} (need ≥ {MIN_NAIVE_RATIO}): {}",
+                if ok { "pass" } else { "FAIL" }
+            )
+        })
+        .collect();
+    if pass {
+        Ok(lines)
+    } else {
+        Err(lines)
+    }
+}
+
 /// Renders a baseline/current pair as a markdown table with a trailing
 /// delta column: per-bench `current / baseline` median ratio (`< 1` is
 /// faster than the baseline, `—` when a bench exists on one side only).
@@ -564,6 +620,60 @@ mod tests {
         // Scratch alone can blow the gate: 40 × 1.25 = 50 < 18 + 33.
         let heavy = parse_lines(&(mem_good() + &checkpointed(20000, 660000)));
         assert!(check_memory_gate(&mem_base(), &heavy, 1.25).is_err());
+    }
+
+    /// The three gated bench pairs at `naive / packed` times of 3×, 2×
+    /// and `bfs`×.
+    fn gated_rows(bfs: f64) -> String {
+        let row = |bench: &str, ns: f64| {
+            format!("{{\"bench\":\"{bench}\",\"median_ns_per_iter\":{ns}}}\n")
+        };
+        [
+            row("perf/verify_scaling/6/naive", 300.0),
+            row("perf/verify_scaling/6/packed/t1", 100.0),
+            row("perf/verify_scaling/8/naive", 200.0),
+            row("perf/verify_scaling/8/packed/t1", 100.0),
+            row("perf/verify_bfs/5/naive", bfs * 100.0),
+            row("perf/verify_bfs/5/packed/t1", 100.0),
+        ]
+        .concat()
+    }
+
+    #[test]
+    fn ratio_gate_passes_at_or_above_the_target() {
+        let lines = check_ratio_gate(&parse_lines(&gated_rows(1.5))).unwrap();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].contains("perf/verify_scaling/6 naive / packed/t1 = 3.00"));
+        assert!(lines[2].contains("= 1.50") && lines[2].ends_with("pass"));
+    }
+
+    #[test]
+    fn ratio_gate_fails_below_the_target() {
+        let lines = check_ratio_gate(&parse_lines(&gated_rows(1.4))).unwrap_err();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[1].ends_with("pass"));
+        assert!(lines[2].contains("= 1.40") && lines[2].ends_with("FAIL"));
+    }
+
+    #[test]
+    fn ratio_gate_fails_on_a_missing_row() {
+        let rows: Vec<BenchLine> = parse_lines(&gated_rows(3.0))
+            .into_iter()
+            .filter(|l| l.bench != "perf/verify_scaling/8/naive")
+            .collect();
+        let lines = check_ratio_gate(&rows).unwrap_err();
+        assert!(lines[1].contains("missing row") && lines[1].ends_with("FAIL"));
+        assert!(lines[0].ends_with("pass") && lines[2].ends_with("pass"));
+    }
+
+    #[test]
+    fn ratio_gate_fails_on_a_sentinel_row() {
+        let text = gated_rows(3.0).replace(
+            "\"perf/verify_scaling/6/packed/t1\",\"median_ns_per_iter\":100",
+            "\"perf/verify_scaling/6/packed/t1\",\"median_ns_per_iter\":0",
+        );
+        let lines = check_ratio_gate(&parse_lines(&text)).unwrap_err();
+        assert!(lines[0].contains("sentinel row") && lines[0].ends_with("FAIL"));
     }
 
     #[test]

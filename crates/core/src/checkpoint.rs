@@ -20,7 +20,7 @@
 //!
 //! The store is deliberately dumb about payload *meaning*: segment tags
 //! and their contents belong to the caller (the product-graph explorer
-//! in `stabilization-verify` streams its shard arenas through here).
+//! in `stabilization-verify` streams its row arenas through here).
 //! What the store guarantees is framing: a reader either gets back the
 //! exact bytes that were committed, or a typed
 //! [`CheckpointError::Corrupt`] — never silently wrong data.

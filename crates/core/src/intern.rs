@@ -1,6 +1,6 @@
 //! Shared state-interning machinery: seeded fingerprint hashing, a
 //! fingerprint → id index with exact-equality confirmation, flat bit
-//! packing, and a block-chunked history arena.
+//! packing, and a block-chunked row arena.
 //!
 //! These are the pieces behind the fingerprint-arena fast paths — the
 //! [`convergence`](crate::convergence) cycle detector and the exact
@@ -15,13 +15,13 @@
 //!    but never an incorrect answer, and no owned key (no
 //!    `HashMap<Vec<_>, _>` clone) is ever stored.
 //!
-//! [`ChunkedArena`] backs the histories themselves: size-capped blocks
-//! mean appending a million rows never reallocates-and-copies the rows
-//! already written.
+//! [`ChunkedArena`] backs the rows themselves, indexed by the id the
+//! index hands out: size-capped blocks mean appending a million rows
+//! never reallocates-and-copies the rows already written, and its blocks
+//! stream out as they are for checkpointing.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// An FxHash-style multiplicative [`Hasher`] with a fixed seed: one
 /// rotate-xor-multiply per 8-byte word, ~4× faster than SipHash on the
@@ -90,9 +90,9 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// Seeded FxHash fingerprint of a packed state: the row words, then the
 /// auxiliary words. This is **the** state fingerprint — the product-graph
-/// explorer's sharding, its confirm-equality probes, and the checkpoint
-/// restore path all call this one function, so an interned state always
-/// lands in the same shard no matter who hashes it.
+/// explorer's interning, its successor lookups, and the checkpoint
+/// restore path all call this one function, so a state resolves to the
+/// same id no matter who hashes it.
 pub fn state_fingerprint(row: &[u64], aux: &[u64]) -> u64 {
     let mut h = FxHasher::default();
     for &w in row {
@@ -178,7 +178,7 @@ impl FingerprintIndex {
     /// `fp` and returns the confirmed-equal existing id, or `None`.
     /// Never records anything — this is the lookup the edge-less
     /// verifier's successor oracle uses on states that are guaranteed
-    /// to have been interned already, from shared read guards.
+    /// to have been interned already.
     pub fn find(&self, fp: u64, confirm: impl Fn(u64) -> bool) -> Option<u64> {
         let &first = self.seen.get(&fp)?;
         if confirm(first) {
@@ -189,253 +189,6 @@ impl FingerprintIndex {
             .filter(|&&(f, _)| f == fp)
             .map(|&(_, id)| id)
             .find(|&id| confirm(id))
-    }
-}
-
-/// Number of top fingerprint bits selecting a shard of a
-/// [`ShardedStateIndex`]. The count is a **fixed constant**, independent
-/// of the thread count: shard assignment feeds the `(shard, local)` state
-/// ids, so varying it with the machine would make interned ids (and
-/// everything numbered off them) host-dependent.
-pub const SHARD_BITS: u32 = 6;
-
-/// Number of shards of a [`ShardedStateIndex`] (`2^SHARD_BITS`).
-pub const SHARD_COUNT: usize = 1 << SHARD_BITS;
-
-/// The shard owning a fingerprint: its top [`SHARD_BITS`] bits. The seeded
-/// FxHash mixes every written word into the high bits, so top-bit sharding
-/// spreads states evenly even for near-identical packed rows.
-#[inline]
-pub fn shard_of(fp: u64) -> usize {
-    (fp >> (64 - SHARD_BITS)) as usize
-}
-
-/// Packs a `(shard, local)` state id into one `u64`: shard in bits
-/// 32..\[32 + [`SHARD_BITS`]\), local id in the low 32 bits.
-#[inline]
-pub fn pack_state_id(shard: usize, local: u32) -> u64 {
-    debug_assert!(shard < SHARD_COUNT);
-    ((shard as u64) << 32) | u64::from(local)
-}
-
-/// Unpacks a state id written by [`pack_state_id`].
-#[inline]
-pub fn unpack_state_id(id: u64) -> (usize, u32) {
-    ((id >> 32) as usize, id as u32)
-}
-
-/// One shard of a [`ShardedStateIndex`]: a [`FingerprintIndex`] (with its
-/// collision side list) plus the shard-owned row storage the index
-/// confirms against. Shards are self-contained — interning never reads
-/// another shard — which is what makes batch interning embarrassingly
-/// parallel: workers own disjoint shards, so they never contend.
-#[derive(Debug)]
-pub struct StateShard {
-    index: FingerprintIndex,
-    /// Packed state rows; local id `i` is `rows.row(i)`.
-    rows: ChunkedArena<u64>,
-    /// Auxiliary per-state rows (e.g. tracked output words); empty row
-    /// length when unused.
-    aux: ChunkedArena<u64>,
-    /// Local id → caller-assigned dense id. The caller appends these in
-    /// local-id order once it has fixed a deterministic global numbering
-    /// (see [`StateShard::push_dense`]); entries may lag behind `rows`
-    /// while a batch is in flight.
-    dense: Vec<u32>,
-}
-
-impl StateShard {
-    fn new(row_len: usize, aux_len: usize) -> Self {
-        StateShard {
-            index: FingerprintIndex::new(),
-            rows: ChunkedArena::new(row_len),
-            aux: ChunkedArena::new(aux_len),
-            dense: Vec::new(),
-        }
-    }
-
-    /// Number of states interned into this shard.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the shard holds no states.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Interns the state `(row, aux)` under fingerprint `fp` (which must
-    /// have been computed over exactly `row` then `aux`, and must map to
-    /// this shard). Returns the local id and whether the state was fresh.
-    /// Every fingerprint hit is confirmed by exact equality against the
-    /// shard arenas, so collisions cost a comparison but never a wrong id.
-    pub fn intern(&mut self, fp: u64, row: &[u64], aux: &[u64]) -> (u32, bool) {
-        let (rows, auxes) = (&self.rows, &self.aux);
-        let candidate = rows.len() as u64;
-        let hit = self.index.probe(fp, candidate, |id| {
-            let id = id as usize;
-            rows.row(id) == row && auxes.row(id) == aux
-        });
-        match hit {
-            Some(id) => (id as u32, false),
-            None => {
-                self.rows.push_row(row);
-                self.aux.push_row(aux);
-                (candidate as u32, true)
-            }
-        }
-    }
-
-    /// Read-only twin of [`intern`](StateShard::intern): the local id of
-    /// the already-interned state `(row, aux)` under fingerprint `fp`,
-    /// or `None` if no equal state was ever interned. Every fingerprint
-    /// hit is confirmed by exact equality, so collisions never resolve
-    /// to a wrong id. Takes `&self`, so concurrent readers can resolve
-    /// regenerated successors under shared read locks.
-    pub fn lookup(&self, fp: u64, row: &[u64], aux: &[u64]) -> Option<u32> {
-        let (rows, auxes) = (&self.rows, &self.aux);
-        self.index
-            .find(fp, |id| {
-                let id = id as usize;
-                rows.row(id) == row && auxes.row(id) == aux
-            })
-            .map(|id| id as u32)
-    }
-
-    /// The packed row of local state `local`.
-    pub fn row(&self, local: u32) -> &[u64] {
-        self.rows.row(local as usize)
-    }
-
-    /// The auxiliary row of local state `local` (empty when unused).
-    pub fn aux_row(&self, local: u32) -> &[u64] {
-        self.aux.row(local as usize)
-    }
-
-    /// The dense id assigned to local state `local`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the caller has not yet assigned one (see
-    /// [`push_dense`](StateShard::push_dense)).
-    pub fn dense_of(&self, local: u32) -> u32 {
-        self.dense[local as usize]
-    }
-
-    /// Records the dense id of the next not-yet-numbered local state.
-    /// Dense ids must be appended in local-id order — the caller fixes the
-    /// cross-shard order (the deterministic merge), the shard only stores
-    /// the mapping.
-    pub fn push_dense(&mut self, dense: u32) {
-        debug_assert!(self.dense.len() < self.rows.len(), "no unnumbered state");
-        self.dense.push(dense);
-    }
-
-    /// Bytes of row storage currently allocated by this shard's arenas.
-    pub fn allocated_bytes(&self) -> usize {
-        self.rows.allocated_bytes() + self.aux.allocated_bytes()
-    }
-
-    /// The packed state rows, block by block, whole rows in local-id
-    /// order — the zero-copy export checkpointing streams to disk.
-    pub fn row_blocks(&self) -> impl Iterator<Item = &[u64]> {
-        self.rows.blocks()
-    }
-
-    /// The auxiliary rows, block by block, whole rows in local-id order
-    /// — the auxiliary twin of [`row_blocks`](StateShard::row_blocks).
-    /// Rows of length zero occupy no bytes, so the iterator may be
-    /// empty even after states have been interned.
-    pub fn aux_blocks(&self) -> impl Iterator<Item = &[u64]> {
-        self.aux.blocks()
-    }
-
-    /// The dense ids assigned so far, in local-id order. Equals
-    /// [`len`](StateShard::len) entries once a batch has fully merged.
-    pub fn dense_ids(&self) -> &[u32] {
-        &self.dense
-    }
-}
-
-/// A fingerprint-sharded state interner: [`SHARD_COUNT`] independent
-/// [`StateShard`]s, each owning its fingerprint index, collision side
-/// list, and row arenas. A state's shard is [`shard_of`] its seeded
-/// fingerprint, and its id is the `(shard, local)` pair packed by
-/// [`pack_state_id`].
-///
-/// # Determinism contract
-///
-/// Shard assignment depends only on the fingerprint, never on thread
-/// count or timing. If every shard's `intern` calls happen in a
-/// deterministic order (e.g. batch records sorted by their position in
-/// the exploration stream), then all `(shard, local)` ids — and any dense
-/// numbering merged from per-shard discovery order — are bit-identical
-/// across thread counts. The parallel product-graph explorer in
-/// `stabilization-verify` relies on exactly this.
-///
-/// # Locking
-///
-/// Shards sit behind [`RwLock`]s: expansion phases take read guards on
-/// all shards at once (many concurrent readers, no writers), interning
-/// phases hand each shard's write guard to exactly one worker. Nothing
-/// blocks in steady state — the locks exist to prove exclusivity to the
-/// compiler, not to arbitrate contention.
-#[derive(Debug)]
-pub struct ShardedStateIndex {
-    shards: Vec<RwLock<StateShard>>,
-}
-
-impl ShardedStateIndex {
-    /// An empty sharded index over packed rows of `row_len` words and
-    /// auxiliary rows of `aux_len` words (0 when unused).
-    pub fn new(row_len: usize, aux_len: usize) -> Self {
-        ShardedStateIndex {
-            shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(StateShard::new(row_len, aux_len)))
-                .collect(),
-        }
-    }
-
-    /// Total number of states interned across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| self.read_one(s).len()).sum()
-    }
-
-    /// Whether no state has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Read-locks shard `s`.
-    pub fn read(&self, s: usize) -> RwLockReadGuard<'_, StateShard> {
-        self.read_one(&self.shards[s])
-    }
-
-    /// Write-locks shard `s` (for an interning phase; each shard should be
-    /// claimed by exactly one worker at a time).
-    pub fn write(&self, s: usize) -> RwLockWriteGuard<'_, StateShard> {
-        self.shards[s]
-            .write()
-            .expect("state shard lock is never poisoned")
-    }
-
-    /// Read-locks every shard at once, in shard order — the cheap way for
-    /// an expansion worker to resolve arbitrary `(shard, local)` ids
-    /// without a lock round-trip per state.
-    pub fn read_all(&self) -> Vec<RwLockReadGuard<'_, StateShard>> {
-        self.shards.iter().map(|s| self.read_one(s)).collect()
-    }
-
-    /// Bytes of row storage allocated across all shards.
-    pub fn allocated_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| self.read_one(s).allocated_bytes())
-            .sum()
-    }
-
-    fn read_one<'a>(&self, s: &'a RwLock<StateShard>) -> RwLockReadGuard<'a, StateShard> {
-        s.read().expect("state shard lock is never poisoned")
     }
 }
 
@@ -705,158 +458,45 @@ mod tests {
     }
 
     #[test]
-    fn state_id_pack_roundtrips() {
-        for shard in [0usize, 1, SHARD_COUNT - 1] {
-            for local in [0u32, 1, 12345, u32::MAX] {
-                assert_eq!(unpack_state_id(pack_state_id(shard, local)), (shard, local));
-            }
-        }
-    }
-
-    #[test]
-    fn shard_of_uses_top_bits() {
-        assert_eq!(shard_of(0), 0);
-        assert_eq!(shard_of(u64::MAX), SHARD_COUNT - 1);
-        assert_eq!(shard_of(1u64 << (64 - SHARD_BITS)), 1);
-    }
-
-    #[test]
-    fn sharded_index_interns_and_dedups() {
-        let index = ShardedStateIndex::new(2, 1);
-        let states: Vec<([u64; 2], [u64; 1])> =
-            (0..100).map(|i| ([i % 10, i % 7], [i % 3])).collect();
-        let mut ids = Vec::new();
-        for (row, aux) in &states {
-            let mut h = FxHasher::default();
-            for &w in row {
-                h.write_u64(w);
-            }
-            for &w in aux {
-                h.write_u64(w);
-            }
-            let fp = h.finish();
-            let s = shard_of(fp);
-            let (local, _) = index.write(s).intern(fp, row, aux);
-            ids.push(pack_state_id(s, local));
-        }
-        // Distinct (row, aux) pairs get distinct ids; repeats hit.
-        let distinct: std::collections::HashSet<_> = states.iter().collect();
-        let distinct_ids: std::collections::HashSet<_> = ids.iter().collect();
-        assert_eq!(distinct.len(), distinct_ids.len());
-        assert_eq!(index.len(), distinct.len());
-        // Every id resolves back to its row.
-        for (k, (row, aux)) in states.iter().enumerate() {
-            let (s, local) = unpack_state_id(ids[k]);
-            let shard = index.read(s);
-            assert_eq!(shard.row(local), row);
-            assert_eq!(shard.aux_row(local), aux);
-        }
-        assert!(index.allocated_bytes() > 0);
-    }
-
-    #[test]
-    fn sharded_index_parallel_interning_is_deterministic() {
-        // Intern the same record stream twice — once serially, once with
-        // one worker per shard — and require identical (shard, local) ids.
-        let records: Vec<[u64; 1]> = (0..5000u64).map(|i| [i % 997]).collect();
-        let ids_of = |parallel: bool| -> Vec<u64> {
-            let index = ShardedStateIndex::new(1, 0);
-            let with_fp: Vec<(u64, [u64; 1])> = records
-                .iter()
-                .map(|r| {
-                    let mut h = FxHasher::default();
-                    h.write_u64(r[0]);
-                    (h.finish(), *r)
-                })
-                .collect();
-            if parallel {
-                std::thread::scope(|scope| {
-                    for s in 0..SHARD_COUNT {
-                        let (index, with_fp) = (&index, &with_fp);
-                        scope.spawn(move || {
-                            let mut shard = index.write(s);
-                            for (fp, row) in with_fp.iter().filter(|(fp, _)| shard_of(*fp) == s) {
-                                shard.intern(*fp, row, &[]);
-                            }
-                        });
-                    }
-                });
-            } else {
-                for (fp, row) in &with_fp {
-                    index.write(shard_of(*fp)).intern(*fp, row, &[]);
+    fn block_export_rebuilds_an_identical_index() {
+        // The checkpoint restore path: intern rows (with a deliberately
+        // coarse fingerprint, so hits must be confirmed), stream the
+        // arena out block by block, re-intern it in id order into a fresh
+        // index, and require every row fresh under its old id.
+        let fp = |row: &[u64]| row[0] % 7;
+        let intern = |index: &mut FingerprintIndex, arena: &mut ChunkedArena<u64>, row: &[u64]| {
+            let candidate = arena.len() as u64;
+            match index.probe(fp(row), candidate, |id| arena.row(id as usize) == row) {
+                Some(id) => (id, false),
+                None => {
+                    arena.push_row(row);
+                    (candidate, true)
                 }
             }
-            with_fp
-                .iter()
-                .map(|(fp, row)| {
-                    let s = shard_of(*fp);
-                    let mut shard = index.write(s);
-                    let (local, fresh) = shard.intern(*fp, row, &[]);
-                    assert!(!fresh, "every record was already interned");
-                    pack_state_id(s, local)
-                })
-                .collect()
         };
-        assert_eq!(ids_of(false), ids_of(true));
-    }
-
-    #[test]
-    fn shard_dense_ids_round_trip() {
-        let index = ShardedStateIndex::new(1, 0);
-        let mut shard = index.write(3);
-        let (a, fresh_a) = shard.intern(7, &[1], &[]);
-        let (b, fresh_b) = shard.intern(9, &[2], &[]);
-        assert!(fresh_a && fresh_b);
-        shard.push_dense(41);
-        shard.push_dense(40);
-        assert_eq!(shard.dense_of(a), 41);
-        assert_eq!(shard.dense_of(b), 40);
-    }
-
-    #[test]
-    fn block_export_rebuilds_an_identical_shard() {
-        // The checkpoint restore path: stream rows/aux/dense out of one
-        // shard block by block, re-intern them in local-id order into a
-        // fresh shard, and require identical ids, rows, and dense map.
-        let index = ShardedStateIndex::new(2, 1);
-        let rows: Vec<([u64; 2], [u64; 1])> = (0..500u64).map(|i| ([i, i * 3], [i % 5])).collect();
-        {
-            let mut shard = index.write(0);
-            for (k, (row, aux)) in rows.iter().enumerate() {
-                let (local, fresh) = shard.intern(state_fingerprint(row, aux), row, aux);
-                assert!(fresh);
-                assert_eq!(local as usize, k);
-                shard.push_dense((k * 7) as u32);
-            }
+        let (mut index, mut arena) = (FingerprintIndex::new(), ChunkedArena::new(2));
+        let states: Vec<[u64; 2]> = (0..3000u64).map(|i| [i % 1000, i % 1000 * 3]).collect();
+        let ids: Vec<u64> = states
+            .iter()
+            .map(|row| intern(&mut index, &mut arena, row).0)
+            .collect();
+        assert_eq!(arena.len(), 1000, "repeats dedup");
+        assert_eq!(index.len(), 1000);
+        let flat: Vec<u64> = arena.blocks().flatten().copied().collect();
+        assert_eq!(flat.len(), 2000);
+        let (mut rebuilt, mut rows) = (FingerprintIndex::new(), ChunkedArena::new(2));
+        for (k, row) in flat.chunks_exact(2).enumerate() {
+            assert_eq!(intern(&mut rebuilt, &mut rows, row), (k as u64, true));
         }
-        let shard = index.read(0);
-        let flat_rows: Vec<u64> = shard.row_blocks().flatten().copied().collect();
-        let flat_aux: Vec<u64> = shard.aux_blocks().flatten().copied().collect();
-        let dense: Vec<u32> = shard.dense_ids().to_vec();
-        assert_eq!(flat_rows.len(), shard.len() * 2);
-        assert_eq!(flat_aux.len(), shard.len());
-        let rebuilt = ShardedStateIndex::new(2, 1);
-        {
-            let mut fresh_shard = rebuilt.write(0);
-            for (k, &d) in dense.iter().enumerate() {
-                let row = &flat_rows[k * 2..k * 2 + 2];
-                let aux = &flat_aux[k..k + 1];
-                let (local, fresh) = fresh_shard.intern(state_fingerprint(row, aux), row, aux);
-                assert!(fresh, "restored rows are distinct");
-                assert_eq!(local as usize, k, "local ids replay in order");
-                fresh_shard.push_dense(d);
-            }
+        for (row, &id) in states.iter().zip(&ids) {
+            assert_eq!(rows.row(id as usize), row);
+            let found = rebuilt.find(fp(row), |k| rows.row(k as usize) == row);
+            assert_eq!(found, Some(id));
         }
-        let restored = rebuilt.read(0);
-        for (k, (row, aux)) in rows.iter().enumerate() {
-            assert_eq!(restored.row(k as u32), row);
-            assert_eq!(restored.aux_row(k as u32), aux);
-            assert_eq!(restored.dense_of(k as u32), shard.dense_of(k as u32));
-            assert_eq!(
-                restored.lookup(state_fingerprint(row, aux), row, aux),
-                Some(k as u32)
-            );
-        }
+        assert_eq!(
+            rebuilt.find(fp(&[5, 0]), |k| rows.row(k as usize) == [5, 0]),
+            None
+        );
     }
 
     #[test]

@@ -27,11 +27,20 @@
 //! the *query's* alphabet, which the fingerprint guarantees matches the
 //! writer's. Two different instances colliding on the 64-bit
 //! fingerprint would cross-serve — the same trust model as checkpoint
-//! resume. When the reaction domain is at most
-//! [`PROBE_CAP`](stateless_core::symmetry::PROBE_CAP) entries, the
-//! fingerprint digests every reaction entry, so a collision requires a
-//! hash collision; above it, reactions that agree on the fingerprint's
-//! probe sample collide (see [`instance_fingerprint`]).
+//! resume. Only instances whose reaction domain is at most
+//! [`PROBE_CAP`] entries are cached, because there the fingerprint
+//! digests every reaction entry and a collision requires a hash
+//! collision.
+//!
+//! # Instances over the probe cap are computed every time
+//!
+//! Above [`PROBE_CAP`] the fingerprint digests only a fixed sample of
+//! in-labelings per node (see [`instance_fingerprint`]), so two
+//! reactions that agree on the sample share a key while their verdicts
+//! may differ. The cache therefore neither looks such an instance up
+//! nor memoizes it, in memory or on disk: every query verifies from
+//! scratch and reports [`CacheOutcome::Miss`], and a deadline-truncated
+//! run leaves no resume pointer.
 //!
 //! # `Verdict::Partial` is never memoized as final
 //!
@@ -65,7 +74,7 @@ use std::time::Instant;
 
 use stateless_core::checkpoint::{CheckpointError, CheckpointStore};
 use stateless_core::prelude::*;
-use stateless_core::symmetry::SymmetryMode;
+use stateless_core::symmetry::{reaction_domain, SymmetryMode, PROBE_CAP};
 
 use crate::checkpoint::{instance_fingerprint, CheckpointHandle};
 use crate::product::{
@@ -86,12 +95,11 @@ const ENTRY_TAG: u32 = 0x5643_4531; // "VCE1"
 /// Magic word opening the header segment.
 const HEADER_MAGIC: u64 = 0x7374_6c73_2d76_6331; // "stls-vc1"
 /// Entry format version; entries of another version are skipped on load
-/// (a recompute, never a misdecode). Version 4 entries carry the
-/// [`ExploreStats::edge_bytes`] of an `r = 1` label-mode run whose
-/// successors are all seeds, which never expands a batch: its peak is
-/// the seed phase's. A version 3 entry may hold an expansion batch's
-/// figure this build never computes for such an instance.
-const ENTRY_VERSION: u64 = 4;
+/// (a recompute, never a misdecode). Version 5 entries carry an
+/// [`ExploreStats::edge_bytes`] whose records have no stream key, 8
+/// bytes per record below the figure a version 4 entry holds for the
+/// same instance.
+const ENTRY_VERSION: u64 = 5;
 
 /// Entry kind words.
 const KIND_STABILIZING: u64 = 0;
@@ -324,7 +332,9 @@ impl VerdictCache {
     /// `{verdict, witness, stats}` to the run that computed it), a
     /// stored `Partial` pointer resumes from its checkpoint epoch
     /// ([`CacheOutcome::Resumed`]), and anything else verifies from
-    /// scratch ([`CacheOutcome::Miss`]) and memoizes the result.
+    /// scratch ([`CacheOutcome::Miss`]) and memoizes the result. An
+    /// instance over [`PROBE_CAP`] is always a `Miss` and is never
+    /// memoized (see the module docs).
     ///
     /// # Errors
     ///
@@ -374,6 +384,10 @@ impl VerdictCache {
         let fp = retry_once("instance fingerprint", || {
             fingerprint_of(protocol, inputs, &dedup, r, track_outputs, limits)
         })?;
+        // Above the cap the key digests a sample of the reactions, so
+        // equal keys need not mean equal instances: such an instance is
+        // never looked up and never memoized.
+        let exact_key = reaction_domain(protocol.graph(), dedup.len()) <= PROBE_CAP;
         // Lookup under the lock; decode failures drop the entry (a
         // corrupt record must fall back to recompute, not error).
         let cached = {
@@ -381,6 +395,7 @@ impl VerdictCache {
             let decoded = inner
                 .entries
                 .get(&fp)
+                .filter(|_| exact_key)
                 .map(|entry| decode_entry::<L>(&entry.words, &dedup));
             match decoded {
                 Some(Some(decoded)) => {
@@ -423,12 +438,21 @@ impl VerdictCache {
                 fp,
                 &handle,
             ),
-            None => self.compute(protocol, inputs, &dedup, r, track_outputs, limits, fp),
+            None => self.compute(
+                protocol,
+                inputs,
+                &dedup,
+                r,
+                track_outputs,
+                limits,
+                fp,
+                exact_key,
+            ),
         }
     }
 
-    /// The miss path: verify from scratch, memoize, report
-    /// [`CacheOutcome::Miss`].
+    /// The miss path: verify from scratch, memoize when `memoize` is
+    /// set, report [`CacheOutcome::Miss`].
     #[allow(clippy::too_many_arguments)] // private: one arg per instance dimension
     fn compute<L: Label>(
         &self,
@@ -439,6 +463,7 @@ impl VerdictCache {
         track_outputs: bool,
         limits: &Limits,
         fp: u64,
+        memoize: bool,
     ) -> Result<CachedVerdict<L>, VerifyError> {
         let started = Instant::now();
         let (verdict, stats) = if track_outputs {
@@ -447,7 +472,9 @@ impl VerdictCache {
             verify_label_stabilization_with_stats(protocol, inputs, dedup, r, limits.clone())?
         };
         let provenance = provenance_of(limits, started.elapsed().as_secs_f64());
-        self.memoize(fp, &verdict, stats, &provenance, dedup);
+        if memoize {
+            self.memoize(fp, &verdict, stats, &provenance, dedup);
+        }
         Ok(CachedVerdict {
             verdict,
             stats,
@@ -505,7 +532,7 @@ impl VerdictCache {
         let (verdict, stats) = match resumed {
             Ok(ok) => ok,
             Err(VerifyError::Resume(_)) => {
-                return self.compute(protocol, inputs, dedup, r, track_outputs, limits, fp)
+                return self.compute(protocol, inputs, dedup, r, track_outputs, limits, fp, true)
             }
             Err(other) => return Err(other),
         };

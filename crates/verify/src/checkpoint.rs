@@ -5,8 +5,8 @@
 //! computation; this module is the contract that lets it survive
 //! interruption. A [`CheckpointPolicy`] on
 //! [`Limits::checkpoint`](crate::product::Limits::checkpoint) makes the
-//! explorer serialize its sharded state index — plus the batch cursor
-//! and edge totals — into epoch files of a
+//! explorer serialize its state rows in dense order — plus the batch
+//! cursor and edge totals — into epoch files of a
 //! [`stateless_core::checkpoint::CheckpointStore`] at batch boundaries.
 //! A [`CheckpointHandle`] names one committed epoch; resuming from it
 //! (`verify_label_stabilization_resumed` and friends in
@@ -56,7 +56,7 @@ use std::hash::{Hash, Hasher};
 /// When (and where) the explorer writes checkpoint epochs.
 ///
 /// Epochs are written only at deterministic exploration points — batch
-/// boundaries of the three-phase pipeline — so every epoch is an exact
+/// boundaries of the two-phase pipeline — so every epoch is an exact
 /// prefix of the (thread-count-independent) exploration and resuming
 /// from it reproduces the uninterrupted run bit for bit.
 ///

@@ -18,11 +18,11 @@
 //! The state space is `|Σ|^{|E|} · r^n` — exponential, exactly as the
 //! paper's PSPACE-completeness (Theorem 4.2) and communication bounds
 //! (Theorem 4.1) say it must be. The explorer packs each state into a few
-//! `u64` words (alphabet-index labels, narrow countdown fields), resolves
-//! states through a **sharded** fingerprint index with exact confirmation
-//! (`(shard, local)` ids packed into one `u64`), stores no transitions —
-//! every phase that needs edges regenerates them from the packed states —
-//! and condenses the graph with one serial Tarjan pass over a successor
+//! `u64` words (alphabet-index labels, narrow countdown fields), numbers
+//! each state once, with its dense id, through one fingerprint index with
+//! exact confirmation against the rows kept by that id, stores no
+//! transitions — every phase that needs edges regenerates them from the
+//! packed states — and condenses the graph with one serial Tarjan pass over a successor
 //! oracle (`stateless_core::scc::condense`), which also reports the
 //! least labeling-changing edge inside an SCC, so no other sweep runs
 //! after it. Frontier expansion is parallel over [`Limits::threads`]
@@ -42,7 +42,7 @@
 //! module quantifies over fault *placements* too.
 //!
 //! Long explorations are **crash-safe**: a [`CheckpointPolicy`] on
-//! [`Limits::checkpoint`] persists the sharded state index as
+//! [`Limits::checkpoint`] persists the state rows, in dense order, as
 //! checksummed epoch files at batch boundaries, a [`Limits::deadline`]
 //! degrades gracefully to [`Verdict::Partial`] with a resumable
 //! [`CheckpointHandle`] instead of erroring, and

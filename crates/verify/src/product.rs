@@ -12,22 +12,20 @@
 //!   output-stabilization queries, ride in a parallel flat word row). A
 //!   state of a 16-edge Boolean protocol with `r ≤ 16` occupies 16 bytes
 //!   instead of three heap `Vec`s *plus* their `HashMap`-key clones.
-//! * **Sharded fingerprint interning.** States are resolved through a
-//!   [`ShardedStateIndex`]: the top bits of the seeded FxHash fingerprint
-//!   pick one of [`SHARD_COUNT`] self-contained shards, each owning its
-//!   fingerprint index, collision side list, and packed-row arenas, and
-//!   ids are `(shard, local)` pairs packed into one `u64`. Every
-//!   fingerprint hit is confirmed by exact equality against the shard
-//!   arena, so hash collisions cost a comparison but never a wrong
-//!   verdict.
+//! * **One numbering.** A state's id is its dense id from the moment it
+//!   is interned: one [`FingerprintIndex`] maps the seeded FxHash
+//!   fingerprint to it, and the packed rows are kept by dense id in one
+//!   [`ChunkedArena`] (tracked outputs in a second one). Every
+//!   fingerprint hit is confirmed by exact equality against those rows,
+//!   so hash collisions cost a comparison but never a wrong verdict.
 //! * **No stored edges.** The verifier holds **no full-graph CSR**: a
 //!   product transition is a pure function of its packed source row, so
 //!   every phase that needs edges regenerates them on the fly —
 //!   react each correct node once into one reacted row, enumerate
 //!   activation sets, build each successor from the source and reacted
 //!   rows with whole-word masks (and, under symmetry, canonicalize it),
-//!   and resolve it by a read-only fingerprint lookup
-//!   ([`StateShard::lookup`]) against the shard arenas. Reacting is a
+//!   and resolve it to its dense id by a read-only fingerprint lookup
+//!   ([`FingerprintIndex::find`]) against the row arenas. Reacting is a
 //!   table lookup: when the instance has at most [`PROBE_CAP`] reaction
 //!   entries (`Σᵥ |Σ|^indeg(v)`), `Explorer::prepare` calls every
 //!   correct node's reaction once per in-labeling and stores the
@@ -69,33 +67,34 @@
 //! budget is now sized for wall time, not for a 8-byte-per-edge array
 //! (see [`Limits::default`]). [`ExploreStats::edge_bytes`] likewise now
 //! reports the **peak transient** edge bytes (the largest per-batch
-//! record buffer of exploration) instead of final CSR storage.
+//! record buffer of exploration) instead of final CSR storage. A record
+//! no longer carries the 8-byte stream key that numbering states
+//! through 64 fingerprint shards needed, so the figure is 8 bytes per
+//! record below what those builds reported, for the same records.
 //!
 //! # Parallel exploration and determinism
 //!
 //! Frontier expansion runs on [`Limits::threads`] workers in batches of
-//! bounded fan-out, in three phases per batch:
+//! bounded fan-out, in two phases per batch:
 //!
 //! 1. **Expand** (parallel over chunks): workers claim contiguous slices
-//!    of the batch's source states, read each state's row from the shard
-//!    arenas (read locks only), react each correct node once into a
-//!    reacted row (by table lookup, or by calling the reaction over the
-//!    cap), enumerate its activation sets (each set is a few whole-word
-//!    operations on the source and reacted rows), and emit,
-//!    per target shard, a record stream of `(stream key, fingerprint,
-//!    packed words)` — successors are *not* resolved yet, and nothing
-//!    per-edge outlives the batch.
-//! 2. **Intern** (parallel over shards): each shard is claimed by exactly
-//!    one worker, which replays that shard's records **in stream order**
-//!    (chunk by chunk, record by record) against the shard's fingerprint
-//!    index — so local id assignment never depends on thread timing, and
-//!    shards never contend.
-//! 3. **Number** (serial barrier): fresh states from all shards are
-//!    merged by stream key — the position of the edge that first
-//!    discovered them — and dense ids are assigned in that order, which
-//!    is exactly the order the sequential explorer interns in. The
-//!    batch's record buffers are then dropped; only the edge count (the
-//!    traversal budget) and the peak transient byte figure survive.
+//!    of the batch's source states, read each state's row by dense id,
+//!    react each correct node once into a reacted row (by table lookup,
+//!    or by calling the reaction over the cap), enumerate its activation
+//!    sets (each set is a few whole-word operations on the source and
+//!    reacted rows), and emit one record stream per chunk of
+//!    `(fingerprint, packed words)` — successors are *not* resolved yet,
+//!    and nothing per-edge outlives the batch.
+//! 2. **Intern** (serial, on the calling thread): the chunks' records
+//!    are replayed **in stream order** — chunk by chunk, record by
+//!    record — against the fingerprint index. A hit is confirmed
+//!    against the rows; a miss is numbered on the spot with the next
+//!    dense id, after the [`Limits::max_states`] check. Stream order is
+//!    source order, then canonical edge order, so each state's id is
+//!    the position of the edge that first discovered it — exactly the
+//!    order the sequential explorer interns in. The batch's record
+//!    buffers are then dropped; only the edge count (the traversal
+//!    budget) and the peak transient byte figure survive.
 //!
 //! An `r = 1` label-mode query with a reaction table skips the batches.
 //! Its countdown fields are zero bits wide and outputs are not tracked,
@@ -109,11 +108,11 @@
 //! made.
 //!
 //! Batch and chunk boundaries derive only from per-state degree
-//! estimates (never the thread count), shard assignment depends only on
-//! the fingerprint, and every merge is ordered by stream position — so
-//! verdicts, state numbering, and witnesses are **bit-identical for
-//! every thread count**, and `threads = 1` *is* the sequential packed
-//! explorer rather than a separate code path. `tests/differential.rs`
+//! estimates (never the thread count), and interning follows the record
+//! replay order, which no thread timing can change — so verdicts, state
+//! numbering, and witnesses are **bit-identical for every thread
+//! count**, and `threads = 1` *is* the sequential packed explorer rather
+//! than a separate code path. `tests/differential.rs`
 //! asserts this invariant on random protocols.
 //!
 //! # Symmetry-quotient exploration ([`Limits::symmetry`])
@@ -162,22 +161,20 @@
 //! where the naive explorer would silently grow the state space until
 //! [`Limits::max_states`] tripped.
 
-use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::RwLockReadGuard;
 use std::time::{Duration, Instant};
 
 use stateless_core::checkpoint::{CheckpointError, CheckpointStore, SegmentWriter};
 use stateless_core::convergence::all_labelings;
 use stateless_core::intern::{
-    bits_for, pack, pack_state_id, shard_of, state_fingerprint as fingerprint, unpack,
-    unpack_state_id, FxBuildHasher, ShardedStateIndex, StateShard, SHARD_COUNT,
+    bits_for, pack, state_fingerprint as fingerprint, unpack, ChunkedArena, FingerprintIndex,
+    FxBuildHasher,
 };
 use stateless_core::label::Label;
 use stateless_core::prelude::*;
@@ -209,10 +206,11 @@ pub struct Limits {
     /// [`VerifyError::TooManyEdges`], exactly as it always did.
     pub max_edges: usize,
     /// Worker threads for frontier expansion; `0` means all available
-    /// cores. SCC condensation, which also finds the witness edge, and
-    /// the witness search are serial whatever the value. Verdicts, state
-    /// ids, and witnesses are bit-identical for every value — the thread
-    /// count is purely a throughput knob.
+    /// cores. Interning the expanded successors, SCC condensation (which
+    /// also finds the witness edge), and the witness search run on the
+    /// calling thread whatever the value. Verdicts, state ids, and
+    /// witnesses are bit-identical for every value — the thread count is
+    /// purely a throughput knob.
     pub threads: usize,
     /// Symmetry-quotient exploration. [`SymmetryMode::Off`] (the
     /// default) explores the full product graph exactly as before;
@@ -316,7 +314,7 @@ impl Default for Limits {
     fn default() -> Self {
         // With no stored edges, memory is O(states): a Boolean-alphabet
         // state costs a word or two of packed row plus ~16 bytes of
-        // fingerprint index and ~13 bytes of dense/bookkeeping arrays, so
+        // fingerprint index and one byte of fan-out bookkeeping, so
         // 10^8 states is a few GB where the seed's CSR arrays alone would
         // have needed tens. `max_edges` is now a traversal budget (wall
         // time, not storage) and scales accordingly: 2^40 generated
@@ -518,10 +516,10 @@ impl<L> Verdict<L> {
 /// Size accounting for one exploration, reported by
 /// [`verify_label_stabilization_with_stats`]. All byte figures are
 /// *logical payload* bytes — rows × row width for states, records ×
-/// record width for the transient buffers. Allocation slack on top
-/// (partially filled arena blocks in each of the [`SHARD_COUNT`]
-/// shards, ~16 bytes of fingerprint index per state) is excluded; it is
-/// bounded and amortizes away at the state counts where memory matters.
+/// record width for the transient buffers. Allocation slack on top (the
+/// partially filled last arena block, ~16 bytes of fingerprint index per
+/// state) is excluded; it is bounded and amortizes away at the state
+/// counts where memory matters.
 ///
 /// Every field is bit-identical across thread counts —
 /// the differential suite asserts stats equality — so the transient
@@ -542,16 +540,18 @@ pub struct ExploreStats {
     /// **Peak transient** edge bytes: the largest per-batch successor
     /// record buffer exploration ever held (records die with their
     /// batch), capped by the batch-budget ceiling (`BATCH_EDGE_BUDGET`).
-    /// Replaces the stored-CSR figure of the pre-oracle verifier — see
-    /// the module docs' migration note. The phases after exploration
-    /// store no edges, so they add nothing here.
+    /// A record is a fingerprint plus the packed and auxiliary words,
+    /// `8 + 8 · (words_per_state + aux)` bytes; a seed batch counts one
+    /// record per seeded labeling. Replaces the stored-CSR figure of the
+    /// pre-oracle verifier — see the module docs' migration note. The
+    /// phases after exploration store no edges, so they add nothing here.
     pub edge_bytes: usize,
 }
 
 /// Ceiling of the per-batch fan-out budget: a batch closes once the
 /// estimated edge count of its sources reaches the current budget (see
 /// [`Explorer::batch_edge_budget`]). With no stored CSR, the per-batch
-/// record buffers (roughly 24–40 bytes per edge) **are** the verifier's
+/// record buffers (roughly 16–32 bytes per edge) **are** the verifier's
 /// entire per-edge memory, so the budget directly caps the transient
 /// peak that [`ExploreStats::edge_bytes`] reports — a few MB at this
 /// ceiling, independent of the graph.
@@ -562,8 +562,9 @@ pub struct ExploreStats {
 /// `(n_states, n_edges)` at the batch boundary — deterministic,
 /// identical at every thread count — and **never** of the thread count
 /// or the machine: batch and chunk boundaries decide scheduling only
-/// (dense numbering is anchored to the globally monotone stream keys,
-/// so even the boundaries themselves cannot change the output).
+/// (records are interned in stream order, which is the same however the
+/// stream is cut, so even the boundaries themselves cannot change the
+/// output).
 const BATCH_EDGE_BUDGET: u64 = 1 << 17;
 /// Floor of the adaptive per-batch fan-out budget.
 const BATCH_EDGE_BUDGET_MIN: u64 = 1 << 12;
@@ -573,12 +574,12 @@ const CHUNK_EDGE_BUDGET: u64 = 1 << 14;
 /// Initial labelings interned per seed batch; bounds the seed-phase
 /// record buffers exactly like [`BATCH_EDGE_BUDGET`] bounds expansion.
 const SEED_BATCH_STATES: usize = 1 << 17;
-/// Batches with fewer estimated edges than this run their pipeline waves
-/// inline instead of spawning workers: the vendored rayon stand-in has no
-/// persistent pool, so each wave costs OS thread spawns, which only
-/// amortize over enough work. Purely a scheduling heuristic — the
-/// pipeline's results are deterministic by construction, so execution
-/// strategy never affects verdicts, ids, or witnesses.
+/// Batches with fewer estimated edges than this expand inline instead of
+/// spawning workers: the vendored rayon stand-in has no persistent pool,
+/// so each wave costs OS thread spawns, which only amortize over enough
+/// work. Purely a scheduling heuristic — the pipeline's results are
+/// deterministic by construction, so execution strategy never affects
+/// verdicts, ids, or witnesses.
 const PARALLEL_MIN_BATCH_EDGES: u64 = 1 << 16;
 
 /// Read-only exploration parameters, shared by every worker.
@@ -748,63 +749,61 @@ fn step_row(masks: &RowMasks, src: &[u64], reacted: &[u64], mask: u32, out: &mut
 }
 
 // The state fingerprint is `stateless_core::intern::state_fingerprint`
-// (imported as `fingerprint`): the shard, the confirm-equality probe,
-// the checkpoint restore path, and every thread count agree on the one
+// (imported as `fingerprint`): interning, the successor lookup, the
+// checkpoint restore path, and every thread count agree on the one
 // function.
 
-/// Per-target-shard record stream of one chunk: each record is an edge
-/// whose successor hashes into that shard, in stream order (source state
-/// order, then activation-set order). Flat SoA storage — `words`/`aux`
-/// are strided by the packed row lengths.
+/// The record stream of one chunk (or one seed batch): one record per
+/// generated edge (or seeded labeling), in stream order — source state
+/// order, then canonical edge order. Flat SoA storage: `words`/`aux`
+/// are strided by the packed row lengths. A chunk generates exactly one
+/// record per transition, so its length is also its edge count.
 #[derive(Default)]
-struct ShardRecords {
-    /// Stream keys: `(source dense id << 32) | edge index` for expansion
-    /// records, the enumeration index for seed records. Strictly
-    /// increasing along each shard's replayed stream; fresh states are
-    /// dense-numbered in key order.
-    keys: Vec<u64>,
+struct Records {
     fps: Vec<u64>,
     words: Vec<u64>,
     aux: Vec<u64>,
 }
 
-impl ShardRecords {
-    /// A record buffer pre-sized for about `records` records of `w` packed
-    /// words and `aux_len` auxiliary words — fingerprints spread records
-    /// uniformly over the shards, so sizing each to its fair share (plus
-    /// slack) avoids most growth reallocations on the hot path.
+impl Records {
+    /// A record buffer pre-sized for `records` records of `w` packed
+    /// words and `aux_len` auxiliary words.
     fn with_capacity(records: usize, w: usize, aux_len: usize) -> Self {
-        ShardRecords {
-            keys: Vec::with_capacity(records),
+        Records {
             fps: Vec::with_capacity(records),
             words: Vec::with_capacity(records * w),
             aux: Vec::with_capacity(records * aux_len),
         }
     }
+
+    fn len(&self) -> usize {
+        self.fps.len()
+    }
+
+    fn push(&mut self, words: &[u64], aux: &[u64]) {
+        self.fps.push(fingerprint(words, aux));
+        self.words.extend_from_slice(words);
+        self.aux.extend_from_slice(aux);
+    }
 }
 
-/// One chunk's expansion output: the per-shard successor records plus
-/// the chunk's generated-edge count (the traversal-budget figure —
-/// nothing per-edge survives the batch).
-struct ChunkOut {
-    /// Transitions this chunk generated.
-    emitted: usize,
-    /// Successor records, bucketed by target shard.
-    shards: Vec<ShardRecords>,
-}
-
-/// One shard's interning output for a batch: the fresh states it
-/// discovered (ascending stream keys — the merge relies on it). Hits
-/// are not reported back — with no CSR to scatter into, only fresh
-/// states matter.
-struct ShardIntern {
-    /// `(stream key, local id, free-node count)` per fresh state.
-    fresh: Vec<(u64, u32, u8)>,
+/// Whether `(row, aux)` is exactly the state stored under dense id `id`.
+/// The aux arena is consulted only when `aux` is non-empty: in label
+/// mode it holds no rows.
+#[inline]
+fn is_state(
+    rows: &ChunkedArena<u64>,
+    auxes: &ChunkedArena<u64>,
+    id: u64,
+    row: &[u64],
+    aux: &[u64],
+) -> bool {
+    rows.row(id as usize) == row && (aux.is_empty() || auxes.row(id as usize) == aux)
 }
 
 /// Reusable per-worker decode/pack buffers for successor enumeration —
-/// everything [`Explorer::for_each_successor`] needs beyond the shard
-/// read guards. One per worker, warm across states: regenerating an edge
+/// everything [`Explorer::for_each_successor`] needs beyond the explorer
+/// itself. One per worker, warm across states: regenerating an edge
 /// allocates nothing.
 struct ExpandScratch<L> {
     labeling: Vec<L>,
@@ -941,20 +940,18 @@ enum Explored<'p, L: Label> {
 
 /// Magic stamped first into every epoch header segment ("STLSCKP1").
 const CKPT_MAGIC: u64 = 0x5354_4c53_434b_5031;
-/// Epoch payload format version.
-const CKPT_VERSION: u64 = 1;
+/// Epoch payload format version: 2 stores the rows in dense order (an
+/// epoch of version 1, which stored them per fingerprint shard, is
+/// rejected as corrupt).
+const CKPT_VERSION: u64 = 2;
 /// Header segment: magic, version, instance fingerprint, totals,
 /// cursor, and the packed layout.
 const SEG_HEADER: u32 = 1;
-/// Per-shard metadata: shard index, row count, block counts.
-const SEG_SHARD: u32 = 2;
-/// One arena block of packed state rows (whole rows, local-id order) —
-/// streamed out of [`StateShard::row_blocks`] as-is.
+/// One arena block of packed state rows (whole rows, dense order) —
+/// streamed out of [`ChunkedArena::blocks`] as-is.
 const SEG_ROWS: u32 = 3;
-/// One arena block of auxiliary output rows.
+/// One arena block of auxiliary output rows (dense order).
 const SEG_AUX: u32 = 4;
-/// A shard's dense ids, one `u32` per local id.
-const SEG_DENSE: u32 = 5;
 
 /// The periodic-checkpoint state of one [`Explorer::run`]: the open
 /// store, the next epoch number (continuing past any epochs already in
@@ -1040,12 +1037,17 @@ impl CheckpointRun {
 
 struct Explorer<'p, L: Label> {
     cfg: Config<'p, L>,
-    /// Sharded state storage: fingerprint index + packed rows per shard.
-    index: ShardedStateIndex,
-    /// Dense id → packed `(shard, local)` id.
-    dense_ids: Vec<u64>,
+    /// Fingerprint → dense id of every interned state.
+    index: FingerprintIndex,
+    /// Dense id → packed row.
+    rows: ChunkedArena<u64>,
+    /// Dense id → auxiliary output row; empty unless outputs are tracked.
+    aux: ChunkedArena<u64>,
     /// Dense id → free-node count (sizes batches and chunks).
     free_bits: Vec<u8>,
+    /// States numbered so far: the length of `rows`, `free_bits` and (when
+    /// outputs are tracked) `aux`, except while a resume is still
+    /// re-interning the rows it has read.
     n_states: usize,
     /// Transitions generated during exploration (each exactly once) —
     /// the running total [`Limits::max_edges`] budgets. No per-edge
@@ -1117,11 +1119,11 @@ impl<'p, L: Label> Explorer<'p, L> {
             }
         }
         // Adversary fan-out: an activated Byzantine node branches over
-        // |Σ|^out-degree label choices. The per-source edge index must
-        // fit the u32 half of the stream key, so reject models whose
-        // worst-case fan-out (every activation set × every choice) could
-        // overflow it — such an exploration would be astronomically
-        // infeasible anyway.
+        // |Σ|^out-degree label choices. Reject models whose worst-case
+        // per-state fan-out (every activation set × every choice) could
+        // exceed 32 bits — such an exploration would be astronomically
+        // infeasible anyway, and the bound keeps every choice code and
+        // fan-out estimate far from overflow.
         let faults = limits.faults;
         let mut byz_branch_bound = 1u64;
         for i in faults.byzantine_nodes().filter(|&i| i < n) {
@@ -1226,8 +1228,9 @@ impl<'p, L: Label> Explorer<'p, L> {
                 successors_are_seeds,
                 byz_branch_bound,
             },
-            index: ShardedStateIndex::new(words_per_state, aux_len),
-            dense_ids: Vec::new(),
+            index: FingerprintIndex::new(),
+            rows: ChunkedArena::new(words_per_state),
+            aux: ChunkedArena::new(aux_len),
             free_bits: Vec::new(),
             n_states: 0,
             n_edges: 0,
@@ -1294,10 +1297,11 @@ impl<'p, L: Label> Explorer<'p, L> {
             cursor = match batch {
                 Ok(end) => end,
                 Err(VerifyError::PoisonedChunk { what, .. }) => {
-                    // Checkpoint-and-fail: the batch that poisoned did
-                    // not commit (assign_dense never ran), so the state
-                    // at `cursor` is a clean boundary — persist it
-                    // before surfacing the panic.
+                    // Checkpoint-and-fail: the batch that poisoned
+                    // interned nothing (expansion finishes before
+                    // interning starts), so the state at `cursor` is a
+                    // clean boundary — persist it before surfacing the
+                    // panic.
                     let checkpoint = match &mut ckpt {
                         Some(c) => c.write(&self, cursor).ok(),
                         None => None,
@@ -1315,12 +1319,12 @@ impl<'p, L: Label> Explorer<'p, L> {
 
     /// Serializes the exploration state at the batch boundary `cursor`
     /// into one epoch: a header segment (format magic + instance
-    /// fingerprint + totals), then per shard its metadata, its packed
-    /// row arena blocks **as-is** ([`StateShard::row_blocks`] — the
-    /// chunked arenas never realloc-copy, so this is a straight stream),
-    /// its auxiliary blocks, and its dense ids. Everything else the
-    /// explorer holds (`dense_ids`, `free_bits`) is derived and gets
-    /// rebuilt on load.
+    /// fingerprint + totals), then the packed row arena blocks **as-is**
+    /// in dense order ([`ChunkedArena::blocks`] — the chunked arenas
+    /// never realloc-copy, so this is a straight stream), then the
+    /// auxiliary blocks. Everything else the explorer holds (the
+    /// fingerprint index, `free_bits`) is derived and gets rebuilt on
+    /// load.
     fn save_into(
         &self,
         writer: &mut SegmentWriter,
@@ -1339,43 +1343,25 @@ impl<'p, L: Label> Explorer<'p, L> {
         writer.put_u64(self.cfg.words_per_state as u64);
         writer.put_u64(self.cfg.aux_len as u64);
         writer.end_segment()?;
-        let guards = self.index.read_all();
-        for (s, shard) in guards.iter().enumerate() {
-            debug_assert_eq!(
-                shard.dense_ids().len(),
-                shard.len(),
-                "batch boundary: every interned state is dense-numbered"
-            );
-            writer.begin_segment(SEG_SHARD);
-            writer.put_u64(s as u64);
-            writer.put_u64(shard.len() as u64);
-            writer.put_u64(shard.row_blocks().count() as u64);
-            writer.put_u64(shard.aux_blocks().count() as u64);
-            writer.end_segment()?;
-            for block in shard.row_blocks() {
-                writer.begin_segment(SEG_ROWS);
+        for (tag, arena) in [(SEG_ROWS, &self.rows), (SEG_AUX, &self.aux)] {
+            for block in arena.blocks() {
+                writer.begin_segment(tag);
                 writer.put_u64s(block);
                 writer.end_segment()?;
             }
-            for block in shard.aux_blocks() {
-                writer.begin_segment(SEG_AUX);
-                writer.put_u64s(block);
-                writer.end_segment()?;
-            }
-            writer.begin_segment(SEG_DENSE);
-            writer.put_u32s(shard.dense_ids());
-            writer.end_segment()?;
         }
         Ok(())
     }
 
     /// Loads a checkpoint epoch into a freshly [`prepare`](Explorer::prepare)d
-    /// explorer and returns it with the stored batch cursor. The packed
-    /// rows are **re-interned** in local-id order through the very same
-    /// [`StateShard::intern`] path exploration uses, so the rebuilt
-    /// fingerprint index (probe order, collision side lists) is
-    /// byte-for-byte the one an uninterrupted run would hold — which is
-    /// what makes the continued exploration bit-identical.
+    /// explorer and returns it with the stored batch cursor. The rows are
+    /// read one segment at a time, and each state is **re-interned** as
+    /// soon as its last part is read (its row in label mode, its aux row
+    /// in output mode), through the same fingerprint index exploration
+    /// probes. It must come back fresh with the next dense id, so the
+    /// rebuilt index (probe order, collision side list) is the one an
+    /// uninterrupted run would hold — which is what makes the continued
+    /// exploration bit-identical.
     ///
     /// `epoch` selects an explicit epoch; `None` means the newest one
     /// that passes validation (a torn or corrupted newest epoch falls
@@ -1452,10 +1438,10 @@ impl<'p, L: Label> Explorer<'p, L> {
                 "inconsistent totals: cursor {cursor} of {n_states} states"
             )));
         }
-        // Every state stores its row words, its aux words and its dense
-        // id in the rest of the file, so a count the file cannot hold is
-        // rejected before anything is sized from it.
-        let state_bytes = 8 * (words + aux_len) as u64 + 4;
+        // Every state stores its row words and its aux words in the rest
+        // of the file, so a count the file cannot hold is rejected before
+        // anything is sized from it.
+        let state_bytes = 8 * (words + aux_len) as u64;
         if (n_states as u64)
             .checked_mul(state_bytes)
             .is_none_or(|bytes| bytes > reader.remaining())
@@ -1465,118 +1451,75 @@ impl<'p, L: Label> Explorer<'p, L> {
                 reader.remaining()
             )));
         }
-        let mut dense_ids = vec![u64::MAX; n_states];
-        let mut free_bits = vec![0u8; n_states];
-        let mut rows_flat: Vec<u64> = Vec::new();
-        let mut aux_flat: Vec<u64> = Vec::new();
-        let mut dense: Vec<u32> = Vec::new();
-        let mut expect = |tag: u32| -> Result<stateless_core::checkpoint::Segment, VerifyError> {
-            let seg = reader
-                .next_segment()
-                .map_err(ResumeError::from)?
-                .ok_or_else(|| corrupt("epoch ends mid-shard".into()))?;
-            if seg.tag != tag {
-                return Err(corrupt(format!("expected tag {tag}, got {}", seg.tag)));
-            }
-            Ok(seg)
-        };
-        let mut total = 0usize;
-        for s in 0..SHARD_COUNT {
-            let mut meta = expect(SEG_SHARD)?;
-            let idx = take(&mut meta)?;
-            if idx as usize != s {
-                return Err(corrupt(format!(
-                    "shard segments out of order: {idx} at {s}"
-                )));
-            }
-            // Bounded by the states still unaccounted for, so `len` times
-            // the instance's row width cannot overflow.
-            let len = take(&mut meta)? as usize;
-            if len > n_states - total {
-                return Err(corrupt(format!(
-                    "shard {s} claims {len} rows, but only {} of {n_states} states remain",
-                    n_states - total
-                )));
-            }
-            let n_row_blocks = take(&mut meta)? as usize;
-            let n_aux_blocks = take(&mut meta)? as usize;
-            rows_flat.clear();
-            for _ in 0..n_row_blocks {
-                let mut seg = expect(SEG_ROWS)?;
-                let count = seg.remaining() / 8;
-                seg.take_u64s(count, &mut rows_flat)
-                    .map_err(ResumeError::from)?;
-            }
-            if rows_flat.len() != len * words {
-                return Err(corrupt(format!(
-                    "shard {s}: {} row words for {len} rows of {words}",
-                    rows_flat.len()
-                )));
-            }
-            aux_flat.clear();
-            for _ in 0..n_aux_blocks {
-                let mut seg = expect(SEG_AUX)?;
-                let count = seg.remaining() / 8;
-                seg.take_u64s(count, &mut aux_flat)
-                    .map_err(ResumeError::from)?;
-            }
-            if aux_flat.len() != len * aux_len {
-                return Err(corrupt(format!(
-                    "shard {s}: {} aux words for {len} rows of {aux_len}",
-                    aux_flat.len()
-                )));
-            }
-            dense.clear();
-            let mut seg = expect(SEG_DENSE)?;
-            seg.take_u32s(len, &mut dense).map_err(ResumeError::from)?;
-            if seg.remaining() != 0 {
-                return Err(corrupt(format!("shard {s}: trailing dense-id bytes")));
-            }
-            let mut shard = ex.index.write(s);
-            for k in 0..len {
-                let row = &rows_flat[k * words..(k + 1) * words];
-                let aux = &aux_flat[k * aux_len..(k + 1) * aux_len];
-                let fp = fingerprint(row, aux);
-                if shard_of(fp) != s {
+        let mut segment: Vec<u64> = Vec::new();
+        for (tag, width) in [(SEG_ROWS, words), (SEG_AUX, aux_len)] {
+            let mut read = 0;
+            while width > 0 && read < n_states {
+                let mut seg = reader
+                    .next_segment()
+                    .map_err(ResumeError::from)?
+                    .ok_or_else(|| {
+                        corrupt(format!("epoch ends after {read} of {n_states} rows"))
+                    })?;
+                if seg.tag != tag {
+                    return Err(corrupt(format!("expected tag {tag}, got {}", seg.tag)));
+                }
+                // Bounded by the states still unread, so `len` times the
+                // row width cannot overflow.
+                let len = seg.remaining() / (8 * width);
+                if len > n_states - read {
                     return Err(corrupt(format!(
-                        "shard {s}: row {k} hashes to shard {}",
-                        shard_of(fp)
+                        "segment of {len} rows, but only {} of {n_states} states remain",
+                        n_states - read
                     )));
                 }
-                let (local, fresh) = shard.intern(fp, row, aux);
-                if !fresh || local as usize != k {
-                    return Err(corrupt(format!("shard {s}: duplicate row at local id {k}")));
+                segment.clear();
+                seg.take_u64s(len * width, &mut segment)
+                    .map_err(ResumeError::from)?;
+                if seg.remaining() != 0 {
+                    return Err(corrupt(format!("segment tag {tag} ends mid-row")));
                 }
-                shard.push_dense(dense[k]);
-                let d = dense[k] as usize;
-                if d >= n_states || dense_ids[d] != u64::MAX {
-                    return Err(corrupt(format!("shard {s}: bad dense id {d} at local {k}")));
+                for row in segment.chunks_exact(width) {
+                    if tag == SEG_ROWS {
+                        ex.rows.push_row(row);
+                        ex.free_bits.push(ex.cfg.free_count(row));
+                    } else {
+                        ex.aux.push_row(row);
+                    }
                 }
-                dense_ids[d] = pack_state_id(s, local);
-                free_bits[d] = ex.cfg.free_count(row);
-                total += 1;
+                read += len;
+                let complete = if aux_len == 0 {
+                    ex.rows.len()
+                } else {
+                    ex.aux.len()
+                };
+                while ex.n_states < complete {
+                    let k = ex.n_states;
+                    let row = ex.rows.row(k);
+                    let aux = if aux_len == 0 { &[] } else { ex.aux.row(k) };
+                    let (rows, auxes) = (&ex.rows, &ex.aux);
+                    let hit = ex.index.probe(fingerprint(row, aux), k as u64, |id| {
+                        is_state(rows, auxes, id, row, aux)
+                    });
+                    if hit.is_some() {
+                        return Err(corrupt(format!("duplicate state at dense id {k}")));
+                    }
+                    ex.n_states += 1;
+                }
             }
         }
-        if total != n_states {
-            return Err(corrupt(format!(
-                "shards hold {total} states, header claims {n_states}"
-            )));
-        }
         if reader.next_segment().map_err(ResumeError::from)?.is_some() {
-            return Err(corrupt("trailing segments after the last shard".into()));
+            return Err(corrupt("trailing segments after the last row".into()));
         }
-        ex.dense_ids = dense_ids;
-        ex.free_bits = free_bits;
-        ex.n_states = n_states;
         ex.n_edges = n_edges;
         ex.peak_edge_bytes = peak_edge_bytes;
         Ok((ex, cursor))
     }
 
-    /// Logical payload bytes of one successor record: stream key +
-    /// fingerprint + packed words + auxiliary words.
+    /// Logical payload bytes of one successor record: fingerprint +
+    /// packed words + auxiliary words.
     fn record_bytes(&self) -> usize {
-        16 + 8 * (self.cfg.words_per_state + self.cfg.aux_len)
+        8 + 8 * (self.cfg.words_per_state + self.cfg.aux_len)
     }
 
     /// Folds a transient figure into the deterministic peak.
@@ -1593,18 +1536,15 @@ impl<'p, L: Label> Explorer<'p, L> {
             self.cfg.label_width,
             self.cfg.countdown_width,
         );
-        let (n, e, r, threads) = (self.cfg.n, self.cfg.e, self.cfg.r, self.cfg.threads);
+        let (n, e, r) = (self.cfg.n, self.cfg.e, self.cfg.r);
         let digit_alphabet: Vec<u32> = (0..self.cfg.alphabet.len() as u32).collect();
         let mut labelings = all_labelings(&digit_alphabet, e);
         let mut state_buf = vec![0u64; w];
         let mut aux_zero = vec![0u64; self.cfg.aux_len];
         let mut canon = CanonScratch::default();
-        let mut next_key = 0u64;
         loop {
-            let mut recs: Vec<ShardRecords> =
-                (0..SHARD_COUNT).map(|_| ShardRecords::default()).collect();
-            let mut count = 0usize;
-            while count < SEED_BATCH_STATES {
+            let mut recs = Records::default();
+            while recs.len() < SEED_BATCH_STATES {
                 let Some(digits) = labelings.next() else {
                     break;
                 };
@@ -1626,34 +1566,14 @@ impl<'p, L: Label> Explorer<'p, L> {
                 if let Some(sym) = &self.cfg.symmetry {
                     sym.canonicalize(&self.cfg.layout, &mut state_buf, &mut aux_zero, &mut canon);
                 }
-                let fp = fingerprint(&state_buf, &aux_zero);
-                let rec = &mut recs[shard_of(fp)];
-                rec.keys.push(next_key);
-                rec.fps.push(fp);
-                rec.words.extend_from_slice(&state_buf);
-                rec.aux.extend_from_slice(&aux_zero);
-                next_key += 1;
-                count += 1;
+                recs.push(&state_buf, &aux_zero);
             }
-            if count == 0 {
+            if recs.len() == 0 {
                 break;
             }
-            self.note_transient_bytes(count * self.record_bytes());
-            let chunks = vec![ChunkOut {
-                emitted: 0, // seed records are states, not transitions
-                shards: recs,
-            }];
-            let wave_threads = if (count as u64) < PARALLEL_MIN_BATCH_EDGES {
-                1
-            } else {
-                threads
-            };
-            let interned = {
-                let this = &*self;
-                run_indexed(wave_threads, SHARD_COUNT, |s| this.intern_shard(s, &chunks))
-            };
-            self.assign_dense(&interned, limits)?;
-            if count < SEED_BATCH_STATES {
+            self.note_transient_bytes(recs.len() * self.record_bytes());
+            self.intern(&recs, limits)?;
+            if recs.len() < SEED_BATCH_STATES {
                 break;
             }
         }
@@ -1682,7 +1602,7 @@ impl<'p, L: Label> Explorer<'p, L> {
     }
 
     /// Expands one batch of source states starting at `cursor` through
-    /// the three-phase pipeline (see the module docs) and returns the
+    /// the two-phase pipeline (see the module docs) and returns the
     /// cursor past the batch.
     fn expand_batch(&mut self, cursor: usize, limits: &Limits) -> Result<usize, VerifyError> {
         // Batch = the next source range whose estimated fan-out fits the
@@ -1710,9 +1630,9 @@ impl<'p, L: Label> Explorer<'p, L> {
         if start < end {
             ranges.push((start, end));
         }
-        // Small batches run their waves inline — OS thread spawns (no
-        // persistent pool in the vendored rayon) only amortize over
-        // enough work, and the results are identical either way.
+        // Small batches expand inline — OS thread spawns (no persistent
+        // pool in the vendored rayon) only amortize over enough work, and
+        // the results are identical either way.
         let threads = if est < PARALLEL_MIN_BATCH_EDGES {
             1
         } else {
@@ -1736,7 +1656,7 @@ impl<'p, L: Label> Explorer<'p, L> {
                 .map_err(panic_message)
             })
         };
-        let mut chunk_outs: Vec<ChunkOut> = Vec::with_capacity(ranges.len());
+        let mut chunks: Vec<Records> = Vec::with_capacity(ranges.len());
         for (c, attempt) in attempts.into_iter().enumerate() {
             let (start, end) = ranges[c];
             let outcome = match attempt {
@@ -1756,19 +1676,16 @@ impl<'p, L: Label> Explorer<'p, L> {
                     }
                 }
             };
-            chunk_outs.push(outcome?);
+            chunks.push(outcome?);
         }
-        // Phase 2: replay each shard's record stream in order.
-        let interned: Vec<ShardIntern> = {
-            let this = &*self;
-            run_indexed(threads, SHARD_COUNT, |s| this.intern_shard(s, &chunk_outs))
-        };
-        // Phase 3 (serial barrier): dense-number the fresh states, then
-        // charge the batch against the traversal budget and the peak
-        // transient figure. The record buffers die here — nothing
-        // per-edge survives the batch.
-        self.assign_dense(&interned, limits)?;
-        let emitted: usize = chunk_outs.iter().map(|c| c.emitted).sum();
+        // Phase 2: intern the records in stream order, then charge the
+        // batch against the traversal budget and the peak transient
+        // figure. The record buffers die here — nothing per-edge
+        // survives the batch.
+        for recs in &chunks {
+            self.intern(recs, limits)?;
+        }
+        let emitted: usize = chunks.iter().map(Records::len).sum();
         self.note_transient_bytes(emitted * self.record_bytes());
         self.charge_edges(emitted, limits)?;
         Ok(end)
@@ -1803,46 +1720,29 @@ impl<'p, L: Label> Explorer<'p, L> {
         Ok(self.n_states)
     }
 
-    /// Phase 1: expands source states `start..end`, emitting the
-    /// per-shard successor records. Takes only read locks on the shards;
-    /// every per-edge step is allocation-free.
-    fn expand_chunk(&self, start: usize, end: usize) -> Result<ChunkOut, VerifyError> {
+    /// Phase 1: expands source states `start..end`, emitting one
+    /// successor record per generated edge. Reads rows by dense id and
+    /// allocates nothing per edge.
+    fn expand_chunk(&self, start: usize, end: usize) -> Result<Records, VerifyError> {
         let cfg = &self.cfg;
-        let guards = self.index.read_all();
         let est: u64 = self.free_bits[start..end]
             .iter()
             .map(|&f| self.est_edges(f))
             .sum();
-        let per_shard = (est as usize / SHARD_COUNT) * 5 / 4 + 4;
-        let mut shards: Vec<ShardRecords> = (0..SHARD_COUNT)
-            .map(|_| ShardRecords::with_capacity(per_shard, cfg.words_per_state, cfg.aux_len))
-            .collect();
-        let mut emitted = 0usize;
+        // The estimate is exact without faults and an upper bound with
+        // them, so the reservation is capped.
+        let mut recs = Records::with_capacity(
+            est.min(2 * CHUNK_EDGE_BUDGET) as usize,
+            cfg.words_per_state,
+            cfg.aux_len,
+        );
         let mut scratch = ExpandScratch::new(cfg);
         for u in start..end {
-            let mut edge_k: u32 = 0;
-            self.for_each_successor(
-                &guards,
-                u,
-                &mut scratch,
-                |words, aux, _mask, _interesting, _elem, _choice| {
-                    let fp = fingerprint(words, aux);
-                    let rec = &mut shards[shard_of(fp)];
-                    // Dense ids are capped below u32::MAX and the
-                    // adversary fan-out bound is validated to fit 32
-                    // bits, so the key packs (dense source, edge index)
-                    // exactly — and stays strictly increasing in stream
-                    // order, the property dense numbering rests on.
-                    rec.keys.push(((u as u64) << 32) | u64::from(edge_k));
-                    rec.fps.push(fp);
-                    rec.words.extend_from_slice(words);
-                    rec.aux.extend_from_slice(aux);
-                    edge_k += 1;
-                },
-            )?;
-            emitted += edge_k as usize;
+            self.for_each_successor(u, &mut scratch, |words, aux, _, _, _, _| {
+                recs.push(words, aux)
+            })?;
         }
-        Ok(ChunkOut { emitted, shards })
+        Ok(recs)
     }
 
     /// Enumerates the successors of dense state `u` in activation-set
@@ -1876,7 +1776,6 @@ impl<'p, L: Label> Explorer<'p, L> {
     /// regeneration can therefore never hit it).
     fn for_each_successor<F>(
         &self,
-        guards: &[RwLockReadGuard<'_, StateShard>],
         u: usize,
         scratch: &mut ExpandScratch<L>,
         mut emit: F,
@@ -1887,11 +1786,9 @@ impl<'p, L: Label> Explorer<'p, L> {
         let cfg = &self.cfg;
         let lw = cfg.label_width as usize;
         let sc = scratch;
-        // Read the source state from its shard arena.
-        let (s, local) = unpack_state_id(self.dense_ids[u]);
-        sc.src.copy_from_slice(guards[s].row(local));
+        sc.src.copy_from_slice(self.rows.row(u));
         if cfg.track_outputs {
-            sc.out_words.copy_from_slice(guards[s].aux_row(local));
+            sc.out_words.copy_from_slice(self.aux.row(u));
         }
         let graph = cfg.protocol.graph();
         // Every activation set reads the same pre-step labeling, and the
@@ -2006,103 +1903,86 @@ impl<'p, L: Label> Explorer<'p, L> {
     }
 
     /// Regenerates and resolves the outgoing edges of dense state `u`
-    /// ([`resolve`]). `out` is overwritten with `(dense target,
+    /// ([`Explorer::resolve`]). `out` is overwritten with `(dense target,
     /// activation mask, canonicalizing element, adversary choice)` in the
     /// canonical edge order.
     fn successors_resolved(
         &self,
-        guards: &[RwLockReadGuard<'_, StateShard>],
         u: usize,
         scratch: &mut ExpandScratch<L>,
         out: &mut Vec<(u32, u32, u32, u64)>,
     ) {
         out.clear();
-        self.for_each_successor(guards, u, scratch, |words, aux, mask, _, elem, choice| {
-            out.push((resolve(guards, words, aux), mask, elem, choice));
+        self.for_each_successor(u, scratch, |words, aux, mask, _, elem, choice| {
+            out.push((self.resolve(words, aux), mask, elem, choice));
         })
         .expect("alphabet closure was validated during exploration");
     }
 
-    /// Phase 2: replays shard `s`'s record stream — chunks in order,
-    /// records in order — against its fingerprint index. Exactly one
-    /// worker claims each shard, so interning is single-writer and the
-    /// local id sequence is deterministic.
-    fn intern_shard(&self, s: usize, chunks: &[ChunkOut]) -> ShardIntern {
-        let (w, al) = (self.cfg.words_per_state, self.cfg.aux_len);
-        let mut shard = self.index.write(s);
-        let mut out = ShardIntern { fresh: Vec::new() };
-        for chunk in chunks {
-            let rec = &chunk.shards[s];
-            for (i, &fp) in rec.fps.iter().enumerate() {
-                let row = &rec.words[i * w..(i + 1) * w];
-                let aux = &rec.aux[i * al..(i + 1) * al];
-                let (local, fresh) = shard.intern(fp, row, aux);
-                if fresh {
-                    out.fresh
-                        .push((rec.keys[i], local, self.cfg.free_count(row)));
-                }
-            }
-        }
-        out
+    /// The dense id of a regenerated successor row, by a read-only
+    /// fingerprint lookup confirmed against the rows — exploration
+    /// interned every successor.
+    fn resolve(&self, words: &[u64], aux: &[u64]) -> u32 {
+        self.index
+            .find(fingerprint(words, aux), |id| {
+                is_state(&self.rows, &self.aux, id, words, aux)
+            })
+            .expect("every successor was interned during exploration") as u32
     }
 
-    /// Phase 3a: merges every shard's fresh states by stream key — the
-    /// position of the edge (or seed labeling) that first discovered them
-    /// — and assigns dense ids in that order. This is exactly the order a
-    /// sequential scan interns in, so dense numbering is identical for
-    /// every thread count.
-    fn assign_dense(
-        &mut self,
-        interned: &[ShardIntern],
-        limits: &Limits,
-    ) -> Result<(), VerifyError> {
+    /// Phase 2: replays `recs` in stream order against the fingerprint
+    /// index. A hit is confirmed by exact equality against the rows; a
+    /// miss is numbered on the spot with the next dense id, after the
+    /// [`Limits::max_states`] check. Replaying every batch's records in
+    /// order numbers each state by the edge (or seed labeling) that
+    /// first discovered it — the same order at every thread count.
+    fn intern(&mut self, recs: &Records, limits: &Limits) -> Result<(), VerifyError> {
+        let (w, al) = (self.cfg.words_per_state, self.cfg.aux_len);
         let cap = limits.max_states.min(u32::MAX as usize - 1);
-        let mut guards: Vec<_> = (0..SHARD_COUNT).map(|s| self.index.write(s)).collect();
-        let mut heads: BinaryHeap<Reverse<(u64, usize)>> = interned
-            .iter()
-            .enumerate()
-            .filter(|(_, si)| !si.fresh.is_empty())
-            .map(|(s, si)| Reverse((si.fresh[0].0, s)))
-            .collect();
-        let mut pos = [0usize; SHARD_COUNT];
-        while let Some(Reverse((_, s))) = heads.pop() {
-            let (_, local, free) = interned[s].fresh[pos[s]];
-            if self.n_states >= cap {
-                return Err(VerifyError::TooManyStates {
-                    limit: limits.max_states,
-                });
-            }
-            guards[s].push_dense(self.n_states as u32);
-            self.dense_ids.push(pack_state_id(s, local));
-            self.free_bits.push(free);
-            self.n_states += 1;
-            pos[s] += 1;
-            if let Some(&(key, _, _)) = interned[s].fresh.get(pos[s]) {
-                heads.push(Reverse((key, s)));
+        for (i, &fp) in recs.fps.iter().enumerate() {
+            let row = &recs.words[i * w..(i + 1) * w];
+            let aux = &recs.aux[i * al..(i + 1) * al];
+            let (rows, auxes) = (&self.rows, &self.aux);
+            let fresh = self
+                .index
+                .probe(fp, self.n_states as u64, |id| {
+                    is_state(rows, auxes, id, row, aux)
+                })
+                .is_none();
+            if fresh {
+                if self.n_states >= cap {
+                    return Err(VerifyError::TooManyStates {
+                        limit: limits.max_states,
+                    });
+                }
+                self.rows.push_row(row);
+                if al > 0 {
+                    self.aux.push_row(aux);
+                }
+                self.free_bits.push(self.cfg.free_count(row));
+                self.n_states += 1;
             }
         }
         Ok(())
     }
 
     /// Condenses the explored product graph **without materializing
-    /// it**. The [`scc::SuccessorOracle`] is a closure that owns read
-    /// guards over the shard arenas and one expansion scratch: a query
+    /// it**. The [`scc::SuccessorOracle`] is a closure over the explorer
+    /// and one expansion scratch: a query
     /// regenerates the state's edges ([`Explorer::for_each_successor`],
     /// which under quotient exploration canonicalizes every successor
     /// itself) and emits each as its dense target id, marked when the
     /// edge is interesting. So the canonical numbering comes back with
     /// the witness edge, and no full-graph edge array ever exists.
     fn sccs(&self) -> scc::Condensation {
-        let guards = self.index.read_all();
         let mut scratch = ExpandScratch::new(&self.cfg);
         scc::condense(&mut scc::from_fn(self.n_states, |u, out| {
             out.clear();
             self.for_each_successor(
-                &guards,
                 u as usize,
                 &mut scratch,
                 |words, aux, _, interesting, _, _| {
-                    out.push((resolve(&guards, words, aux), interesting));
+                    out.push((self.resolve(words, aux), interesting));
                 },
             )
             .expect("alphabet closure was validated during exploration");
@@ -2128,10 +2008,9 @@ impl<'p, L: Label> Explorer<'p, L> {
     /// the decoded (canonical) entry labeling.
     fn witness(&self, cond: &scc::Condensation) -> Option<CycleWitness<L>> {
         let (u, k) = cond.marked?;
-        let guards = self.index.read_all();
         let mut scratch = ExpandScratch::new(&self.cfg);
         let mut edges: Vec<(u32, u32, u32, u64)> = Vec::new();
-        self.successors_resolved(&guards, u as usize, &mut scratch, &mut edges);
+        self.successors_resolved(u as usize, &mut scratch, &mut edges);
         // Expanding `u` left its row in the scratch: the witness's entry
         // labeling.
         let mut labeling = Vec::new();
@@ -2147,7 +2026,7 @@ impl<'p, L: Label> Explorer<'p, L> {
             let mut prev: HashMap<u32, (u32, u32, u32, u64), FxBuildHasher> = HashMap::default();
             let mut queue = VecDeque::from([v]);
             'bfs: while let Some(w) = queue.pop_front() {
-                self.successors_resolved(&guards, w as usize, &mut scratch, &mut edges);
+                self.successors_resolved(w as usize, &mut scratch, &mut edges);
                 for &(x, m, h, c) in &edges {
                     if x == v || cond.comp[x as usize] != cid {
                         continue;
@@ -2286,18 +2165,6 @@ fn decode_adversary<L: Label>(
     out
 }
 
-/// Resolves a regenerated successor row to its dense id by a read-only
-/// fingerprint lookup in its shard ([`StateShard::lookup`]) — exploration
-/// interned every successor.
-fn resolve(guards: &[RwLockReadGuard<'_, StateShard>], words: &[u64], aux: &[u64]) -> u32 {
-    let fp = fingerprint(words, aux);
-    let s = shard_of(fp);
-    let local = guards[s]
-        .lookup(fp, words, aux)
-        .expect("every successor was interned during exploration");
-    guards[s].dense_of(local)
-}
-
 /// Decides **label** r-stabilization of `protocol` under the given inputs,
 /// exactly, by exploring the full product graph over `alphabet`-labelings.
 ///
@@ -2305,7 +2172,7 @@ fn resolve(guards: &[RwLockReadGuard<'_, StateShard>], words: &[u64], aux: &[u64
 /// label outside it is reported as [`VerifyError::BadParameters`].
 ///
 /// See the [module docs](self) for the memory model (packed states,
-/// sharded fingerprint interning, regenerated edges, oracle SCC) and the
+/// one dense numbering, regenerated edges, oracle SCC) and the
 /// determinism contract of the parallel explorer ([`Limits::threads`]).
 ///
 /// # Errors

@@ -443,3 +443,68 @@ fn a_one_entry_change_gets_its_own_verdict() {
         );
     }
 }
+
+/// Fifteen nodes with edges `1…14 → 0` and `0 → 1`, Boolean labels: the
+/// reaction domain is 16,399, over `PROBE_CAP`, so the instance key
+/// digests a sample of node 0's 2^14 in-labelings, not all of them.
+/// Node 1 copies its in-label and nodes 2…14 emit 1. Node 0 emits 0,
+/// except that with `twist` it emits 1 when the label on `1 → 0` is 0
+/// and its 13 other in-labels are all 1. Writing `x` for the label on
+/// `1 → 0` and `y` for the one on `0 → 1`, the twisted protocol at
+/// `r = 1` cycles `(x, y) → (y, ¬x)`; the plain one settles at `(0, 0)`.
+fn over_cap(twist: bool) -> Protocol<bool> {
+    let mut g = DiGraph::new(15);
+    for v in 1..15 {
+        g.add_edge(v, 0).unwrap();
+    }
+    g.add_edge(0, 1).unwrap();
+    Protocol::builder(g, 1.0)
+        .uniform_reaction(FnReaction::new(move |node, inc: &[bool], _| {
+            let label = match node {
+                0 => twist && !inc[0] && inc[1..].iter().all(|&b| b),
+                1 => inc[0],
+                _ => true,
+            };
+            (vec![label], 0)
+        }))
+        .build()
+        .unwrap()
+}
+
+/// Two over-cap protocols that differ in one reaction entry share an
+/// instance key, so the cache must compute both instead of serving the
+/// first one's verdict for the second, and must store neither.
+#[test]
+fn over_cap_instances_are_computed_every_time() {
+    let (a, b) = (over_cap(false), over_cap(true));
+    let (inputs, alphabet, limits) = ([0u64; 15], [false, true], Limits::default());
+    let key =
+        |p: &Protocol<bool>| VerdictCache::label_fingerprint(p, &inputs, &alphabet, 1, &limits);
+    assert_eq!(
+        key(&a),
+        key(&b),
+        "the sampled key misses the one changed entry"
+    );
+    let dir = scratch_dir("over-cap");
+    let cache = VerdictCache::open(&dir, DEFAULT_BYTE_BUDGET).unwrap();
+    for _ in 0..2 {
+        let got_a = cache
+            .verify_label(&a, &inputs, &alphabet, 1, &limits)
+            .unwrap();
+        assert_eq!(got_a.verdict, Verdict::Stabilizing);
+        assert_eq!(got_a.outcome, CacheOutcome::Miss);
+        let got_b = cache
+            .verify_label(&b, &inputs, &alphabet, 1, &limits)
+            .unwrap();
+        assert!(
+            matches!(got_b.verdict, Verdict::NotStabilizing(_)),
+            "{:?}",
+            got_b.verdict
+        );
+        assert_eq!(got_b.outcome, CacheOutcome::Miss);
+    }
+    assert!(cache.is_empty(), "nothing is memoized in memory");
+    let reopened = VerdictCache::open(&dir, DEFAULT_BYTE_BUDGET).unwrap();
+    assert!(reopened.is_empty(), "nothing is memoized on disk");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -22,7 +22,7 @@ use stateless_computation::verify::cache::DEFAULT_BYTE_BUDGET;
 use stateless_computation::verify::{
     verify_label_stabilization, verify_label_stabilization_resumed,
     verify_label_stabilization_resumed_at, verify_label_stabilization_with_stats,
-    verify_output_stabilization, verify_output_stabilization_resumed, CheckpointPolicy,
+    verify_output_stabilization_resumed, verify_output_stabilization_with_stats, CheckpointPolicy,
     ExploreStats, Limits, ResumeError, SymmetryMode, Verdict, VerdictCache, VerifyError,
 };
 
@@ -128,34 +128,40 @@ fn resume_from_every_epoch_is_bit_identical() {
 
 /// The output-stabilization twin resumes too (its checkpoints carry the
 /// auxiliary output rows, and its instance fingerprint differs from the
-/// label mode's).
+/// label mode's). The n = 5 ring's 864 states span two row segments and
+/// four aux segments in an epoch, so resume re-interns states across
+/// segment boundaries of both kinds.
 #[test]
 fn output_mode_resumes_to_identical_verdicts() {
-    let p = rotate_ring(3);
-    let inputs = [0u64; 3];
     let alphabet = [false, true];
-    let dir = scratch_dir("output-mode");
-    let limits = Limits {
-        checkpoint: Some(every_batch(&dir)),
-        ..Limits::default()
-    };
-    let clean = verify_output_stabilization(&p, &inputs, &alphabet, 3, limits.clone()).unwrap();
-    assert!(clean.is_stabilizing(), "constant outputs converge");
-    let (resumed, _) = verify_output_stabilization_resumed(
-        &p,
-        &inputs,
-        &alphabet,
-        3,
-        Limits {
-            threads: 4,
-            checkpoint: None,
+    for (n, r) in [(3, 3), (5, 2)] {
+        let p = rotate_ring(n);
+        let inputs = vec![0u64; n];
+        let dir = scratch_dir(&format!("output-mode-{n}"));
+        let limits = Limits {
+            checkpoint: Some(every_batch(&dir)),
             ..Limits::default()
-        },
-        &dir,
-    )
-    .unwrap();
-    assert_eq!(clean, resumed);
-    let _ = std::fs::remove_dir_all(&dir);
+        };
+        let clean =
+            verify_output_stabilization_with_stats(&p, &inputs, &alphabet, r, limits.clone())
+                .unwrap();
+        assert!(clean.0.is_stabilizing(), "constant outputs converge");
+        let resumed = verify_output_stabilization_resumed(
+            &p,
+            &inputs,
+            &alphabet,
+            r,
+            Limits {
+                threads: 4,
+                checkpoint: None,
+                ..Limits::default()
+            },
+            &dir,
+        )
+        .unwrap();
+        assert_eq!(clean, resumed, "n = {n}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// A tiny deadline degrades gracefully: [`Verdict::Partial`] with the
@@ -633,7 +639,7 @@ fn persistent_table_build_panic_is_typed_without_a_checkpoint() {
 /// alone, so every successor is a seed and exploration counts the seeds'
 /// edges instead of expanding them. On the f = 1 Byzantine BFS biring
 /// n = 5 the edge count and the edge budget are the batch loop's, the
-/// transient peak is the seed batch's (one 24-byte record per seed), and
+/// transient peak is the seed batch's (one 16-byte record per seed), and
 /// resuming from a checkpoint taken after seeding, or from one written
 /// once exploration is done, reproduces the uninterrupted run's stats.
 #[test]
@@ -648,9 +654,9 @@ fn r1_label_queries_count_seed_edges_instead_of_expanding() {
         verify_label_stabilization_with_stats(&p, &inputs, &alphabet, 1, limits.clone()).unwrap();
     let stats = clean.1;
     assert_eq!((stats.states, stats.edges), (59_049, 531_441));
-    // The seed batch's records, 24 bytes each (stream key, fingerprint,
-    // one packed word): no expansion batch ran.
-    assert_eq!(stats.edge_bytes, 59_049 * 24);
+    // The seed batch's records, 16 bytes each (fingerprint, one packed
+    // word): no expansion batch ran.
+    assert_eq!(stats.edge_bytes, 59_049 * 16);
     for (max_edges, ok) in [(531_440, false), (531_441, true)] {
         let got = verify_label_stabilization_with_stats(
             &p,
@@ -787,21 +793,33 @@ fn crashed_commit_orphans_are_swept_on_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Writes one epoch of the resume format by hand — a header, then shard 0
-/// only (metadata, a row block holding `rows` unless it is empty, a
-/// dense-id segment) — for an instance of `words` packed words per
-/// state, with valid checksums.
-fn craft_epoch(dir: &std::path::Path, fp: u64, n_states: u64, len: u64, rows: &[u64], words: u64) {
-    // Segment tags: 1 header, 2 shard metadata, 3 row block, 5 dense ids.
+/// Writes one epoch of the resume format by hand — a header of format
+/// `version`, then one row segment holding `rows` unless it is empty —
+/// for an instance of `words` packed words per state, with valid
+/// checksums.
+fn craft_epoch(
+    dir: &std::path::Path,
+    version: u64,
+    fp: u64,
+    n_states: u64,
+    rows: &[u64],
+    words: u64,
+) {
+    // Segment tags: 1 header, 3 row block.
     let store = CheckpointStore::open(dir).unwrap();
     let mut w = store.begin_epoch(1).unwrap();
     w.begin_segment(1);
-    for v in [0x5354_4c53_434b_5031, 1, fp, n_states, 0, 0, 0, words, 0] {
-        w.put_u64(v);
-    }
-    w.end_segment().unwrap();
-    w.begin_segment(2);
-    for v in [0, len, u64::from(!rows.is_empty()), 0] {
+    for v in [
+        0x5354_4c53_434b_5031,
+        version,
+        fp,
+        n_states,
+        0,
+        0,
+        0,
+        words,
+        0,
+    ] {
         w.put_u64(v);
     }
     w.end_segment().unwrap();
@@ -810,16 +828,15 @@ fn craft_epoch(dir: &std::path::Path, fp: u64, n_states: u64, len: u64, rows: &[
         w.put_u64s(rows);
         w.end_segment().unwrap();
     }
-    w.begin_segment(5);
-    w.put_u32s(&vec![0; rows.len() / words as usize]);
-    w.end_segment().unwrap();
     store.commit(w, 1).unwrap();
 }
 
 /// An epoch whose length fields claim more than its bytes hold is a
-/// typed [`ResumeError::Corrupt`], never a panic or an allocation sized
-/// from the claim: a shard of 2^63 rows with no row blocks, and a header
-/// of nearly 2^32 states over a one-row shard.
+/// typed [`ResumeError::Corrupt`] naming the bound it broke, never a
+/// panic or an allocation sized from the claim: a row segment longer
+/// than the states its header leaves, and a header of nearly 2^32
+/// states over one row. A header of the previous format version is
+/// rejected by its version before anything else is read.
 #[test]
 fn inflated_length_fields_are_corrupt_not_a_panic() {
     use stateless_computation::verify::checkpoint::instance_fingerprint;
@@ -843,20 +860,41 @@ fn inflated_length_fields_are_corrupt_not_a_panic() {
         limits.max_states,
         limits.max_edges,
     );
-    let cases: [(&str, u64, u64, &[u64]); 2] = [
-        ("huge-shard", 1, 1 << 63, &[]),
-        ("huge-header", u64::from(u32::MAX) - 1, 1, &[0, 0]),
+    let cases: [(&str, u64, u64, &[u64], &str); 3] = [
+        (
+            "long-segment",
+            2,
+            1,
+            &[0, 0, 1, 0, 2, 0],
+            "segment of 3 rows, but only 1 of 1 states remain",
+        ),
+        (
+            "huge-header",
+            2,
+            u64::from(u32::MAX) - 1,
+            &[0, 0],
+            "header claims 4294967294 states, but only 36 bytes follow",
+        ),
+        (
+            "version-1",
+            1,
+            1,
+            &[0, 0],
+            "unsupported checkpoint format version 1",
+        ),
     ];
-    for (name, n_states, len, rows) in cases {
+    for (name, version, n_states, rows, bound) in cases {
         let dir = scratch_dir(name);
-        craft_epoch(&dir, fp, n_states, len, rows, 2);
+        craft_epoch(&dir, version, fp, n_states, rows, 2);
         let err =
             verify_label_stabilization_resumed(&p, &inputs, &alphabet, r, limits.clone(), &dir)
                 .unwrap_err();
-        assert!(
-            matches!(err, VerifyError::Resume(ResumeError::Corrupt { .. })),
-            "{name}: {err}"
-        );
+        match &err {
+            VerifyError::Resume(ResumeError::Corrupt { what }) => {
+                assert!(what.contains(bound), "{name}: {what}")
+            }
+            _ => panic!("{name}: {err}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
