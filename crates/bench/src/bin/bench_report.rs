@@ -30,9 +30,11 @@
 //! guarding the edge-less verifier.
 //!
 //! With `--gate <file>` (one row file) nothing is rendered either: the
-//! in-run ratio gate prints one `naive / packed/t1` time ratio per gated
-//! bench and exits nonzero when one is below 1.5 or its rows are missing
-//! or sentinels.
+//! in-run ratio gate prints one time ratio per line — `naive / packed/t1`
+//! per gated bench (at least 1.5), `perf/checkpoint/4` `checkpointed /
+//! plain` (at most 2) and `perf/cache_service/4` `cold / warm` (at least
+//! 10) — and exits nonzero when one is out of bounds or its rows are
+//! missing or sentinels.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -70,7 +72,7 @@ fn main() -> ExitCode {
         );
         eprintln!(
             "--gate takes one row file and fails when a naive / packed/t1 time ratio is \
-             below 1.5"
+             below 1.5, checkpointed / plain is above 2, or cold / warm is below 10"
         );
         return if args.is_empty() || modes > 1 {
             ExitCode::FAILURE

@@ -24,7 +24,9 @@
 //!   past a slack over the baseline's (`bench-report --memgate`);
 //! * [`check_ratio_gate`] fails when, inside one file, the default
 //!   verifier is less than [`MIN_NAIVE_RATIO`]× faster than the naive
-//!   reference (`bench-report --gate`).
+//!   reference, checkpointing costs more than [`MAX_CHECKPOINT_RATIO`]×
+//!   a plain run, or a warm cache answers less than [`MIN_WARM_RATIO`]×
+//!   faster than a cold one (`bench-report --gate`).
 //!
 //! The `bench-report` binary is the CLI wrapper.
 
@@ -344,12 +346,27 @@ pub const RATIO_GATED_BENCHES: [&str; 3] = [
 /// reference measured in the same run.
 pub const MIN_NAIVE_RATIO: f64 = 1.5;
 
-/// The in-run ratio gate: for each of [`RATIO_GATED_BENCHES`], the
-/// `naive` row's `median_ns_per_iter` over the `packed/t1` row's (the
-/// last row of each id counts). Both rows come from the same file, so
-/// the ratio holds still when the runner's speed moves. Returns one line
-/// per ratio; `Err` when a ratio is below [`MIN_NAIVE_RATIO`] or a row is
-/// missing or a sentinel (a non-positive time).
+/// The largest `checkpointed / plain` time ratio of `perf/checkpoint/4`
+/// that [`check_ratio_gate`] accepts: writing periodic checkpoints may
+/// at most double a query's time. The committed rows read 1.20, the
+/// minimums of 30 repeated runs about 1.4, and a noisy run 1.67.
+pub const MAX_CHECKPOINT_RATIO: f64 = 2.0;
+
+/// The least `cold / warm` time ratio of `perf/cache_service/4` that
+/// [`check_ratio_gate`] accepts: a warm verdict cache must answer the
+/// same jobs at least this much faster than computing them. The
+/// committed rows read 548.
+pub const MIN_WARM_RATIO: f64 = 10.0;
+
+/// The in-run ratio gate: the time of one row over another's, both from
+/// this file (the last row of each id counts), so each ratio holds still
+/// when the runner's speed moves. It checks `naive / packed/t1` on each
+/// of [`RATIO_GATED_BENCHES`] against [`MIN_NAIVE_RATIO`], then
+/// `perf/checkpoint/4` `checkpointed / plain` against
+/// [`MAX_CHECKPOINT_RATIO`] and `perf/cache_service/4` `cold / warm`
+/// against [`MIN_WARM_RATIO`]. Returns one line per ratio; `Err` when a
+/// ratio is out of bounds or a row is missing or a sentinel (a
+/// non-positive time).
 pub fn check_ratio_gate(rows: &[BenchLine]) -> Result<Vec<String>, Vec<String>> {
     let time = |bench: &str, row: &str| {
         let id = format!("{bench}/{row}");
@@ -358,21 +375,41 @@ pub fn check_ratio_gate(rows: &[BenchLine]) -> Result<Vec<String>, Vec<String>> 
             .find(|l| l.bench == id)
             .map(|l| l.median_ns)
     };
-    let mut pass = true;
-    let lines = RATIO_GATED_BENCHES
+    // (bench, numerator row, denominator row, bound, whether the ratio
+    // must reach the bound rather than stay under it)
+    let checks = RATIO_GATED_BENCHES
         .iter()
-        .map(|bench| {
-            let (verdict, ok) = match (time(bench, "naive"), time(bench, "packed/t1")) {
-                (Some(naive), Some(packed)) if naive > 0.0 && packed > 0.0 => {
-                    let ratio = naive / packed;
-                    (format!("{ratio:.2}"), ratio >= MIN_NAIVE_RATIO)
+        .map(|&bench| (bench, "naive", "packed/t1", MIN_NAIVE_RATIO, true))
+        .chain([
+            (
+                "perf/checkpoint/4",
+                "checkpointed",
+                "plain",
+                MAX_CHECKPOINT_RATIO,
+                false,
+            ),
+            ("perf/cache_service/4", "cold", "warm", MIN_WARM_RATIO, true),
+        ]);
+    let mut pass = true;
+    let lines = checks
+        .map(|(bench, num, den, bound, at_least)| {
+            let (verdict, ok) = match (time(bench, num), time(bench, den)) {
+                (Some(a), Some(b)) if a > 0.0 && b > 0.0 => {
+                    let ratio = a / b;
+                    let ok = if at_least {
+                        ratio >= bound
+                    } else {
+                        ratio <= bound
+                    };
+                    (format!("{ratio:.2}"), ok)
                 }
                 (Some(_), Some(_)) => ("sentinel row".into(), false),
                 _ => ("missing row".into(), false),
             };
             pass &= ok;
             format!(
-                "ratio gate: {bench} naive / packed/t1 = {verdict} (need ≥ {MIN_NAIVE_RATIO}): {}",
+                "ratio gate: {bench} {num} / {den} = {verdict} (need {} {bound}): {}",
+                if at_least { "≥" } else { "≤" },
                 if ok { "pass" } else { "FAIL" }
             )
         })
@@ -622,9 +659,9 @@ mod tests {
         assert!(check_memory_gate(&mem_base(), &heavy, 1.25).is_err());
     }
 
-    /// The three gated bench pairs at `naive / packed` times of 3×, 2×
-    /// and `bfs`×.
-    fn gated_rows(bfs: f64) -> String {
+    /// The gated rows: `naive / packed` times of 3×, 2× and `bfs`×, then
+    /// `checkpointed / plain` at `ckpt`× and `cold / warm` at `warm`×.
+    fn gated_rows_at(bfs: f64, ckpt: f64, warm: f64) -> String {
         let row = |bench: &str, ns: f64| {
             format!("{{\"bench\":\"{bench}\",\"median_ns_per_iter\":{ns}}}\n")
         };
@@ -635,14 +672,24 @@ mod tests {
             row("perf/verify_scaling/8/packed/t1", 100.0),
             row("perf/verify_bfs/5/naive", bfs * 100.0),
             row("perf/verify_bfs/5/packed/t1", 100.0),
+            row("perf/checkpoint/4/plain", 100.0),
+            row("perf/checkpoint/4/checkpointed", ckpt * 100.0),
+            row("perf/cache_service/4/cold", warm * 100.0),
+            row("perf/cache_service/4/warm", 100.0),
         ]
         .concat()
+    }
+
+    /// [`gated_rows_at`] with the checkpoint and cache pairs at their
+    /// committed ratios.
+    fn gated_rows(bfs: f64) -> String {
+        gated_rows_at(bfs, 1.2, 548.0)
     }
 
     #[test]
     fn ratio_gate_passes_at_or_above_the_target() {
         let lines = check_ratio_gate(&parse_lines(&gated_rows(1.5))).unwrap();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 5);
         assert!(lines[0].contains("perf/verify_scaling/6 naive / packed/t1 = 3.00"));
         assert!(lines[2].contains("= 1.50") && lines[2].ends_with("pass"));
     }
@@ -650,7 +697,7 @@ mod tests {
     #[test]
     fn ratio_gate_fails_below_the_target() {
         let lines = check_ratio_gate(&parse_lines(&gated_rows(1.4))).unwrap_err();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 5);
         assert!(lines[1].ends_with("pass"));
         assert!(lines[2].contains("= 1.40") && lines[2].ends_with("FAIL"));
     }
@@ -674,6 +721,78 @@ mod tests {
         );
         let lines = check_ratio_gate(&parse_lines(&text)).unwrap_err();
         assert!(lines[0].contains("sentinel row") && lines[0].ends_with("FAIL"));
+    }
+
+    #[test]
+    fn checkpoint_and_cache_ratios_pass_at_their_bounds() {
+        let lines = check_ratio_gate(&parse_lines(&gated_rows_at(3.0, 2.0, 10.0))).unwrap();
+        assert_eq!(
+            lines[3],
+            "ratio gate: perf/checkpoint/4 checkpointed / plain = 2.00 (need ≤ 2): pass"
+        );
+        assert_eq!(
+            lines[4],
+            "ratio gate: perf/cache_service/4 cold / warm = 10.00 (need ≥ 10): pass"
+        );
+    }
+
+    #[test]
+    fn checkpoint_and_cache_ratios_fail_past_their_bounds() {
+        for (ckpt, warm, failing) in [(2.1, 548.0, 3), (1.2, 9.9, 4)] {
+            let lines =
+                check_ratio_gate(&parse_lines(&gated_rows_at(3.0, ckpt, warm))).unwrap_err();
+            for (k, line) in lines.iter().enumerate() {
+                assert_eq!(line.ends_with("FAIL"), k == failing, "{line}");
+            }
+        }
+        let lines = check_ratio_gate(&parse_lines(&gated_rows_at(3.0, 2.1, 9.9))).unwrap_err();
+        assert!(lines[3].contains("= 2.10") && lines[4].contains("= 9.90"));
+    }
+
+    #[test]
+    fn checkpoint_and_cache_ratios_fail_on_a_missing_row() {
+        for (missing, failing) in [
+            ("perf/checkpoint/4/plain", 3),
+            ("perf/checkpoint/4/checkpointed", 3),
+            ("perf/cache_service/4/cold", 4),
+            ("perf/cache_service/4/warm", 4),
+        ] {
+            let rows: Vec<BenchLine> = parse_lines(&gated_rows(3.0))
+                .into_iter()
+                .filter(|l| l.bench != missing)
+                .collect();
+            let lines = check_ratio_gate(&rows).unwrap_err();
+            for (k, line) in lines.iter().enumerate() {
+                assert_eq!(line.ends_with("FAIL"), k == failing, "{missing}: {line}");
+            }
+            assert!(lines[failing].contains("missing row"), "{missing}");
+        }
+    }
+
+    #[test]
+    fn checkpoint_and_cache_ratios_fail_on_a_sentinel_row() {
+        for (sentinel, failing) in [
+            ("perf/checkpoint/4/plain", 3),
+            ("perf/checkpoint/4/checkpointed", 3),
+            ("perf/cache_service/4/cold", 4),
+            ("perf/cache_service/4/warm", 4),
+        ] {
+            let text: String = gated_rows(3.0)
+                .lines()
+                .map(|line| {
+                    if line.contains(&format!("\"{sentinel}\"")) {
+                        format!("{{\"bench\":\"{sentinel}\",\"median_ns_per_iter\":0}}\n")
+                    } else {
+                        format!("{line}\n")
+                    }
+                })
+                .collect();
+            let lines = check_ratio_gate(&parse_lines(&text)).unwrap_err();
+            for (k, line) in lines.iter().enumerate() {
+                assert_eq!(line.ends_with("FAIL"), k == failing, "{sentinel}: {line}");
+            }
+            assert!(lines[failing].contains("sentinel row"), "{sentinel}");
+        }
     }
 
     #[test]

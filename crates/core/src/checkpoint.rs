@@ -374,15 +374,6 @@ impl SegmentWriter {
         }
     }
 
-    /// Appends a slice of little-endian `u32`s to the open segment.
-    pub fn put_u32s(&mut self, vs: &[u32]) {
-        debug_assert!(self.open_tag.is_some(), "no open segment");
-        self.buf.reserve(vs.len() * 4);
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
     /// Frames and writes the open segment.
     ///
     /// # Errors
@@ -417,11 +408,6 @@ impl SegmentWriter {
             .into_inner()
             .map_err(|e| io_err("flush", &tmp, e.into_error()))?;
         file.sync_all().map_err(|e| io_err("sync", &tmp, e))
-    }
-
-    /// The final (post-rename) path of this epoch file.
-    pub fn dest(&self) -> &Path {
-        &self.dest
     }
 }
 
@@ -545,31 +531,6 @@ impl Segment {
         Ok(())
     }
 
-    /// Decodes the next `count` little-endian `u32`s into `out`.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Corrupt`] if the payload is too short.
-    pub fn take_u32s(&mut self, count: usize, out: &mut Vec<u32>) -> Result<(), CheckpointError> {
-        if count
-            .checked_mul(4)
-            .is_none_or(|bytes| bytes > self.remaining())
-        {
-            return Err(self.short("u32 run"));
-        }
-        out.reserve(count);
-        for _ in 0..count {
-            let v = u32::from_le_bytes(
-                self.payload[self.cursor..self.cursor + 4]
-                    .try_into()
-                    .expect("4 bytes"),
-            );
-            self.cursor += 4;
-            out.push(v);
-        }
-        Ok(())
-    }
-
     fn short(&self, what: &str) -> CheckpointError {
         CheckpointError::Corrupt {
             what: format!(
@@ -620,7 +581,6 @@ mod tests {
         // A count whose byte size overflows is short, not a panic.
         for count in [usize::MAX / 4 + 1, usize::MAX] {
             assert!(body.take_u64s(count, &mut got).is_err());
-            assert!(body.take_u32s(count, &mut Vec::new()).is_err());
         }
         body.take_u64s(1000, &mut got).unwrap();
         assert_eq!(got, words);

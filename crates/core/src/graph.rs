@@ -199,21 +199,6 @@ impl DiGraph {
         dist
     }
 
-    /// The graph's adjacency as flat CSR arrays (`offsets`/`targets`,
-    /// out-edges in insertion order).
-    pub fn to_csr(&self) -> (Vec<usize>, Vec<u32>) {
-        let mut offsets = Vec::with_capacity(self.node_count + 1);
-        offsets.push(0);
-        let mut targets = Vec::with_capacity(self.edges.len());
-        for u in 0..self.node_count {
-            for &e in &self.out_edges[u] {
-                targets.push(self.edges[e].1 as u32);
-            }
-            offsets.push(targets.len());
-        }
-        (offsets, targets)
-    }
-
     /// Whether every node reaches every other node — i.e. the graph is
     /// one strongly connected component ([`crate::scc::condense`] over
     /// the adjacency lists directly; no CSR is materialized).

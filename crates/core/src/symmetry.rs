@@ -20,16 +20,21 @@
 //! cyclic rotation and reflection on `n` nodes (rings), coordinate
 //! rotations/swaps and single-bit translates when `n` is a power of two
 //! (hypercubes), row/column shifts for every grid factorization of `n`
-//! (tori) — and then **validated behaviorally**: a candidate is kept only
-//! if the induced edge permutation exists (it is a graph automorphism)
-//! and exhaustive probing over every in-labeling of every node (bounded
-//! by a probe budget) confirms reaction equivariance. Validation is what
-//! makes `Auto` sound for *arbitrary* reactions: a reflection on a
-//! bidirectional ring, for example, swaps each node's clockwise and
-//! counter-clockwise slots and survives only if the reaction genuinely
-//! treats them symmetrically. The validated generators are closed into
-//! the full group (bounded by a closure cap; on overflow the derivation
-//! degrades soundly to the identity).
+//! (tori) — and then **validated behaviorally** against the protocol's
+//! [`ReactionTable`]: every node's output and out-labels on every
+//! in-labeling, tabulated once. A candidate is kept only if the induced
+//! edge permutation exists (it is a graph automorphism), inputs are
+//! constant on its node orbits, and for every node `i` and every
+//! in-labeling, `i`'s entry equals `π(i)`'s entry for the same labels
+//! moved onto the `σ`-images of `i`'s in-edges, out-labels compared slot
+//! by `σ`-image slot. Validation reads table entries and calls no
+//! reaction. It is what makes `Auto` sound for *arbitrary* reactions: a
+//! reflection on a bidirectional ring, for example, swaps each node's
+//! clockwise and counter-clockwise slots and survives only if the
+//! reaction genuinely treats them symmetrically. An instance too large
+//! to tabulate ([`PROBE_CAP`]) gets the identity group. The validated
+//! generators are closed into the full group (bounded by a closure cap;
+//! on overflow the derivation degrades soundly to the identity).
 //!
 //! # Canonicalization ([`Symmetry::canonicalize`])
 //!
@@ -64,13 +69,14 @@ use crate::graph::DiGraph;
 use crate::intern::{pack, unpack};
 use crate::label::Label;
 use crate::protocol::Protocol;
-use crate::{EdgeId, Input};
+use crate::{Input, NodeId, Output};
 
-/// Largest reaction domain ([`reaction_domain`]) that is enumerated
-/// exhaustively. [`Symmetry::derive`] rejects a candidate permutation
-/// whose validation would exceed it — soundly, since rejecting a true
-/// automorphism only costs reduction — and the verifier's instance
-/// fingerprint digests every reaction entry up to it.
+/// Largest reaction domain ([`reaction_domain`]) that is tabulated:
+/// [`ReactionTable::build`] enumerates an instance up to it and declines
+/// above it. Without a table [`Symmetry::derive`] returns the identity
+/// group — soundly, since missing a true automorphism only costs
+/// reduction — and the verifier's instance fingerprint hashes a sample
+/// of the reactions instead of every entry.
 pub const PROBE_CAP: u64 = 1 << 14;
 
 /// The number of reaction entries of a protocol on `graph` over an
@@ -79,6 +85,130 @@ pub fn reaction_domain(graph: &DiGraph, q: usize) -> u64 {
     (0..graph.node_count())
         .map(|v| (0..graph.in_degree(v)).fold(1u64, |c, _| c.saturating_mul(q as u64)))
         .fold(0u64, u64::saturating_add)
+}
+
+/// `alphabet` without repeats, first occurrence first: the alphabet a
+/// [`ReactionTable`] is built over, whose indices label the verifier's
+/// packed states.
+pub fn dedup_alphabet<L: Label>(alphabet: &[L]) -> Vec<L> {
+    let mut dedup: Vec<L> = Vec::with_capacity(alphabet.len());
+    for l in alphabet {
+        if !dedup.contains(l) {
+            dedup.push(l.clone());
+        }
+    }
+    dedup
+}
+
+/// Every node's reaction over every in-labeling of a deduplicated
+/// alphabet `Σ`: over a finite alphabet a stateless protocol *is* this
+/// table. Node `v` has `|Σ|^indeg(v)` entries; its entry for in-label
+/// digits `d₀, d₁, …` (alphabet indices, first in-edge first) is number
+/// `Σₖ dₖ·|Σ|ᵏ`, so the first in-edge's digit varies fastest, and the
+/// nodes follow each other in id order. An entry is the node's output and
+/// its out-labels, in [`DiGraph::out_edges`] order, as the reaction
+/// returned them: a label outside the alphabet is kept as it is.
+///
+/// [`ReactionTable::build`] is the one place that calls reactions over
+/// their domain. Symmetry validation ([`Symmetry::from_table`]), the
+/// verifier's instance key and its packed reaction masks all read the
+/// entries.
+#[derive(Debug, Clone)]
+pub struct ReactionTable<L> {
+    /// Alphabet size: the base of an entry's number.
+    q: usize,
+    /// Where each node's entries sit, by node id.
+    nodes: Vec<NodeSpan>,
+    outputs: Vec<Output>,
+    labels: Vec<L>,
+}
+
+/// One node's slice of a [`ReactionTable`].
+#[derive(Debug, Clone, Copy)]
+struct NodeSpan {
+    /// Index of the node's entry 0 in `outputs`.
+    first: usize,
+    /// Where the node's entry 0 starts in `labels`.
+    label_first: usize,
+    /// `|Σ|^indeg`.
+    entries: usize,
+    /// Out-labels per entry.
+    out_degree: usize,
+}
+
+impl<L: Label> ReactionTable<L> {
+    /// Calls every node's reaction once per in-labeling over the
+    /// deduplicated `alphabet`, node by node; every edge outside the
+    /// node's in-edges holds `alphabet[0]`. `None`, calling nothing, when
+    /// the alphabet is empty, `inputs` does not have one entry per node,
+    /// or the table would exceed [`PROBE_CAP`] entries. A reaction panic
+    /// unwinds to the caller.
+    pub fn build(protocol: &Protocol<L>, inputs: &[Input], alphabet: &[L]) -> Option<Self> {
+        let graph = protocol.graph();
+        let n = graph.node_count();
+        let size = reaction_domain(graph, alphabet.len());
+        if alphabet.is_empty() || inputs.len() != n || size > PROBE_CAP {
+            return None;
+        }
+        let q = alphabet.len();
+        let mut table = ReactionTable {
+            q,
+            nodes: Vec::with_capacity(n),
+            outputs: Vec::with_capacity(size as usize),
+            labels: Vec::with_capacity(size as usize),
+        };
+        let mut labeling = vec![alphabet[0].clone(); graph.edge_count()];
+        let (mut in_buf, mut out_buf) = (Vec::new(), Vec::new());
+        for (node, &input) in inputs.iter().enumerate() {
+            let ins = graph.in_edges(node);
+            let span = NodeSpan {
+                first: table.outputs.len(),
+                label_first: table.labels.len(),
+                entries: q.pow(ins.len() as u32),
+                out_degree: graph.out_degree(node),
+            };
+            table.nodes.push(span);
+            for entry in 0..span.entries {
+                let mut rest = entry;
+                for &f in ins {
+                    labeling[f] = alphabet[rest % q].clone();
+                    rest /= q;
+                }
+                let y = protocol.apply_buffered(node, &labeling, input, &mut in_buf, &mut out_buf);
+                table.outputs.push(y);
+                table.labels.extend_from_slice(&out_buf);
+            }
+            for &f in ins {
+                labeling[f] = alphabet[0].clone();
+            }
+        }
+        Some(table)
+    }
+
+    /// The alphabet size `|Σ|`, the base of an entry's number.
+    pub fn alphabet_len(&self) -> usize {
+        self.q
+    }
+
+    /// The number of entries of `node`: `|Σ|^indeg(node)`.
+    pub fn node_entries(&self, node: NodeId) -> usize {
+        self.nodes[node].entries
+    }
+
+    /// Entry number `entry` of `node`: its output and out-labels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entry` is not below [`node_entries`](Self::node_entries).
+    pub fn entry(&self, node: NodeId, entry: usize) -> (Output, &[L]) {
+        let span = &self.nodes[node];
+        assert!(entry < span.entries, "no entry {entry} at node {node}");
+        let at = span.label_first + entry * span.out_degree;
+        (
+            self.outputs[span.first + entry],
+            &self.labels[at..at + span.out_degree],
+        )
+    }
 }
 
 /// Cap on the generated group order. Ring/dihedral/hypercube groups at
@@ -260,27 +390,36 @@ impl Symmetry {
     }
 
     /// Derives the validated automorphism group of `protocol` under
-    /// `inputs` over `alphabet` — see the module docs. Always sound:
-    /// every returned element has passed exhaustive behavioral probing,
-    /// and anything unverifiable degrades to the identity group.
+    /// `inputs` over `alphabet`: tabulates the reactions
+    /// ([`ReactionTable::build`], over the deduplicated alphabet) and
+    /// validates against the table ([`Symmetry::from_table`]). Always
+    /// sound; an instance without a table gets the identity group.
     pub fn derive<L: Label>(protocol: &Protocol<L>, inputs: &[Input], alphabet: &[L]) -> Self {
         let g = protocol.graph();
-        let (n, e) = (g.node_count(), g.edge_count());
-        if n < 2 || e == 0 || inputs.len() != n || alphabet.is_empty() {
+        match ReactionTable::build(protocol, inputs, &dedup_alphabet(alphabet)) {
+            Some(table) => Symmetry::from_table(g, inputs, &table),
+            None => Symmetry::identity(g.node_count(), g.edge_count()),
+        }
+    }
+
+    /// The validated automorphism group of the protocol on `graph` whose
+    /// reactions under `inputs` `table` holds — see the module docs.
+    /// Every returned element has passed validation against every entry,
+    /// and anything unverifiable degrades to the identity group. Calls no
+    /// reaction.
+    pub fn from_table<L: Label>(
+        graph: &DiGraph,
+        inputs: &[Input],
+        table: &ReactionTable<L>,
+    ) -> Self {
+        let (n, e) = (graph.node_count(), graph.edge_count());
+        if n < 2 || e == 0 || inputs.len() != n {
             return Symmetry::identity(n, e);
         }
-        let mut alpha: Vec<L> = Vec::with_capacity(alphabet.len());
-        for l in alphabet {
-            if !alpha.contains(l) {
-                alpha.push(l.clone());
-            }
-        }
-        let mut generators: Vec<Automorphism> = Vec::new();
-        for perm in candidate_perms(n) {
-            if let Some(auto) = validate(protocol, inputs, &alpha, &perm) {
-                generators.push(auto);
-            }
-        }
+        let generators: Vec<Automorphism> = candidate_perms(n)
+            .iter()
+            .filter_map(|perm| validate(graph, inputs, table, perm))
+            .collect();
         if generators.is_empty() {
             return Symmetry::identity(n, e);
         }
@@ -620,18 +759,20 @@ fn is_permutation(perm: &[u32], n: usize) -> bool {
     true
 }
 
-/// Validates one candidate node permutation against the protocol: the
-/// induced edge permutation must exist (graph automorphism), inputs must
-/// be constant on node orbits, and exhaustive probing (capped at
-/// [`PROBE_CAP`] reactions) must confirm reaction equivariance node by
-/// node. Returns the full [`Automorphism`] on success.
+/// Validates one candidate node permutation against the reaction table:
+/// the induced edge permutation must exist (graph automorphism), inputs
+/// must be constant on node orbits, and every node's entries must match
+/// its image's. Node `i`'s entry for digits `d` is compared with `π(i)`'s
+/// entry for the same digits moved onto the `σ`-images of `i`'s
+/// in-edges: the digit of `i`'s in-slot `s` weighs `|Σ|^t` there, `t`
+/// the slot of `σ(in_edges(i)[s])` within `in_edges(π(i))`. Returns the
+/// full [`Automorphism`] on success.
 fn validate<L: Label>(
-    protocol: &Protocol<L>,
+    g: &DiGraph,
     inputs: &[Input],
-    alpha: &[L],
+    table: &ReactionTable<L>,
     node_perm: &[u32],
 ) -> Option<Automorphism> {
-    let g: &DiGraph = protocol.graph();
     let (n, e) = (g.node_count(), g.edge_count());
     if !is_permutation(node_perm, n) {
         return None;
@@ -651,58 +792,40 @@ fn validate<L: Label>(
             return None;
         }
     }
-    if reaction_domain(g, alpha.len()) > PROBE_CAP {
-        return None;
-    }
-    let base = alpha[0].clone();
-    let mut lab_a = vec![base.clone(); e];
-    let mut lab_b = vec![base.clone(); e];
-    let (mut in_a, mut out_a) = (Vec::new(), Vec::new());
-    let (mut in_b, mut out_b) = (Vec::new(), Vec::new());
-    for i in 0..n {
-        let pi = node_perm[i] as usize;
-        let ins: Vec<EdgeId> = g.in_edges(i).to_vec();
+    let q = table.alphabet_len();
+    // The slot of σ(f) within `image`, an edge list of π(i).
+    let slot_of =
+        |image: &[usize], f: usize| image.iter().position(|&x| x == edge_perm[f] as usize);
+    for (i, &pi) in node_perm.iter().enumerate() {
+        let pi = pi as usize;
+        let weights: Vec<usize> = g
+            .in_edges(i)
+            .iter()
+            .map(|&f| slot_of(g.in_edges(pi), f).map(|t| q.pow(t as u32)))
+            .collect::<Option<_>>()?;
         // Out-slot correspondence: slot s of node i maps to the slot of
         // σ(out_edges(i)[s]) within out_edges(π(i)).
-        let out_map: Option<Vec<usize>> = g
+        let out_map: Vec<usize> = g
             .out_edges(i)
             .iter()
-            .map(|&f| {
-                let f2 = edge_perm[f] as usize;
-                g.out_edges(pi).iter().position(|&x| x == f2)
-            })
-            .collect();
-        let out_map = out_map?;
-        let mut digits = vec![0usize; ins.len()];
-        'probe: loop {
-            for (s, &f) in ins.iter().enumerate() {
-                lab_a[f] = alpha[digits[s]].clone();
-                lab_b[edge_perm[f] as usize] = alpha[digits[s]].clone();
+            .map(|&f| slot_of(g.out_edges(pi), f))
+            .collect::<Option<_>>()?;
+        for entry in 0..table.node_entries(i) {
+            let (mut rest, mut image) = (entry, 0);
+            for &w in &weights {
+                image += rest % q * w;
+                rest /= q;
             }
-            let y_a = protocol.apply_buffered(i, &lab_a, inputs[i], &mut in_a, &mut out_a);
-            let y_b = protocol.apply_buffered(pi, &lab_b, inputs[pi], &mut in_b, &mut out_b);
-            let ok = y_a == y_b
-                && out_map
+            let (y_a, out_a) = table.entry(i, entry);
+            let (y_b, out_b) = table.entry(pi, image);
+            if y_a != y_b
+                || out_map
                     .iter()
                     .enumerate()
-                    .all(|(s, &s2)| out_a[s] == out_b[s2]);
-            for &f in &ins {
-                lab_a[f] = base.clone();
-                lab_b[edge_perm[f] as usize] = base.clone();
-            }
-            if !ok {
+                    .any(|(s, &t)| out_a[s] != out_b[t])
+            {
                 return None;
             }
-            let mut k = 0;
-            while k < digits.len() {
-                digits[k] += 1;
-                if digits[k] < alpha.len() {
-                    continue 'probe;
-                }
-                digits[k] = 0;
-                k += 1;
-            }
-            break;
         }
     }
     Some(Automorphism {

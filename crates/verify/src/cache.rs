@@ -15,6 +15,16 @@
 //! the cache-key property: a result computed at 8 threads serves a
 //! 1-thread query bit for bit.
 //!
+//! # One table per query
+//!
+//! A query validates its parameters, then tabulates every node's
+//! reaction once per in-labeling ([`ReactionTable`]) and takes its key
+//! from that table, so a hit calls each reaction once per entry and
+//! builds no explorer. A miss or a resume hands the same table to the
+//! explorer, which reacts, validates symmetries and stamps its
+//! checkpoints from it: the key digests exactly the entries exploration
+//! reads.
+//!
 //! # What is stored
 //!
 //! Each entry carries the verdict (witness included, with labels
@@ -27,20 +37,21 @@
 //! the *query's* alphabet, which the fingerprint guarantees matches the
 //! writer's. Two different instances colliding on the 64-bit
 //! fingerprint would cross-serve — the same trust model as checkpoint
-//! resume. Only instances whose reaction domain is at most
-//! [`PROBE_CAP`] entries are cached, because there the fingerprint
+//! resume. Only instances with a reaction table — at most
+//! [`PROBE_CAP`] entries — are cached, because there the fingerprint
 //! digests every reaction entry and a collision requires a hash
 //! collision.
 //!
 //! # Instances over the probe cap are computed every time
 //!
-//! Above [`PROBE_CAP`] the fingerprint digests only a fixed sample of
-//! in-labelings per node (see [`instance_fingerprint`]), so two
-//! reactions that agree on the sample share a key while their verdicts
-//! may differ. The cache therefore neither looks such an instance up
-//! nor memoizes it, in memory or on disk: every query verifies from
-//! scratch and reports [`CacheOutcome::Miss`], and a deadline-truncated
-//! run leaves no resume pointer.
+//! Above [`PROBE_CAP`] there is no table, and the fingerprint digests
+//! only a fixed sample of in-labelings per node (see
+//! [`instance_fingerprint`]), so two reactions that agree on the sample
+//! share a key while their verdicts may differ. The cache therefore
+//! neither looks such an instance up nor memoizes it, in memory or on
+//! disk: every query verifies from scratch and reports
+//! [`CacheOutcome::Miss`], and a deadline-truncated run leaves no resume
+//! pointer.
 //!
 //! # `Verdict::Partial` is never memoized as final
 //!
@@ -66,6 +77,8 @@
 //! answer), and an entry that decodes inconsistently is dropped at
 //! lookup time. Eviction is LRU under a byte budget measured over the
 //! serialized entry payloads.
+//!
+//! [`PROBE_CAP`]: stateless_core::symmetry::PROBE_CAP
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -74,14 +87,10 @@ use std::time::Instant;
 
 use stateless_core::checkpoint::{CheckpointError, CheckpointStore};
 use stateless_core::prelude::*;
-use stateless_core::symmetry::{reaction_domain, SymmetryMode, PROBE_CAP};
+use stateless_core::symmetry::{dedup_alphabet, ReactionTable, SymmetryMode};
 
 use crate::checkpoint::{instance_fingerprint, CheckpointHandle};
-use crate::product::{
-    retry_once, verify_label_stabilization_resumed_at, verify_label_stabilization_with_stats,
-    verify_output_stabilization_resumed_at, verify_output_stabilization_with_stats, CycleWitness,
-    ExploreStats, Limits, Verdict, VerifyError,
-};
+use crate::product::{CycleWitness, ExploreStats, Instance, Limits, Verdict, VerifyError};
 
 /// Default byte budget for the serialized entry payloads (64 MiB —
 /// verdict entries are tiny; this is effectively "unbounded unless you
@@ -140,7 +149,7 @@ pub struct Provenance {
     /// `STATELESS_COMMIT` environment variable (CI exports the build
     /// sha; no git invocation at runtime), `"unknown"` when unset.
     pub commit: String,
-    /// Wall-clock seconds the computing run took (exploration through
+    /// Wall-clock seconds the computing run took (tabulation through
     /// verdict). Zero for a resume pointer that has not completed yet.
     pub wall_secs: f64,
     /// Worker threads the computing run used ([`Limits::threads`]).
@@ -309,7 +318,8 @@ impl VerdictCache {
 
     /// The instance fingerprint a **label**-stabilization query of
     /// these parameters is keyed under (exposed so services can report
-    /// the key alongside their rows).
+    /// the key alongside their rows). Tabulates the reactions to take it,
+    /// as the query itself does.
     pub fn label_fingerprint<L: Label>(
         protocol: &Protocol<L>,
         inputs: &[Input],
@@ -317,14 +327,9 @@ impl VerdictCache {
         r: u8,
         limits: &Limits,
     ) -> u64 {
-        fingerprint_of(
-            protocol,
-            inputs,
-            &dedup_alphabet(alphabet),
-            r,
-            false,
-            limits,
-        )
+        let dedup = dedup_alphabet(alphabet);
+        let table = ReactionTable::build(protocol, inputs, &dedup);
+        instance_fingerprint(protocol, inputs, &dedup, table.as_ref(), r, false, limits)
     }
 
     /// Answers a **label**-stabilization query through the cache:
@@ -333,14 +338,16 @@ impl VerdictCache {
     /// stored `Partial` pointer resumes from its checkpoint epoch
     /// ([`CacheOutcome::Resumed`]), and anything else verifies from
     /// scratch ([`CacheOutcome::Miss`]) and memoizes the result. An
-    /// instance over [`PROBE_CAP`] is always a `Miss` and is never
-    /// memoized (see the module docs).
+    /// instance over [`PROBE_CAP`](stateless_core::symmetry::PROBE_CAP)
+    /// is always a `Miss` and is never memoized (see the module docs).
     ///
     /// # Errors
     ///
     /// As for [`verify_label_stabilization_with_stats`]. Cache-layer
     /// I/O can never fail a query: a broken persistence directory only
     /// stops memoization, and a corrupt entry falls back to recompute.
+    ///
+    /// [`verify_label_stabilization_with_stats`]: crate::verify_label_stabilization_with_stats
     pub fn verify_label<L: Label>(
         &self,
         protocol: &Protocol<L>,
@@ -370,6 +377,10 @@ impl VerdictCache {
         self.verify(protocol, inputs, alphabet, r, true, limits)
     }
 
+    /// One query: tabulate, key, look up, and on a miss or a resume hand
+    /// the same instance, table included, to the explorer. The deadline
+    /// clock starts before the tabulation, as for the `verify_*` entry
+    /// points; a resumed run's budget starts once its epoch is loaded.
     fn verify<L: Label>(
         &self,
         protocol: &Protocol<L>,
@@ -379,15 +390,13 @@ impl VerdictCache {
         track_outputs: bool,
         limits: &Limits,
     ) -> Result<CachedVerdict<L>, VerifyError> {
-        limits.validate()?;
-        let dedup = dedup_alphabet(alphabet);
-        let fp = retry_once("instance fingerprint", || {
-            fingerprint_of(protocol, inputs, &dedup, r, track_outputs, limits)
-        })?;
-        // Above the cap the key digests a sample of the reactions, so
+        let started = Instant::now();
+        let inst = Instance::new(protocol, inputs, alphabet, r, track_outputs, limits)?;
+        let fp = inst.key(limits)?;
+        // Without a table the key digests a sample of the reactions, so
         // equal keys need not mean equal instances: such an instance is
         // never looked up and never memoized.
-        let exact_key = reaction_domain(protocol.graph(), dedup.len()) <= PROBE_CAP;
+        let exact_key = inst.table.is_some();
         // Lookup under the lock; decode failures drop the entry (a
         // corrupt record must fall back to recompute, not error).
         let cached = {
@@ -396,7 +405,7 @@ impl VerdictCache {
                 .entries
                 .get(&fp)
                 .filter(|_| exact_key)
-                .map(|entry| decode_entry::<L>(&entry.words, &dedup));
+                .map(|entry| decode_entry::<L>(&entry.words, &inst.alphabet));
             match decoded {
                 Some(Some(decoded)) => {
                     inner.tick += 1;
@@ -416,134 +425,56 @@ impl VerdictCache {
                 None => None,
             }
         };
-        match cached {
+        let pointer = match cached {
             Some(Decoded::Final {
                 verdict,
                 stats,
                 provenance,
-            }) => Ok(CachedVerdict {
-                verdict,
-                stats,
-                provenance,
-                fingerprint: fp,
-                outcome: CacheOutcome::Hit,
-            }),
-            Some(Decoded::Pointer { handle, .. }) => self.resume(
-                protocol,
-                inputs,
-                &dedup,
-                r,
-                track_outputs,
-                limits,
-                fp,
-                &handle,
-            ),
-            None => self.compute(
-                protocol,
-                inputs,
-                &dedup,
-                r,
-                track_outputs,
-                limits,
-                fp,
-                exact_key,
-            ),
-        }
-    }
-
-    /// The miss path: verify from scratch, memoize when `memoize` is
-    /// set, report [`CacheOutcome::Miss`].
-    #[allow(clippy::too_many_arguments)] // private: one arg per instance dimension
-    fn compute<L: Label>(
-        &self,
-        protocol: &Protocol<L>,
-        inputs: &[Input],
-        dedup: &[L],
-        r: u8,
-        track_outputs: bool,
-        limits: &Limits,
-        fp: u64,
-        memoize: bool,
-    ) -> Result<CachedVerdict<L>, VerifyError> {
-        let started = Instant::now();
-        let (verdict, stats) = if track_outputs {
-            verify_output_stabilization_with_stats(protocol, inputs, dedup, r, limits.clone())?
-        } else {
-            verify_label_stabilization_with_stats(protocol, inputs, dedup, r, limits.clone())?
+            }) => {
+                return Ok(CachedVerdict {
+                    verdict,
+                    stats,
+                    provenance,
+                    fingerprint: fp,
+                    outcome: CacheOutcome::Hit,
+                })
+            }
+            Some(Decoded::Pointer { handle }) => Some(handle),
+            None => None,
+        };
+        let alphabet = inst.alphabet.clone();
+        let ((verdict, stats), outcome) = match pointer {
+            // The stored epoch first; a pruned or corrupted one falls back
+            // to the newest valid epoch, and a dead store to a fresh run —
+            // a pointer can cost a restart, never a wrong answer.
+            Some(handle) => {
+                let resumed = inst
+                    .clone()
+                    .resume(limits, &handle.dir, Some(handle.epoch))
+                    .or_else(|e| match e {
+                        VerifyError::Resume(_) => inst.clone().resume(limits, &handle.dir, None),
+                        other => Err(other),
+                    });
+                match resumed {
+                    Ok(settled) => (settled, CacheOutcome::Resumed),
+                    Err(VerifyError::Resume(_)) => {
+                        (inst.verify(limits, started)?, CacheOutcome::Miss)
+                    }
+                    Err(other) => return Err(other),
+                }
+            }
+            None => (inst.verify(limits, started)?, CacheOutcome::Miss),
         };
         let provenance = provenance_of(limits, started.elapsed().as_secs_f64());
-        if memoize {
-            self.memoize(fp, &verdict, stats, &provenance, dedup);
+        if exact_key {
+            self.memoize(fp, &verdict, stats, &provenance, &alphabet);
         }
         Ok(CachedVerdict {
             verdict,
             stats,
             provenance,
             fingerprint: fp,
-            outcome: CacheOutcome::Miss,
-        })
-    }
-
-    /// The resume path: continue a stored `Partial` from its checkpoint
-    /// epoch. A stale or unusable pointer degrades to the miss path —
-    /// a pointer can cost a restart, never a wrong answer.
-    #[allow(clippy::too_many_arguments)] // private: one arg per instance dimension
-    fn resume<L: Label>(
-        &self,
-        protocol: &Protocol<L>,
-        inputs: &[Input],
-        dedup: &[L],
-        r: u8,
-        track_outputs: bool,
-        limits: &Limits,
-        fp: u64,
-        handle: &CheckpointHandle,
-    ) -> Result<CachedVerdict<L>, VerifyError> {
-        let started = Instant::now();
-        let run = |epoch: Option<u64>| {
-            if track_outputs {
-                verify_output_stabilization_resumed_at(
-                    protocol,
-                    inputs,
-                    dedup,
-                    r,
-                    limits.clone(),
-                    &handle.dir,
-                    epoch,
-                )
-            } else {
-                verify_label_stabilization_resumed_at(
-                    protocol,
-                    inputs,
-                    dedup,
-                    r,
-                    limits.clone(),
-                    &handle.dir,
-                    epoch,
-                )
-            }
-        };
-        // The stored epoch first; a pruned or corrupted one falls back
-        // to the newest valid epoch, and a dead store to a fresh run.
-        let resumed = run(Some(handle.epoch)).or_else(|e| match e {
-            VerifyError::Resume(_) => run(None),
-            other => Err(other),
-        });
-        let (verdict, stats) = match resumed {
-            Ok(ok) => ok,
-            Err(VerifyError::Resume(_)) => {
-                return self.compute(protocol, inputs, dedup, r, track_outputs, limits, fp, true)
-            }
-            Err(other) => return Err(other),
-        };
-        let provenance = provenance_of(limits, started.elapsed().as_secs_f64());
-        self.memoize(fp, &verdict, stats, &provenance, dedup);
-        Ok(CachedVerdict {
-            verdict,
-            stats,
-            provenance,
-            fingerprint: fp,
-            outcome: CacheOutcome::Resumed,
+            outcome,
         })
     }
 
@@ -644,41 +575,6 @@ impl VerdictCache {
         let mut inner = self.inner.lock().expect("cache lock");
         self.save(&mut inner)
     }
-}
-
-/// First-occurrence deduplication — exactly the explorer's (and
-/// [`instance_fingerprint`]'s required) alphabet normalization, so the
-/// cache key and the index-coded witness labels agree with the runs
-/// they memoize.
-fn dedup_alphabet<L: Label>(alphabet: &[L]) -> Vec<L> {
-    let mut dedup: Vec<L> = Vec::with_capacity(alphabet.len());
-    for l in alphabet {
-        if !dedup.contains(l) {
-            dedup.push(l.clone());
-        }
-    }
-    dedup
-}
-
-fn fingerprint_of<L: Label>(
-    protocol: &Protocol<L>,
-    inputs: &[Input],
-    dedup: &[L],
-    r: u8,
-    track_outputs: bool,
-    limits: &Limits,
-) -> u64 {
-    instance_fingerprint(
-        protocol,
-        inputs,
-        dedup,
-        r,
-        track_outputs,
-        &limits.faults,
-        limits.symmetry,
-        limits.max_states,
-        limits.max_edges,
-    )
 }
 
 fn provenance_of(limits: &Limits, wall_secs: f64) -> Provenance {

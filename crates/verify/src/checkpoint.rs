@@ -23,26 +23,28 @@
 //! graph: node and edge structure of the topology, `r`, the query mode
 //! (label vs output stabilization), the deduplicated alphabet, the
 //! inputs, the fault model, the symmetry mode, and the state/edge
-//! budgets — plus a *behavioral* digest of the protocol table itself
-//! (the reactions are opaque functions, so they are probed and the
-//! responses hashed; see below). Worker
-//! thread counts, the deadline, and the checkpoint policy are
+//! budgets — plus a *behavioral* digest of the reactions themselves.
+//! Worker thread counts, the deadline, and the checkpoint policy are
 //! deliberately **excluded**: none of them change the
 //! explored graph, and resume-at-a-different-thread-count is exactly
 //! the point. A mismatch at resume time is a typed
 //! [`ResumeError::InstanceMismatch`], never a silent wrong answer.
 //!
-//! The behavioral digest is **exact** when the reaction domain is small:
-//! if `Σᵥ |Σ|^indeg(v)` ([`reaction_domain`]) is at most [`PROBE_CAP`],
-//! every node's reaction is called on every combination of its in-labels
-//! (node order, then in-edge order, the first in-edge's digit varying
-//! fastest; every other edge holds the first alphabet label), so two
-//! instances with different reaction tables get different digests up to
-//! a 64-bit hash collision. Above the cap the reactions are probed on a
-//! fixed pseudorandom sample of whole labelings instead. That sample is
-//! a guard against accidental mismatch, not a proof of protocol
-//! equality: two reactions that agree on it but differ elsewhere
-//! collide.
+//! The behavioral digest is **exact** when the query has a
+//! [`ReactionTable`]: if `Σᵥ |Σ|^indeg(v)` ([`reaction_domain`]) is at
+//! most [`PROBE_CAP`], the query tabulates every node's reaction on every
+//! combination of its in-labels once, and the digest hashes those
+//! entries (node order, then in-edge order, the first in-edge's digit
+//! varying fastest) — the very entries exploration reacts from. It calls
+//! no reaction, and two instances with different reaction tables get
+//! different digests up to a 64-bit hash collision. Above the cap there
+//! is no table, and the reactions are probed on a fixed pseudorandom
+//! sample of whole labelings instead. That sample is a guard against
+//! accidental mismatch, not a proof of protocol equality: two reactions
+//! that agree on it but differ elsewhere collide.
+//!
+//! [`reaction_domain`]: stateless_core::symmetry::reaction_domain
+//! [`PROBE_CAP`]: stateless_core::symmetry::PROBE_CAP
 
 use std::fmt;
 use std::path::PathBuf;
@@ -50,8 +52,10 @@ use std::path::PathBuf;
 use stateless_core::checkpoint::CheckpointError;
 use stateless_core::intern::FxHasher;
 use stateless_core::prelude::*;
-use stateless_core::symmetry::{reaction_domain, SymmetryMode, PROBE_CAP};
+use stateless_core::symmetry::{ReactionTable, SymmetryMode};
 use std::hash::{Hash, Hasher};
+
+use crate::product::Limits;
 
 /// When (and where) the explorer writes checkpoint epochs.
 ///
@@ -182,26 +186,28 @@ impl From<CheckpointError> for ResumeError {
 const FINGERPRINT_SEED: u64 = 0x5354_4c53_4650_0002; // "STLSFP" v2
 
 /// Number of pseudorandom labelings each node's reaction is probed with
-/// when its reaction domain exceeds [`PROBE_CAP`].
+/// when the instance has no reaction table.
 const PROBES_PER_NODE: usize = 8;
 
 /// The canonical fingerprint of a verification instance — see the
-/// [module docs](self) for exactly what is (and is not) covered.
+/// [module docs](self) for exactly what is (and is not) covered. Of
+/// `limits` it hashes the fault model, the symmetry mode and the two
+/// budgets.
 ///
 /// `alphabet` must already be deduplicated (first occurrence wins), as
 /// the explorer's `Config` holds it: duplicate alphabet entries do not
-/// change the instance.
-#[allow(clippy::too_many_arguments)] // one parameter per fingerprinted dimension
+/// change the instance. `table` is the query's reaction table over it,
+/// which exists exactly when the instance has at most
+/// [`PROBE_CAP`](stateless_core::symmetry::PROBE_CAP) entries; without
+/// one the reactions are sampled.
 pub fn instance_fingerprint<L: Label>(
     protocol: &Protocol<L>,
     inputs: &[Input],
     alphabet: &[L],
+    table: Option<&ReactionTable<L>>,
     r: u8,
     track_outputs: bool,
-    faults: &FaultModel,
-    symmetry: SymmetryMode,
-    max_states: usize,
-    max_edges: usize,
+    limits: &Limits,
 ) -> u64 {
     let mut h = FxHasher::seeded(FINGERPRINT_SEED);
     let graph = protocol.graph();
@@ -223,66 +229,35 @@ pub fn instance_fingerprint<L: Label>(
     for &x in inputs {
         h.write_u64(x);
     }
-    faults.hash(&mut h);
-    h.write_u8(match symmetry {
+    limits.faults.hash(&mut h);
+    h.write_u8(match limits.symmetry {
         SymmetryMode::Off => 0,
         SymmetryMode::Auto => 1,
     });
-    h.write_usize(max_states);
-    h.write_usize(max_edges);
-    // Behavioral digest of the protocol table: hash the emitted labels
-    // and output of every probe. Reactions are opaque functions, so the
-    // digest is exact only where every entry can be enumerated.
-    if alphabet.is_empty() {
-        return h.finish();
-    }
-    let q = alphabet.len();
-    let mut labeling: Vec<L> = vec![alphabet[0].clone(); e];
-    let mut in_buf: Vec<L> = Vec::new();
-    let mut react_buf: Vec<L> = Vec::new();
-    let mut probe = |node: NodeId, labeling: &[L], h: &mut FxHasher| {
-        let y = protocol.apply_buffered(
-            node,
-            labeling,
-            inputs.get(node).copied().unwrap_or(0),
-            &mut in_buf,
-            &mut react_buf,
-        );
+    h.write_usize(limits.max_states);
+    h.write_usize(limits.max_edges);
+    // Behavioral digest: the output and out-labels of every table entry,
+    // or of every sampled probe.
+    let hash_entry = |h: &mut FxHasher, y: Output, labels: &[L]| {
         h.write_u64(y);
-        h.write_usize(react_buf.len());
-        for l in &react_buf {
+        h.write_usize(labels.len());
+        for l in labels {
             l.hash(h);
         }
     };
-    if reaction_domain(graph, q) <= PROBE_CAP {
-        // Every entry: each node on every in-label combination, the
-        // first in-edge's digit varying fastest.
-        let mut digits: Vec<usize> = Vec::new();
+    if let Some(table) = table {
         for node in 0..n {
-            let ins = graph.in_edges(node);
-            digits.clear();
-            digits.resize(ins.len(), 0);
-            'entries: loop {
-                for (&d, &f) in digits.iter().zip(ins) {
-                    labeling[f] = alphabet[d].clone();
-                }
-                probe(node, &labeling, &mut h);
-                for d in digits.iter_mut() {
-                    *d += 1;
-                    if *d < q {
-                        continue 'entries;
-                    }
-                    *d = 0;
-                }
-                break;
-            }
-            for &f in ins {
-                labeling[f] = alphabet[0].clone();
+            for entry in 0..table.node_entries(node) {
+                let (y, labels) = table.entry(node, entry);
+                hash_entry(&mut h, y, labels);
             }
         }
-    } else {
+    } else if !alphabet.is_empty() {
         // A fixed pseudorandom sample of whole labelings (an LCG over
         // alphabet indices — deterministic, platform-independent).
+        let q = alphabet.len();
+        let mut labeling: Vec<L> = vec![alphabet[0].clone(); e];
+        let (mut in_buf, mut react_buf) = (Vec::new(), Vec::new());
         let mut lcg: u64 = 0x9e37_79b9_7f4a_7c15;
         for node in 0..n {
             for _ in 0..PROBES_PER_NODE {
@@ -292,7 +267,14 @@ pub fn instance_fingerprint<L: Label>(
                         .wrapping_add(1442695040888963407);
                     *slot = alphabet[(lcg >> 33) as usize % q].clone();
                 }
-                probe(node, &labeling, &mut h);
+                let y = protocol.apply_buffered(
+                    node,
+                    &labeling,
+                    inputs.get(node).copied().unwrap_or(0),
+                    &mut in_buf,
+                    &mut react_buf,
+                );
+                hash_entry(&mut h, y, &react_buf);
             }
         }
     }
@@ -311,20 +293,44 @@ mod tests {
             .unwrap()
     }
 
+    /// The key of a query as the verifier takes it: from the table
+    /// tabulated over `alphabet`, with an edge budget of 10,000.
+    #[allow(clippy::too_many_arguments)] // one parameter per keyed dimension
+    fn key<L: Label>(
+        p: &Protocol<L>,
+        inputs: &[Input],
+        alphabet: &[L],
+        r: u8,
+        track: bool,
+        faults: FaultModel,
+        symmetry: SymmetryMode,
+        max_states: usize,
+    ) -> u64 {
+        let table = ReactionTable::build(p, inputs, alphabet);
+        let limits = Limits {
+            faults,
+            symmetry,
+            max_states,
+            max_edges: 10_000,
+            ..Limits::default()
+        };
+        instance_fingerprint(p, inputs, alphabet, table.as_ref(), r, track, &limits)
+    }
+
     #[test]
     fn fingerprint_is_stable_and_sensitive() {
         let p = ring(3);
         let fp = |r: u8, inputs: &[Input], track: bool| {
-            instance_fingerprint(
+            let off = SymmetryMode::Off;
+            key(
                 &p,
                 inputs,
                 &[false, true],
                 r,
                 track,
-                &FaultModel::none(),
-                SymmetryMode::Off,
+                FaultModel::none(),
+                off,
                 1000,
-                10_000,
             )
         };
         assert_eq!(fp(2, &[0; 3], false), fp(2, &[0; 3], false));
@@ -340,16 +346,16 @@ mod tests {
             .build()
             .unwrap();
         let base = |p: &Protocol<bool>| {
-            instance_fingerprint(
+            let off = SymmetryMode::Off;
+            key(
                 p,
                 &[0; 3],
                 &[false, true],
                 2,
                 false,
-                &FaultModel::none(),
-                SymmetryMode::Off,
+                FaultModel::none(),
+                off,
                 1000,
-                10_000,
             )
         };
         assert_ne!(base(&ring(3)), base(&not_ring));
@@ -369,16 +375,16 @@ mod tests {
                 .build()
                 .unwrap();
             let alphabet: Vec<u64> = (0..16).collect();
-            instance_fingerprint(
+            let off = SymmetryMode::Off;
+            key(
                 &p,
                 &[0; 3],
                 &alphabet,
                 2,
                 false,
-                &FaultModel::none(),
-                SymmetryMode::Off,
+                FaultModel::none(),
+                off,
                 1000,
-                10_000,
             )
         };
         let base = fp(None);
@@ -392,17 +398,7 @@ mod tests {
     fn fingerprint_sees_faults_symmetry_and_budgets() {
         let p = ring(4);
         let fp = |faults: FaultModel, sym: SymmetryMode, ms: usize| {
-            instance_fingerprint(
-                &p,
-                &[0; 4],
-                &[false, true],
-                2,
-                false,
-                &faults,
-                sym,
-                ms,
-                10_000,
-            )
+            key(&p, &[0; 4], &[false, true], 2, false, faults, sym, ms)
         };
         let base = fp(FaultModel::none(), SymmetryMode::Off, 1000);
         let byz = FaultModel::byzantine(&[1]).unwrap();

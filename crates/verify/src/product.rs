@@ -27,11 +27,15 @@
 //!   and resolve it to its dense id by a read-only fingerprint lookup
 //!   ([`FingerprintIndex::find`]) against the row arenas. Reacting is a
 //!   table lookup: when the instance has at most [`PROBE_CAP`] reaction
-//!   entries (`Σᵥ |Σ|^indeg(v)`), `Explorer::prepare` calls every
-//!   correct node's reaction once per in-labeling and stores the
-//!   out-labels as whole-word masks, so a state reads each node's
+//!   entries (`Σᵥ |Σ|^indeg(v)`), the query tabulates every node's
+//!   reaction once per in-labeling ([`ReactionTable`]) before anything
+//!   else, and that one table serves the whole query: symmetry
+//!   validation, the instance key the checkpoints and the verdict cache
+//!   trust, and `Explorer::prepare`, which packs each correct node's
+//!   out-labels into whole-word masks, so a state reads each node's
 //!   in-edge digits from its row and ORs in that node's entry. Larger
-//!   instances decode the row and call the reactions instead. This is the
+//!   instances have no table: they decode the row and call the
+//!   reactions, keep the identity group, and get a sampled key. This is the
 //!   classic on-the-fly / implicit-graph model-checking move: memory is
 //!   O(states) plus bounded transients (per-batch record buffers during
 //!   exploration, the edge buffers along one DFS path during SCC, and
@@ -103,9 +107,9 @@
 //! loop counts those edges (each state's lone activation set branches
 //! over every adversary choice), charges them against
 //! [`Limits::max_edges`], and goes straight to the SCC pass, which
-//! generates each edge once. The table build has already checked every
-//! reaction entry against the alphabet, the one check those batches
-//! made.
+//! generates each edge once. Packing the table has already checked
+//! every correct node's entry against the alphabet, the one check those
+//! batches made.
 //!
 //! Batch and chunk boundaries derive only from per-state degree
 //! estimates (never the thread count), and interning follows the record
@@ -157,9 +161,11 @@
 //! it exists for testing only. One behavioral refinement: the packed
 //! explorer requires the reactions to be closed over `alphabet` and
 //! reports a violation immediately as [`VerifyError::BadParameters`] —
-//! from the reaction table's build, before seeding, when it has one —
+//! while packing the reaction table, before seeding, when it has one —
 //! where the naive explorer would silently grow the state space until
 //! [`Limits::max_states`] tripped.
+//!
+//! [`PROBE_CAP`]: stateless_core::symmetry::PROBE_CAP
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -180,11 +186,11 @@ use stateless_core::label::Label;
 use stateless_core::prelude::*;
 use stateless_core::scc;
 use stateless_core::symmetry::{
-    reaction_domain, Automorphism, CanonScratch, PackedLayout, Symmetry, SymmetryMode, PROBE_CAP,
+    dedup_alphabet, Automorphism, CanonScratch, PackedLayout, ReactionTable, Symmetry, SymmetryMode,
 };
 
 use crate::checkpoint::{instance_fingerprint, CheckpointHandle, CheckpointPolicy, ResumeError};
-use crate::table::{outside_alphabet, ReactionTable};
+use crate::table::{outside_alphabet, PackedReactions};
 
 /// Largest node count the exact verifier accepts; a larger protocol is
 /// rejected as [`VerifyError::BadParameters`] before anything is
@@ -373,11 +379,12 @@ pub enum VerifyError {
     /// final epoch first, so the work is not lost; fix the reaction and
     /// resume from [`checkpoint`](VerifyError::PoisonedChunk::checkpoint).
     ///
-    /// Reactions also run before any batch: once per entry while the
-    /// reaction table is built, and in symmetry derivation and the
-    /// instance fingerprint's probes. A panic there is retried once the
-    /// same way, and a second one is this error with no checkpoint,
-    /// since nothing was explored that one could resume.
+    /// Before any batch, the only reaction calls are the query's one
+    /// tabulation of its reaction table and, for an instance over the
+    /// table's cap, the instance fingerprint's sampled probes. A panic
+    /// there is retried once the same way, and a second one is this
+    /// error with no checkpoint, since nothing was explored that one
+    /// could resume.
     PoisonedChunk {
         /// The panic payload (when it was a string) and the chunk range.
         what: String,
@@ -582,14 +589,168 @@ const SEED_BATCH_STATES: usize = 1 << 17;
 /// verdicts, ids, or witnesses.
 const PARALLEL_MIN_BATCH_EDGES: u64 = 1 << 16;
 
-/// Read-only exploration parameters, shared by every worker.
-struct Config<'p, L: Label> {
+/// One query's instance, validated and tabulated: what an explorer is
+/// prepared from and what the verdict cache keys. Built once per query
+/// ([`Instance::new`]), so every consumer of the reactions — symmetry
+/// validation, the instance key, the packed reactions — reads the same
+/// table.
+#[derive(Clone)]
+pub(crate) struct Instance<'p, L: Label> {
     protocol: &'p Protocol<L>,
     inputs: Vec<Input>,
     r: u8,
     track_outputs: bool,
     /// Deduplicated alphabet; packed label fields are indices into it.
-    alphabet: Vec<L>,
+    pub(crate) alphabet: Vec<L>,
+    /// Every node's reaction over `alphabet`, tabulated once, faulty nodes
+    /// included, when the instance has at most
+    /// [`PROBE_CAP`](stateless_core::symmetry::PROBE_CAP) reaction
+    /// entries; `None` above it, where expansion calls the protocol's
+    /// reactions.
+    pub(crate) table: Option<ReactionTable<L>>,
+    /// Upper bound on the adversary branching factor of any activation
+    /// set: `|Σ|^(total Byzantine out-degree)`, saturating. `1` when
+    /// fault-free — every fan-out estimate degrades to the exact
+    /// pre-fault figure.
+    byz_branch_bound: u64,
+}
+
+impl<'p, L: Label> Instance<'p, L> {
+    /// Validates every parameter, then tabulates the reactions. No
+    /// reaction runs before the parameters pass, and a reaction panic
+    /// while tabulating is retried once ([`retry_once`]).
+    ///
+    /// # Errors
+    ///
+    /// [`VerifyError::BadParameters`] for bad limits, more than
+    /// [`MAX_NODES`] nodes, `r = 0`, an invalid fault model, `inputs` not
+    /// one per node, or an adversary fan-out past 32 bits;
+    /// [`VerifyError::PoisonedChunk`] when tabulating panics twice.
+    pub(crate) fn new(
+        protocol: &'p Protocol<L>,
+        inputs: &[Input],
+        alphabet: &[L],
+        r: u8,
+        track_outputs: bool,
+        limits: &Limits,
+    ) -> Result<Self, VerifyError> {
+        limits.validate()?;
+        let n = protocol.node_count();
+        let bad = |what: String| Err(VerifyError::BadParameters { what });
+        if n > MAX_NODES {
+            return bad(format!(
+                "exhaustive verification supports n ≤ {MAX_NODES}, got {n}"
+            ));
+        }
+        if r == 0 {
+            return bad("r must be ≥ 1".into());
+        }
+        if let Err(e) = limits.faults.validate(n) {
+            return bad(e.to_string());
+        }
+        if inputs.len() != n {
+            return bad(wrong_inputs(inputs.len(), n));
+        }
+        // Equal labels share one packed index, so states dedup exactly as
+        // in the naive explorer.
+        let dedup = dedup_alphabet(alphabet);
+        // Adversary fan-out: an activated Byzantine node branches over
+        // |Σ|^out-degree label choices. Reject models whose worst-case
+        // per-state fan-out (every activation set × every choice) could
+        // exceed 32 bits — such an exploration would be astronomically
+        // infeasible anyway, and the bound keeps every choice code and
+        // fan-out estimate far from overflow.
+        let mut byz_branch_bound = 1u64;
+        for i in limits.faults.byzantine_nodes().filter(|&i| i < n) {
+            for _ in 0..protocol.graph().out_degree(i) {
+                byz_branch_bound = byz_branch_bound.saturating_mul(dedup.len() as u64);
+            }
+        }
+        if (1u64 << n).saturating_mul(byz_branch_bound) > u64::from(u32::MAX) {
+            return bad(format!(
+                "adversary fan-out |Σ|^byz-out-degree = {byz_branch_bound} is too \
+                 large to enumerate (per-state fan-out must fit 32 bits)"
+            ));
+        }
+        let table = retry_once("reaction table", || {
+            ReactionTable::build(protocol, inputs, &dedup)
+        })?;
+        Ok(Instance {
+            protocol,
+            inputs: inputs.to_vec(),
+            r,
+            track_outputs,
+            alphabet: dedup,
+            table,
+            byz_branch_bound,
+        })
+    }
+
+    /// The instance key ([`instance_fingerprint`]): every checkpoint
+    /// epoch stamps it, resume verifies it, and the verdict cache is keyed
+    /// by it. With a table it hashes the entries and calls no reaction;
+    /// without one its sampled reaction probes are retried once like the
+    /// tabulation.
+    pub(crate) fn key(&self, limits: &Limits) -> Result<u64, VerifyError> {
+        let key = |table| {
+            instance_fingerprint(
+                self.protocol,
+                &self.inputs,
+                &self.alphabet,
+                table,
+                self.r,
+                self.track_outputs,
+                limits,
+            )
+        };
+        match &self.table {
+            Some(table) => Ok(key(Some(table))),
+            None => retry_once("instance fingerprint", || key(None)),
+        }
+    }
+
+    /// Explores the instance from its seeds and settles the verdict. The
+    /// deadline is measured from `started`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`verify_label_stabilization`].
+    pub(crate) fn verify(
+        self,
+        limits: &Limits,
+        started: Instant,
+    ) -> Result<(Verdict<L>, ExploreStats), VerifyError> {
+        Ok(settle(Explorer::explore(self, limits, started)?))
+    }
+
+    /// Resumes the instance from checkpoint epoch `epoch` in `dir` (the
+    /// newest valid one when `None`) and settles the verdict. The
+    /// deadline is measured from the moment the epoch is loaded.
+    ///
+    /// # Errors
+    ///
+    /// As for [`verify_label_stabilization_resumed`].
+    pub(crate) fn resume(
+        self,
+        limits: &Limits,
+        dir: &Path,
+        epoch: Option<u64>,
+    ) -> Result<(Verdict<L>, ExploreStats), VerifyError> {
+        let (ex, cursor) = Explorer::resume(self, limits, dir, epoch)?;
+        Ok(settle(ex.run(cursor, limits, Instant::now())?))
+    }
+}
+
+/// The [`VerifyError::BadParameters`] message for `got` inputs on an
+/// `n`-node protocol.
+fn wrong_inputs(got: usize, n: usize) -> String {
+    format!("inputs has {got} entries, but the protocol has {n} nodes")
+}
+
+/// Read-only exploration parameters, shared by every worker.
+struct Config<'p, L: Label> {
+    /// The query: protocol, inputs, `r`, mode, alphabet and table.
+    inst: Instance<'p, L>,
     label_index: HashMap<L, u32, FxBuildHasher>,
     label_width: u32,
     countdown_width: u32,
@@ -616,23 +777,18 @@ struct Config<'p, L: Label> {
     byzantine: u32,
     /// The whole-word masks [`step_row`] builds successors from.
     masks: RowMasks,
-    /// Every correct node's reaction, tabulated once, when the instance
-    /// has at most [`PROBE_CAP`] reaction entries; `None` above it, where
-    /// expansion calls the protocol's reactions.
-    table: Option<ReactionTable>,
+    /// Every correct node's table entries as packed masks, when the
+    /// instance has a table; `None` above the cap, where expansion
+    /// calls the protocol's reactions.
+    reactions: Option<PackedReactions>,
     /// Whether every successor is a seed: with a table, an `r = 1`
     /// label-mode state is its labeling alone (countdown fields are zero
     /// bits wide and outputs are not tracked), and every labeling is
     /// seeded. Exploration then finds nothing past the seeds, so
     /// [`Explorer::run`] counts their edges instead of expanding them.
-    /// The table matters: building it checks every reaction entry
+    /// The table matters: packing it checks every correct node's entry
     /// against the alphabet, which expansion would otherwise do.
     successors_are_seeds: bool,
-    /// Upper bound on the adversary branching factor of any activation
-    /// set: `|Σ|^(total Byzantine out-degree)`, saturating. `1` when
-    /// fault-free — every fan-out estimate degrades to the exact
-    /// pre-fault figure.
-    byz_branch_bound: u64,
 }
 
 impl<L: Label> Config<'_, L> {
@@ -658,7 +814,8 @@ impl<L: Label> Config<'_, L> {
         let lw = self.label_width;
         out.clear();
         out.extend(
-            (0..self.e).map(|k| self.alphabet[unpack(row, k * lw as usize, lw) as usize].clone()),
+            (0..self.e)
+                .map(|k| self.inst.alphabet[unpack(row, k * lw as usize, lw) as usize].clone()),
         );
     }
 }
@@ -870,9 +1027,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs `f`, a step that calls reactions outside the expand workers —
-/// building the reaction table, deriving symmetries, or probing the
-/// instance fingerprint — and retries it once if it panics, as a
-/// panicked chunk is retried. A second panic is
+/// tabulating the reactions, or probing them for the sampled instance
+/// fingerprint of an instance without a table — and retries it once if
+/// it panics, as a panicked chunk is retried. A second panic is
 /// [`VerifyError::PoisonedChunk`] without a checkpoint, so a reaction
 /// panic never unwinds out of the packed verifier or the verdict cache.
 pub(crate) fn retry_once<T>(what: &str, mut f: impl FnMut() -> T) -> Result<T, VerifyError> {
@@ -989,7 +1146,7 @@ impl CheckpointRun {
             every_states: policy.every_states,
             every_secs: policy.every_secs,
             retain: policy.retain,
-            instance_fp: ex.instance_fp(limits)?,
+            instance_fp: ex.cfg.inst.key(limits)?,
             next_epoch,
             progress_at_last: ex.n_states + cursor,
             last_write: Instant::now(),
@@ -1060,94 +1217,48 @@ struct Explorer<'p, L: Label> {
 
 impl<'p, L: Label> Explorer<'p, L> {
     /// Full exploration: [`Explorer::prepare`], seed, then
-    /// [`Explorer::run`] from cursor 0. The deadline clock starts first,
-    /// so the seed phase counts against it.
+    /// [`Explorer::run`] from cursor 0. The deadline is measured from
+    /// `started`, which callers take before [`Instance::new`], so the
+    /// tabulation and the seed phase count against it.
     fn explore(
-        protocol: &'p Protocol<L>,
-        inputs: &[Input],
-        alphabet: &[L],
-        r: u8,
-        track_outputs: bool,
+        inst: Instance<'p, L>,
         limits: &Limits,
+        started: Instant,
     ) -> Result<Explored<'p, L>, VerifyError> {
-        let started = Instant::now();
-        let mut ex = Explorer::prepare(protocol, inputs, alphabet, r, track_outputs, limits)?;
+        let mut ex = Explorer::prepare(inst, limits)?;
         ex.seed(limits)?;
         ex.run(0, limits, started)
     }
 
-    /// Validates every parameter and constructs an empty explorer —
-    /// shared by [`Explorer::explore`] and the checkpoint-resume path,
-    /// so both agree on every derived quantity (deduped alphabet, packed
-    /// layout, symmetry group, fan-out bounds).
-    fn prepare(
-        protocol: &'p Protocol<L>,
-        inputs: &[Input],
-        alphabet: &[L],
-        r: u8,
-        track_outputs: bool,
-        limits: &Limits,
-    ) -> Result<Self, VerifyError> {
-        limits.validate()?;
-        let n = protocol.node_count();
-        let e = protocol.edge_count();
-        if n > MAX_NODES {
-            return Err(VerifyError::BadParameters {
-                what: format!("exhaustive verification supports n ≤ {MAX_NODES}, got {n}"),
-            });
-        }
-        if r == 0 {
-            return Err(VerifyError::BadParameters {
-                what: "r must be ≥ 1".into(),
-            });
-        }
-        limits
-            .faults
-            .validate(n)
-            .map_err(|e| VerifyError::BadParameters {
-                what: e.to_string(),
-            })?;
-        // Deduplicate the alphabet (first occurrence wins) so equal labels
-        // share one packed index and states dedup exactly as in the naive
-        // explorer.
-        let mut label_index: HashMap<L, u32, FxBuildHasher> = HashMap::default();
-        let mut dedup: Vec<L> = Vec::with_capacity(alphabet.len());
-        for l in alphabet {
-            if !label_index.contains_key(l) {
-                label_index.insert(l.clone(), dedup.len() as u32);
-                dedup.push(l.clone());
-            }
-        }
-        // Adversary fan-out: an activated Byzantine node branches over
-        // |Σ|^out-degree label choices. Reject models whose worst-case
-        // per-state fan-out (every activation set × every choice) could
-        // exceed 32 bits — such an exploration would be astronomically
-        // infeasible anyway, and the bound keeps every choice code and
-        // fan-out estimate far from overflow.
+    /// Constructs an empty explorer for a validated instance — shared by
+    /// [`Explorer::explore`] and the checkpoint-resume path, so both agree
+    /// on every derived quantity (packed layout, symmetry group, packed
+    /// reactions, fan-out bounds). Calls no reaction: the symmetry group
+    /// and the packed reactions both come from the instance's table.
+    ///
+    /// # Errors
+    ///
+    /// [`VerifyError::BadParameters`] when a correct node's table entry
+    /// holds a label outside the alphabet.
+    fn prepare(inst: Instance<'p, L>, limits: &Limits) -> Result<Self, VerifyError> {
+        let (n, e) = (inst.protocol.node_count(), inst.protocol.edge_count());
+        let graph = inst.protocol.graph();
+        let label_index: HashMap<L, u32, FxBuildHasher> = inst
+            .alphabet
+            .iter()
+            .enumerate()
+            .map(|(i, l)| (l.clone(), i as u32))
+            .collect();
         let faults = limits.faults;
-        let mut byz_branch_bound = 1u64;
-        for i in faults.byzantine_nodes().filter(|&i| i < n) {
-            for _ in 0..protocol.graph().out_degree(i) {
-                byz_branch_bound = byz_branch_bound.saturating_mul(dedup.len() as u64);
-            }
-        }
-        if (1u64 << n).saturating_mul(byz_branch_bound) > u64::from(u32::MAX) {
-            return Err(VerifyError::BadParameters {
-                what: format!(
-                    "adversary fan-out |Σ|^byz-out-degree = {byz_branch_bound} is too \
-                     large to enumerate (per-state fan-out must fit 32 bits)"
-                ),
-            });
-        }
         let byzantine = faults
             .byzantine_nodes()
             .filter(|&i| i < n)
             .fold(0u32, |m, i| m | 1 << i);
-        let label_width = bits_for(dedup.len());
-        let countdown_width = bits_for(r as usize);
+        let label_width = bits_for(inst.alphabet.len());
+        let countdown_width = bits_for(inst.r as usize);
         let state_bits = e * label_width as usize + n * countdown_width as usize;
         let words_per_state = state_bits.div_ceil(64).max(1);
-        let aux_len = if track_outputs { n } else { 0 };
+        let aux_len = if inst.track_outputs { n } else { 0 };
         let threads = if limits.threads == 0 {
             rayon::current_num_threads()
         } else {
@@ -1162,55 +1273,38 @@ impl<'p, L: Label> Explorer<'p, L> {
             words: words_per_state,
             aux: aux_len,
         };
-        // Derive the automorphism group up front (Auto only); a trivial
-        // group degrades to exactly the Off code path. Fault placement
-        // acts as a node coloring: only placement-preserving elements
-        // survive (a Byzantine node may only map to a Byzantine node),
-        // which is what keeps orbit-canonical interning sound under
-        // adversary branching.
-        let symmetry = match limits.symmetry {
-            SymmetryMode::Off => None,
-            SymmetryMode::Auto => {
-                let derived = retry_once("symmetry derivation", || {
-                    Symmetry::derive(protocol, inputs, &dedup)
-                })?;
-                let restricted = if faults.has_faults() {
-                    let colors: Vec<u64> = (0..n)
-                        .map(|i| {
-                            if faults.is_byzantine(i) {
-                                1
-                            } else if faults.is_crash(i) {
-                                2
-                            } else {
-                                0
-                            }
-                        })
-                        .collect();
-                    derived.restrict_to_coloring(&colors)
-                } else {
-                    derived
-                };
-                Some(restricted).filter(|s| !s.is_trivial())
+        // The automorphism group (Auto only), validated against the table;
+        // without a table it is the identity. A trivial group degrades to
+        // exactly the Off code path. Fault placement acts as a node
+        // coloring: only placement-preserving elements survive (a
+        // Byzantine node may only map to a Byzantine node), which is what
+        // keeps orbit-canonical interning sound under adversary
+        // branching.
+        let symmetry = match (limits.symmetry, &inst.table) {
+            (SymmetryMode::Auto, Some(table)) => {
+                let derived = Symmetry::from_table(graph, &inst.inputs, table);
+                let colors: Vec<u64> = (0..n)
+                    .map(|i| u64::from(faults.is_byzantine(i)) + 2 * u64::from(faults.is_crash(i)))
+                    .collect();
+                Some(derived.restrict_to_coloring(&colors)).filter(|s| !s.is_trivial())
             }
+            _ => None,
         };
-        let masks = RowMasks::new(protocol.graph(), faults, &layout, r);
-        let table = if !dedup.is_empty()
-            && reaction_domain(protocol.graph(), dedup.len()) <= PROBE_CAP
-        {
-            let build =
-                || ReactionTable::build(protocol, inputs, &dedup, &label_index, faults, &layout);
-            Some(retry_once("reaction table", build)??)
-        } else {
-            None
+        let masks = RowMasks::new(graph, faults, &layout, inst.r);
+        let reactions = match &inst.table {
+            Some(table) => Some(PackedReactions::new(
+                table,
+                graph,
+                &label_index,
+                faults,
+                &layout,
+            )?),
+            None => None,
         };
-        let successors_are_seeds = table.is_some() && r == 1 && !track_outputs;
+        let successors_are_seeds = reactions.is_some() && inst.r == 1 && !inst.track_outputs;
         let ex = Explorer {
             cfg: Config {
-                protocol,
-                inputs: inputs.to_vec(),
-                r,
-                track_outputs,
-                alphabet: dedup,
+                inst,
                 label_index,
                 label_width,
                 countdown_width,
@@ -1224,9 +1318,8 @@ impl<'p, L: Label> Explorer<'p, L> {
                 faults,
                 byzantine,
                 masks,
-                table,
+                reactions,
                 successors_are_seeds,
-                byz_branch_bound,
             },
             index: FingerprintIndex::new(),
             rows: ChunkedArena::new(words_per_state),
@@ -1237,25 +1330,6 @@ impl<'p, L: Label> Explorer<'p, L> {
             peak_edge_bytes: 0,
         };
         Ok(ex)
-    }
-
-    /// The canonical fingerprint of this exploration instance — what
-    /// every checkpoint epoch stamps and the resume path verifies. Its
-    /// reaction probes are guarded like the table build ([`retry_once`]).
-    fn instance_fp(&self, limits: &Limits) -> Result<u64, VerifyError> {
-        retry_once("instance fingerprint", || {
-            instance_fingerprint(
-                self.cfg.protocol,
-                &self.cfg.inputs,
-                &self.cfg.alphabet,
-                self.cfg.r,
-                self.cfg.track_outputs,
-                &self.cfg.faults,
-                limits.symmetry,
-                limits.max_states,
-                limits.max_edges,
-            )
-        })
     }
 
     /// Drives the batch loop from `cursor` to completion — or to the
@@ -1366,20 +1440,15 @@ impl<'p, L: Label> Explorer<'p, L> {
     /// `epoch` selects an explicit epoch; `None` means the newest one
     /// that passes validation (a torn or corrupted newest epoch falls
     /// back to its predecessor).
-    #[allow(clippy::too_many_arguments)]
     fn resume(
-        protocol: &'p Protocol<L>,
-        inputs: &[Input],
-        alphabet: &[L],
-        r: u8,
-        track_outputs: bool,
+        inst: Instance<'p, L>,
         limits: &Limits,
         dir: &Path,
         epoch: Option<u64>,
     ) -> Result<(Self, usize), VerifyError> {
         let corrupt = |what: String| VerifyError::Resume(ResumeError::Corrupt { what });
-        let mut ex = Explorer::prepare(protocol, inputs, alphabet, r, track_outputs, limits)?;
-        let expected = ex.instance_fp(limits)?;
+        let mut ex = Explorer::prepare(inst, limits)?;
+        let expected = ex.cfg.inst.key(limits)?;
         let store = CheckpointStore::open(dir).map_err(ResumeError::from)?;
         let epoch = match epoch {
             Some(k) => k,
@@ -1536,8 +1605,8 @@ impl<'p, L: Label> Explorer<'p, L> {
             self.cfg.label_width,
             self.cfg.countdown_width,
         );
-        let (n, e, r) = (self.cfg.n, self.cfg.e, self.cfg.r);
-        let digit_alphabet: Vec<u32> = (0..self.cfg.alphabet.len() as u32).collect();
+        let (n, e, r) = (self.cfg.n, self.cfg.e, self.cfg.inst.r);
+        let digit_alphabet: Vec<u32> = (0..self.cfg.inst.alphabet.len() as u32).collect();
         let mut labelings = all_labelings(&digit_alphabet, e);
         let mut state_buf = vec![0u64; w];
         let mut aux_zero = vec![0u64; self.cfg.aux_len];
@@ -1586,7 +1655,7 @@ impl<'p, L: Label> Explorer<'p, L> {
     /// scaled by the adversary branching bound (`1` when fault-free).
     fn est_edges(&self, free: u8) -> u64 {
         ((1u64 << free) - u64::from(usize::from(free) == self.cfg.n))
-            .saturating_mul(self.cfg.byz_branch_bound)
+            .saturating_mul(self.cfg.inst.byz_branch_bound)
     }
 
     /// The current batch's fan-out budget: an eighth of the explored
@@ -1787,25 +1856,25 @@ impl<'p, L: Label> Explorer<'p, L> {
         let lw = cfg.label_width as usize;
         let sc = scratch;
         sc.src.copy_from_slice(self.rows.row(u));
-        if cfg.track_outputs {
+        if cfg.inst.track_outputs {
             sc.out_words.copy_from_slice(self.aux.row(u));
         }
-        let graph = cfg.protocol.graph();
+        let graph = cfg.inst.protocol.graph();
         // Every activation set reads the same pre-step labeling, and the
         // full set activates every node, so reacting here once per
         // correct node gives what the subset loop would. A faulty node
         // never reacts: its tracked output stays frozen at the seeds' 0,
         // and so does its `react_out` slot.
         sc.reacted.copy_from_slice(&cfg.masks.reset);
-        match &cfg.table {
+        match &cfg.reactions {
             Some(table) => table.react(&sc.src, &mut sc.reacted, &mut sc.react_out),
             None => {
                 cfg.decode_labeling(&sc.src, &mut sc.labeling);
                 for i in (0..cfg.n).filter(|&i| !cfg.faults.is_faulty(i)) {
-                    sc.react_out[i] = cfg.protocol.apply_buffered(
+                    sc.react_out[i] = cfg.inst.protocol.apply_buffered(
                         i,
                         &sc.labeling,
-                        cfg.inputs[i],
+                        cfg.inst.inputs[i],
                         &mut sc.in_buf,
                         &mut sc.react_buf,
                     );
@@ -1822,7 +1891,7 @@ impl<'p, L: Label> Explorer<'p, L> {
         sc.free_nodes.clear();
         sc.free_nodes
             .extend((0..cfg.n).filter(|&i| forced >> i & 1 == 0));
-        let q = cfg.alphabet.len() as u64;
+        let q = cfg.inst.alphabet.len() as u64;
         // Every activation set: forced nodes plus any subset of the
         // rest (skipping the empty total set).
         for subset in 0..(1u32 << sc.free_nodes.len()) {
@@ -1836,7 +1905,7 @@ impl<'p, L: Label> Explorer<'p, L> {
                 continue;
             }
             let labels_changed = step_row(&cfg.masks, &sc.src, &sc.reacted, mask, &mut sc.next);
-            let interesting = if cfg.track_outputs {
+            let interesting = if cfg.inst.track_outputs {
                 sc.next_out_words.copy_from_slice(&sc.out_words);
                 let mut nodes = mask;
                 while nodes != 0 {
@@ -2054,7 +2123,7 @@ impl<'p, L: Label> Explorer<'p, L> {
             quot.extend(path_rev.into_iter().rev());
         }
         let n = self.cfg.n;
-        let graph = self.cfg.protocol.graph();
+        let graph = self.cfg.inst.protocol.graph();
         let ident = Automorphism::identity(n, self.cfg.e);
         let mut sched_masks: Vec<u32> = Vec::with_capacity(quot.len());
         let mut adversary: Vec<Vec<(NodeId, Vec<L>)>> = Vec::with_capacity(quot.len());
@@ -2065,7 +2134,7 @@ impl<'p, L: Label> Explorer<'p, L> {
                     adversary.push(decode_adversary(
                         graph,
                         self.cfg.faults,
-                        &self.cfg.alphabet,
+                        &self.cfg.inst.alphabet,
                         m,
                         c,
                         &ident,
@@ -2087,7 +2156,7 @@ impl<'p, L: Label> Explorer<'p, L> {
                         adversary.push(decode_adversary(
                             graph,
                             self.cfg.faults,
-                            &self.cfg.alphabet,
+                            &self.cfg.inst.alphabet,
                             m,
                             c,
                             &acc,
@@ -2204,8 +2273,8 @@ pub fn verify_label_stabilization_with_stats<L: Label>(
     r: u8,
     limits: Limits,
 ) -> Result<(Verdict<L>, ExploreStats), VerifyError> {
-    let explored = Explorer::explore(protocol, inputs, alphabet, r, false, &limits)?;
-    Ok(settle(explored))
+    let started = Instant::now();
+    Instance::new(protocol, inputs, alphabet, r, false, &limits)?.verify(&limits, started)
 }
 
 /// Turns a batch-loop outcome into a verdict: condense + witness on a
@@ -2280,9 +2349,7 @@ pub fn verify_label_stabilization_resumed_at<L: Label>(
     dir: &Path,
     epoch: Option<u64>,
 ) -> Result<(Verdict<L>, ExploreStats), VerifyError> {
-    let (ex, cursor) = Explorer::resume(protocol, inputs, alphabet, r, false, &limits, dir, epoch)?;
-    let explored = ex.run(cursor, &limits, Instant::now())?;
-    Ok(settle(explored))
+    Instance::new(protocol, inputs, alphabet, r, false, &limits)?.resume(&limits, dir, epoch)
 }
 
 /// Resumes an **output**-stabilization verification from the newest
@@ -2318,9 +2385,7 @@ pub fn verify_output_stabilization_resumed_at<L: Label>(
     dir: &Path,
     epoch: Option<u64>,
 ) -> Result<(Verdict<L>, ExploreStats), VerifyError> {
-    let (ex, cursor) = Explorer::resume(protocol, inputs, alphabet, r, true, &limits, dir, epoch)?;
-    let explored = ex.run(cursor, &limits, Instant::now())?;
-    Ok(settle(explored))
+    Instance::new(protocol, inputs, alphabet, r, true, &limits)?.resume(&limits, dir, epoch)
 }
 
 /// An explored **label**-stabilization product graph, held open for
@@ -2344,7 +2409,9 @@ pub fn explore_product<'p, L: Label>(
     r: u8,
     limits: Limits,
 ) -> Result<ExploredProduct<'p, L>, VerifyError> {
-    match Explorer::explore(protocol, inputs, alphabet, r, false, &limits)? {
+    let started = Instant::now();
+    let inst = Instance::new(protocol, inputs, alphabet, r, false, &limits)?;
+    match Explorer::explore(inst, &limits, started)? {
         Explored::Complete(ex) => Ok(ExploredProduct(ex)),
         Explored::Partial { .. } => Err(VerifyError::BadParameters {
             what: "explore_product cannot represent a deadline-truncated exploration; \
@@ -2399,8 +2466,8 @@ pub fn verify_output_stabilization_with_stats<L: Label>(
     r: u8,
     limits: Limits,
 ) -> Result<(Verdict<L>, ExploreStats), VerifyError> {
-    let explored = Explorer::explore(protocol, inputs, alphabet, r, true, &limits)?;
-    Ok(settle(explored))
+    let started = Instant::now();
+    Instance::new(protocol, inputs, alphabet, r, true, &limits)?.verify(&limits, started)
 }
 
 // ---------------------------------------------------------------------------
@@ -2460,6 +2527,11 @@ impl<'p, L: Label> NaiveExplorer<'p, L> {
             .map_err(|e| VerifyError::BadParameters {
                 what: e.to_string(),
             })?;
+        if inputs.len() != n {
+            return Err(VerifyError::BadParameters {
+                what: wrong_inputs(inputs.len(), n),
+            });
+        }
         let mut dedup: Vec<L> = Vec::with_capacity(alphabet.len());
         for l in alphabet {
             if !dedup.contains(l) {
@@ -2873,7 +2945,7 @@ mod tests {
     #[test]
     fn non_closed_alphabet_is_rejected() {
         // The reaction emits `true`, which the declared alphabet lacks;
-        // the reaction table's build rejects it.
+        // packing the reaction table rejects it.
         let p = Protocol::builder(topology::unidirectional_ring(3), 1.0)
             .uniform_reaction(FnReaction::new(|_, _: &[bool], _| (vec![true], 0)))
             .build()
@@ -2898,6 +2970,29 @@ mod tests {
         let err =
             verify_label_stabilization(&p, &[0; 15], &[0, 1], 1, Limits::default()).unwrap_err();
         assert!(matches!(err, VerifyError::BadParameters { .. }), "{err:?}");
+        // A faulty node never reacts, so its reaction may leave the
+        // alphabet: the table keeps node 0's `true` entries as labels and
+        // packs the correct nodes only.
+        let p = Protocol::builder(topology::unidirectional_ring(3), 1.0)
+            .uniform_reaction(FnReaction::new(|node, inc: &[bool], _| {
+                (vec![node == 0 || inc[0]], 0)
+            }))
+            .build()
+            .unwrap();
+        let limits = |faults| Limits {
+            faults,
+            symmetry: SymmetryMode::Auto,
+            ..Limits::default()
+        };
+        let err = verify_label_stabilization(&p, &[0; 3], &[false], 2, limits(FaultModel::none()));
+        assert!(
+            matches!(err, Err(VerifyError::BadParameters { .. })),
+            "{err:?}"
+        );
+        for faults in [FaultModel::byzantine(&[0]), FaultModel::crash(&[0])] {
+            let got = verify_label_stabilization(&p, &[0; 3], &[false], 2, limits(faults.unwrap()));
+            assert_eq!(got, Ok(Verdict::Stabilizing));
+        }
     }
 
     #[test]
@@ -3099,7 +3194,7 @@ mod tests {
     ) -> (Vec<u64>, bool) {
         let (lw, cw) = (cfg.label_width, cfg.countdown_width);
         let cd_at = |i: usize| cfg.e * lw as usize + i * cw as usize;
-        let graph = cfg.protocol.graph();
+        let graph = cfg.inst.protocol.graph();
         let before: Vec<u64> = (0..cfg.e)
             .map(|k| unpack(src, k * lw as usize, lw))
             .collect();
@@ -3108,7 +3203,7 @@ mod tests {
         for i in 0..cfg.n {
             let cd = unpack(src, cd_at(i), cw) + 1;
             if mask >> i & 1 == 1 {
-                pack(&mut row, cd_at(i), cw, u64::from(cfg.r) - 1);
+                pack(&mut row, cd_at(i), cw, u64::from(cfg.inst.r) - 1);
                 if !cfg.faults.is_crash(i) {
                     for &eid in graph.out_edges(i) {
                         let byz = cfg.faults.is_byzantine(i);
@@ -3161,7 +3256,8 @@ mod tests {
                     faults: FaultModel::new(byz, crash).unwrap(),
                     ..Limits::default()
                 };
-                let ex = Explorer::prepare(&p, &vec![0; n], &alphabet, r, false, &limits).unwrap();
+                let inst = Instance::new(&p, &vec![0; n], &alphabet, r, false, &limits).unwrap();
+                let ex = Explorer::prepare(inst, &limits).unwrap();
                 let cfg = &ex.cfg;
                 assert_eq!(cfg.words_per_state, words);
                 let (lw, cw) = (cfg.label_width as usize, cfg.countdown_width);

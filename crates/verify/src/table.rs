@@ -1,19 +1,20 @@
-//! Reaction tables: every correct node's reaction compiled, once per
-//! instance, into a lookup over its in-label digits.
+//! Packed reactions: every correct node's entries of the query's
+//! [`ReactionTable`] compiled into a lookup over its in-label digits.
 //!
 //! Over the verifier's finite alphabet a reaction δᵢ is a finite map from
-//! in-labelings to out-labels and an output. [`ReactionTable::build`]
-//! calls each correct node's reaction once per in-label combination and
-//! stores the out-labels as a whole-word mask over the packed row, plus
-//! the output. Every labeling is a seed, so exploration evaluates exactly
-//! these (node, in-labeling) pairs anyway; the table pays for each once
-//! per instance instead of once per product state and per pass.
-//! [`ReactionTable::react`] then reacts a packed state by reading each
+//! in-labelings to out-labels and an output, and each query tabulates it
+//! once ([`ReactionTable::build`], the only code that calls reactions
+//! over their domain). [`PackedReactions::new`] stores each correct
+//! node's entries as whole-word masks over the packed row (the
+//! out-labels as alphabet indices in the node's out-edge fields) plus the
+//! output; faulty nodes never react, so they get no masks, and only a
+//! correct node's label outside the alphabet is an error.
+//! [`PackedReactions::react`] then reacts a packed state by reading each
 //! correct node's in-edge digits from the row and OR-ing that node's
 //! entry into the reacted row: no labeling decode, closure call or label
 //! hash.
 //!
-//! The explorer builds a table when the instance has at most
+//! A query has a table when its instance has at most
 //! [`PROBE_CAP`](stateless_core::symmetry::PROBE_CAP) entries
 //! (`Σᵥ |Σ|^indeg(v)`, [`reaction_domain`](stateless_core::symmetry::reaction_domain)).
 //! Larger instances react through the protocol's closures, which is the
@@ -23,7 +24,7 @@ use std::collections::HashMap;
 
 use stateless_core::intern::{pack, unpack, FxBuildHasher};
 use stateless_core::prelude::*;
-use stateless_core::symmetry::PackedLayout;
+use stateless_core::symmetry::{PackedLayout, ReactionTable};
 
 use crate::product::VerifyError;
 
@@ -37,7 +38,7 @@ pub(crate) fn outside_alphabet(node: NodeId, label: &impl std::fmt::Debug) -> Ve
     }
 }
 
-/// One correct node's slice of a [`ReactionTable`].
+/// One correct node's slice of a [`PackedReactions`].
 struct NodeEntries {
     node: usize,
     /// `in_bits[ins.0..ins.1]`: the bit offsets of the node's in-edge
@@ -47,12 +48,10 @@ struct NodeEntries {
     base: usize,
 }
 
-/// Every correct node's reaction over every in-label digit combination.
-/// A node's entry for digits `d₀, d₁, …` (first in-edge first) sits at
-/// `base + Σₖ dₖ·|Σ|ᵏ`: the first digit varies fastest, the order
-/// [`instance_fingerprint`](crate::checkpoint::instance_fingerprint)
-/// probes in.
-pub(crate) struct ReactionTable {
+/// Every correct node's [`ReactionTable`] entries as packed masks. A
+/// node's entry for digits `d₀, d₁, …` (first in-edge first) sits at
+/// `base + Σₖ dₖ·|Σ|ᵏ`, the table's own numbering.
+pub(crate) struct PackedReactions {
     /// Packed words per row, and so per entry mask.
     words: usize,
     label_width: u32,
@@ -68,83 +67,60 @@ pub(crate) struct ReactionTable {
     outputs: Vec<Output>,
 }
 
-impl ReactionTable {
-    /// Calls each correct node's reaction once per in-label combination
-    /// over the non-empty `alphabet`, whose indices `label_index` holds.
+impl PackedReactions {
+    /// Packs every correct node's entries of `table`, whose alphabet
+    /// `label_index` numbers, for a protocol on `graph`.
     ///
     /// # Errors
     ///
-    /// [`VerifyError::BadParameters`] when a reaction emits a label
-    /// outside the alphabet. A reaction panic unwinds to the caller.
-    pub(crate) fn build<L: Label>(
-        protocol: &Protocol<L>,
-        inputs: &[Input],
-        alphabet: &[L],
+    /// [`VerifyError::BadParameters`] when a correct node's entry holds a
+    /// label outside the alphabet.
+    pub(crate) fn new<L: Label>(
+        table: &ReactionTable<L>,
+        graph: &DiGraph,
         label_index: &HashMap<L, u32, FxBuildHasher>,
         faults: FaultModel,
         layout: &PackedLayout,
     ) -> Result<Self, VerifyError> {
-        let graph = protocol.graph();
-        let (w, lw, q) = (layout.words, layout.label_width, alphabet.len());
-        let mut table = ReactionTable {
+        let (w, lw) = (layout.words, layout.label_width);
+        let mut packed = PackedReactions {
             words: w,
             label_width: lw,
-            q,
+            q: table.alphabet_len(),
             nodes: Vec::new(),
             in_bits: Vec::new(),
             masks: Vec::new(),
             outputs: Vec::new(),
         };
-        let mut labeling = vec![alphabet[0].clone(); graph.edge_count()];
-        let (mut in_buf, mut out_buf) = (Vec::new(), Vec::new());
-        let mut digits: Vec<usize> = Vec::new();
         for node in (0..graph.node_count()).filter(|&i| !faults.is_faulty(i)) {
-            let ins = graph.in_edges(node);
-            let start = table.in_bits.len();
-            table.in_bits.extend(ins.iter().map(|&f| f * lw as usize));
-            table.nodes.push(NodeEntries {
+            let start = packed.in_bits.len();
+            packed
+                .in_bits
+                .extend(graph.in_edges(node).iter().map(|&f| f * lw as usize));
+            packed.nodes.push(NodeEntries {
                 node,
-                ins: (start, table.in_bits.len()),
-                base: table.outputs.len(),
+                ins: (start, packed.in_bits.len()),
+                base: packed.outputs.len(),
             });
-            digits.clear();
-            digits.resize(ins.len(), 0);
-            'entries: loop {
-                for (&d, &f) in digits.iter().zip(ins) {
-                    labeling[f] = alphabet[d].clone();
-                }
-                let y = protocol.apply_buffered(
-                    node,
-                    &labeling,
-                    inputs[node],
-                    &mut in_buf,
-                    &mut out_buf,
-                );
-                let at = table.masks.len();
-                table.masks.resize(at + w, 0);
-                for (label, &eid) in out_buf.iter().zip(graph.out_edges(node)) {
+            for entry in 0..table.node_entries(node) {
+                let (y, labels) = table.entry(node, entry);
+                let at = packed.masks.len();
+                packed.masks.resize(at + w, 0);
+                for (label, &eid) in labels.iter().zip(graph.out_edges(node)) {
                     let Some(&idx) = label_index.get(label) else {
                         return Err(outside_alphabet(node, label));
                     };
                     pack(
-                        &mut table.masks[at..],
+                        &mut packed.masks[at..],
                         eid * lw as usize,
                         lw,
                         u64::from(idx),
                     );
                 }
-                table.outputs.push(y);
-                for d in digits.iter_mut() {
-                    *d += 1;
-                    if *d < q {
-                        continue 'entries;
-                    }
-                    *d = 0;
-                }
-                break;
+                packed.outputs.push(y);
             }
         }
-        Ok(table)
+        Ok(packed)
     }
 
     /// Reacts every correct node to the labels of the packed row `src`:

@@ -11,10 +11,11 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use stateless_computation::core::prelude::*;
+use stateless_computation::protocols::bfs_tree::{bfs_alphabet, bfs_tree_protocol};
 use stateless_computation::verify::cache::DEFAULT_BYTE_BUDGET;
 use stateless_computation::verify::{
-    verify_label_stabilization_with_stats, CacheOutcome, CheckpointPolicy, Limits, SymmetryMode,
-    Verdict, VerdictCache,
+    verify_label_stabilization_with_stats, verify_output_stabilization_with_stats, CacheOutcome,
+    CheckpointPolicy, Limits, SymmetryMode, Verdict, VerdictCache,
 };
 
 /// Thread counts the hit-equality matrix runs at (mirrors the
@@ -507,4 +508,129 @@ fn over_cap_instances_are_computed_every_time() {
     let reopened = VerdictCache::open(&dir, DEFAULT_BYTE_BUDGET).unwrap();
     assert!(reopened.is_empty(), "nothing is memoized on disk");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Output mode goes through the cache like label mode, under its own
+/// key. The rotation 4-ring's outputs are constant while its labels
+/// rotate forever, so its output query is `Stabilizing` and its label
+/// query `NotStabilizing`: the first output query is a miss equal to the
+/// uncached run, the second a hit with the same verdict and stats, the
+/// label query misses under a different key, and a reopened cache serves
+/// both as hits.
+#[test]
+fn output_mode_queries_are_cached_under_their_own_key() {
+    let p = rotate_ring(4);
+    let (inputs, alphabet, limits) = ([0u64; 4], [false, true], Limits::default());
+    let reference =
+        verify_output_stabilization_with_stats(&p, &inputs, &alphabet, 2, limits.clone()).unwrap();
+    assert_eq!(reference.0, Verdict::Stabilizing);
+    let dir = scratch_dir("output-mode");
+    let cache = VerdictCache::open(&dir, DEFAULT_BYTE_BUDGET).unwrap();
+    let output = |cache: &VerdictCache| {
+        cache
+            .verify_output(&p, &inputs, &alphabet, 2, &limits)
+            .unwrap()
+    };
+    let label = |cache: &VerdictCache| {
+        cache
+            .verify_label(&p, &inputs, &alphabet, 2, &limits)
+            .unwrap()
+    };
+    let miss = output(&cache);
+    assert_eq!(miss.outcome, CacheOutcome::Miss);
+    assert_eq!((miss.verdict.clone(), miss.stats), reference);
+    let hit = output(&cache);
+    assert_eq!(hit.outcome, CacheOutcome::Hit);
+    assert_eq!((hit.verdict.clone(), hit.stats), reference);
+    assert_eq!(hit.fingerprint, miss.fingerprint);
+    let label_miss = label(&cache);
+    assert_eq!(label_miss.outcome, CacheOutcome::Miss);
+    assert!(
+        matches!(label_miss.verdict, Verdict::NotStabilizing(_)),
+        "{:?}",
+        label_miss.verdict
+    );
+    assert_ne!(
+        label_miss.fingerprint, miss.fingerprint,
+        "query modes key apart"
+    );
+    assert_eq!(cache.len(), 2);
+    let reopened = VerdictCache::open(&dir, DEFAULT_BYTE_BUDGET).unwrap();
+    let (output_hit, label_hit) = (output(&reopened), label(&reopened));
+    assert_eq!(output_hit.outcome, CacheOutcome::Hit);
+    assert_eq!((output_hit.verdict, output_hit.stats), reference);
+    assert_eq!(label_hit.outcome, CacheOutcome::Hit);
+    assert_eq!(label_hit.verdict, label_miss.verdict);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Instance keys name persisted cache entries and checkpoint stores, so
+/// a key that moved would turn every stored entry into a miss. These
+/// literals were taken while the key still probed the reactions itself;
+/// hashing the query's reaction table must reproduce them. Covered: the
+/// rotation ring n = 5, r = 2 in label and output mode under both
+/// symmetry modes (output keys come from the cached verdict), the BFS
+/// tree on a biring n = 4, cap 2, r = 1 under every single Byzantine and
+/// crash placement, and the over-cap fan-in, whose sampled key both of
+/// its variants share.
+#[test]
+fn instance_keys_do_not_move() {
+    let rot = rotate_ring(5);
+    let (inputs, alphabet) = ([0u64; 5], [false, true]);
+    for (symmetry, label_key, output_key) in [
+        (
+            SymmetryMode::Off,
+            0xac8f_44ed_8785_7142,
+            0xd5e9_1831_754d_b67b,
+        ),
+        (
+            SymmetryMode::Auto,
+            0xf81c_1ee6_cf2b_e605,
+            0xa2f8_1184_9303_69c2,
+        ),
+    ] {
+        let limits = Limits {
+            symmetry,
+            ..Limits::default()
+        };
+        let cache = VerdictCache::in_memory(DEFAULT_BYTE_BUDGET);
+        let label = cache.verify_label(&rot, &inputs, &alphabet, 2, &limits);
+        let output = cache.verify_output(&rot, &inputs, &alphabet, 2, &limits);
+        assert_eq!(
+            VerdictCache::label_fingerprint(&rot, &inputs, &alphabet, 2, &limits),
+            label_key,
+            "{symmetry:?}"
+        );
+        assert_eq!(label.unwrap().fingerprint, label_key, "{symmetry:?}");
+        assert_eq!(output.unwrap().fingerprint, output_key, "{symmetry:?}");
+    }
+    let bfs = bfs_tree_protocol(topology::bidirectional_ring(4), 0, 2, FaultModel::none()).unwrap();
+    for (node, byzantine, crash) in [
+        (0, 0xd574_72ca_b760_0772, 0x6887_b7bb_a3b9_8489),
+        (1, 0x6776_c14d_b68b_2dcb, 0xa44c_00c2_b00a_3b6f),
+        (2, 0x5f5a_533f_7a78_1613, 0x3121_f977_02f4_95c2),
+        (3, 0x3d30_9d21_5de8_acb4, 0x10a6_5b5f_04de_e21b),
+    ] {
+        for (faults, key) in [
+            (FaultModel::byzantine(&[node]).unwrap(), byzantine),
+            (FaultModel::crash(&[node]).unwrap(), crash),
+        ] {
+            let limits = Limits {
+                faults,
+                ..Limits::default()
+            };
+            let got = VerdictCache::label_fingerprint(&bfs, &[0; 4], &bfs_alphabet(2), 1, &limits);
+            assert_eq!(got, key, "{faults:?}");
+        }
+    }
+    for twist in [false, true] {
+        let got = VerdictCache::label_fingerprint(
+            &over_cap(twist),
+            &[0; 15],
+            &[false, true],
+            1,
+            &Limits::default(),
+        );
+        assert_eq!(got, 0xf127_e952_1213_8d1d, "twist {twist}");
+    }
 }

@@ -20,10 +20,12 @@ use stateless_computation::core::prelude::*;
 use stateless_computation::protocols::bfs_tree::{bfs_alphabet, bfs_tree_protocol};
 use stateless_computation::verify::cache::DEFAULT_BYTE_BUDGET;
 use stateless_computation::verify::{
-    verify_label_stabilization, verify_label_stabilization_resumed,
-    verify_label_stabilization_resumed_at, verify_label_stabilization_with_stats,
-    verify_output_stabilization_resumed, verify_output_stabilization_with_stats, CheckpointPolicy,
-    ExploreStats, Limits, ResumeError, SymmetryMode, Verdict, VerdictCache, VerifyError,
+    verify_label_stabilization, verify_label_stabilization_naive,
+    verify_label_stabilization_resumed, verify_label_stabilization_resumed_at,
+    verify_label_stabilization_with_stats, verify_output_stabilization,
+    verify_output_stabilization_naive, verify_output_stabilization_resumed,
+    verify_output_stabilization_with_stats, CheckpointPolicy, ExploreStats, Limits, ResumeError,
+    SymmetryMode, Verdict, VerdictCache, VerifyError,
 };
 
 /// Thread counts the resume-equality matrix runs at (mirrors the
@@ -584,9 +586,8 @@ fn table_build_panic_is_retried_and_absorbed() {
 /// A reaction that panics on every call of a tabled instance fails the
 /// table build twice: the typed [`VerifyError::PoisonedChunk`] with no
 /// checkpoint (nothing was explored, and no store is opened), from
-/// `verify_*` and from the [`VerdictCache`] alike — whether the cache's
-/// fingerprint probes are the first calls to panic or the table build
-/// after them is. Nothing unwinds out of either.
+/// `verify_*` and from the [`VerdictCache`] alike, whose key comes from
+/// the same one table. Nothing unwinds out of either.
 #[test]
 fn persistent_table_build_panic_is_typed_without_a_checkpoint() {
     let inputs = [0u64; 4];
@@ -612,9 +613,10 @@ fn persistent_table_build_panic_is_typed_without_a_checkpoint() {
         "{err:?}"
     );
     assert!(!dir.exists(), "a failed table build opens no store");
-    // The fingerprint probes all 8 entries first, so a trip at call 8
-    // passes them and poisons the table build instead.
-    for trip in [0, 8] {
+    // The query tabulates its 8 entries once, before the key is taken,
+    // so a trip at the first call and one midway both poison that one
+    // tabulation.
+    for trip in [0, 4] {
         let (poisoned, _) = tripwire(topology::unidirectional_ring(4), move |k| k >= trip);
         let cache = VerdictCache::open(&dir, DEFAULT_BYTE_BUDGET).unwrap();
         let err = cache
@@ -622,17 +624,68 @@ fn persistent_table_build_panic_is_typed_without_a_checkpoint() {
             .unwrap_err();
         assert!(
             matches!(
-                err,
-                VerifyError::PoisonedChunk {
-                    checkpoint: None,
-                    ..
-                }
+                &err,
+                VerifyError::PoisonedChunk { what, checkpoint: None } if what.contains("reaction table")
             ),
             "trip {trip}: {err:?}"
         );
         assert!(cache.is_empty(), "trip {trip}: nothing is memoized");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Inputs come one per node. A 4-ring given 3 inputs (a tabled instance)
+/// and the 15-node fan-in given 14 (over the cap) are `BadParameters` in
+/// both query modes, from the packed verifier, the naive reference and
+/// the verdict cache alike, before anything runs: the reactions panic on
+/// every call yet none is called, the checkpoint policy's store is never
+/// opened, and nothing is memoized.
+#[test]
+fn inputs_of_the_wrong_length_are_bad_parameters() {
+    let dir = scratch_dir("wrong-inputs");
+    let limits = Limits {
+        checkpoint: Some(CheckpointPolicy::new(&dir)),
+        ..Limits::default()
+    };
+    let cache = VerdictCache::in_memory(DEFAULT_BYTE_BUDGET);
+    let alphabet = [false, true];
+    for graph in [topology::unidirectional_ring(4), fan_in()] {
+        let n = graph.node_count();
+        let (p, calls) = tripwire(graph, |_| true);
+        let inputs = vec![0u64; n - 1];
+        for output in [false, true] {
+            let (packed, naive, cached) = if output {
+                (
+                    verify_output_stabilization(&p, &inputs, &alphabet, 1, limits.clone()).err(),
+                    verify_output_stabilization_naive(&p, &inputs, &alphabet, 1, limits.clone())
+                        .err(),
+                    cache
+                        .verify_output(&p, &inputs, &alphabet, 1, &limits)
+                        .err(),
+                )
+            } else {
+                (
+                    verify_label_stabilization(&p, &inputs, &alphabet, 1, limits.clone()).err(),
+                    verify_label_stabilization_naive(&p, &inputs, &alphabet, 1, limits.clone())
+                        .err(),
+                    cache.verify_label(&p, &inputs, &alphabet, 1, &limits).err(),
+                )
+            };
+            for (path, err) in [("packed", packed), ("naive", naive), ("cache", cached)] {
+                assert!(
+                    matches!(&err, Some(VerifyError::BadParameters { what }) if what.contains("inputs")),
+                    "n = {n}, output mode {output}, {path}: {err:?}"
+                );
+            }
+        }
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            0,
+            "n = {n}: no reaction runs"
+        );
+    }
+    assert!(!dir.exists(), "no checkpoint store is opened");
+    assert!(cache.is_empty(), "nothing is memoized");
 }
 
 /// With a reaction table, an `r = 1` label-mode state is its labeling
@@ -839,8 +892,8 @@ fn craft_epoch(
 /// rejected by its version before anything else is read.
 #[test]
 fn inflated_length_fields_are_corrupt_not_a_panic() {
+    use stateless_computation::core::symmetry::ReactionTable;
     use stateless_computation::verify::checkpoint::instance_fingerprint;
-    use stateless_computation::verify::FaultModel;
     // 16 edges × 4 label bits + 8 countdown bits: 2 words per state.
     let n = 8;
     let p = Protocol::builder(topology::bidirectional_ring(n), 1.0)
@@ -849,17 +902,8 @@ fn inflated_length_fields_are_corrupt_not_a_panic() {
         .unwrap();
     let (inputs, alphabet, r) = (vec![0u64; n], (0..16u8).collect::<Vec<_>>(), 2);
     let limits = Limits::default();
-    let fp = instance_fingerprint(
-        &p,
-        &inputs,
-        &alphabet,
-        r,
-        false,
-        &FaultModel::none(),
-        SymmetryMode::Off,
-        limits.max_states,
-        limits.max_edges,
-    );
+    let table = ReactionTable::build(&p, &inputs, &alphabet);
+    let fp = instance_fingerprint(&p, &inputs, &alphabet, table.as_ref(), r, false, &limits);
     let cases: [(&str, u64, u64, &[u64], &str); 3] = [
         (
             "long-segment",

@@ -13,6 +13,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -22,10 +23,12 @@ use stateless_computation::core::convergence::{
 };
 use stateless_computation::core::graph::DiGraph;
 use stateless_computation::core::prelude::*;
+use stateless_computation::verify::cache::DEFAULT_BYTE_BUDGET;
 use stateless_computation::verify::{
     verify_label_stabilization, verify_label_stabilization_naive,
-    verify_label_stabilization_with_stats, verify_output_stabilization,
-    verify_output_stabilization_naive, CycleWitness, Limits, SymmetryMode, Verdict, VerifyError,
+    verify_label_stabilization_resumed, verify_label_stabilization_with_stats,
+    verify_output_stabilization, verify_output_stabilization_naive, CacheOutcome, CheckpointPolicy,
+    CycleWitness, Limits, SymmetryMode, Verdict, VerdictCache, VerifyError,
 };
 
 /// Thread counts the cross-thread assertions run at: `2`
@@ -688,13 +691,18 @@ fn stabilizing_query_regenerates_its_edges_once_after_exploration() {
     }
 }
 
-/// The table path's twin: under `PROBE_CAP` each correct node's reaction
-/// runs exactly once per table entry, `Σᵥ |Σ|^indeg(v)` calls (`2n` on
-/// the Boolean unidirectional ring), whatever `r`, the thread count, the
-/// query mode, or whether a witness is built — exploration, Tarjan and
-/// the witness search all react by table lookups.
+/// The table path's twin: under `PROBE_CAP` a query tabulates each
+/// node's reaction once per in-labeling, faulty nodes included, and
+/// every later step reads that one table — exploration, Tarjan and the
+/// witness search, symmetry validation, the instance key behind
+/// checkpoints and the verdict cache, and resumes. So every query makes
+/// exactly `Σᵥ |Σ|^indeg(v)` calls (`2n` on the Boolean unidirectional
+/// ring), whatever `r`, the thread count, the query mode, the symmetry
+/// mode, the fault placement, the checkpoint policy or deadline, or
+/// whether the cache misses, hits or resumes.
 #[test]
 fn tabled_reactions_run_once_per_entry() {
+    let dir = std::env::temp_dir().join(format!("stateless-once-per-entry-{}", std::process::id()));
     for n in [4usize, 5] {
         for r in 1..=3u8 {
             for threads in [1, 2] {
@@ -708,25 +716,93 @@ fn tabled_reactions_run_once_per_entry() {
                         }))
                         .build()
                         .unwrap();
-                    let limits = Limits {
-                        threads,
-                        ..Limits::default()
+                    let once = |query: &str| {
+                        assert_eq!(
+                            calls.swap(0, Ordering::Relaxed),
+                            2 * n,
+                            "{query}: n = {n}, r = {r}, {threads} threads, copy = {copy}"
+                        );
                     };
                     let (inputs, alphabet) = (vec![0; n], [false, true]);
-                    let label =
-                        verify_label_stabilization(&p, &inputs, &alphabet, r, limits.clone())
-                            .unwrap();
-                    assert_eq!(label.is_stabilizing(), !copy, "n = {n}, r = {r}");
+                    let byz = FaultModel::byzantine(&[1]).unwrap();
+                    let at = |symmetry, faults| Limits {
+                        threads,
+                        symmetry,
+                        faults,
+                        ..Limits::default()
+                    };
+                    let plain = at(SymmetryMode::Off, FaultModel::none());
+                    let saved = |every_states, deadline| {
+                        let _ = std::fs::remove_dir_all(&dir);
+                        Limits {
+                            checkpoint: Some(CheckpointPolicy {
+                                every_states,
+                                ..CheckpointPolicy::new(&dir)
+                            }),
+                            deadline,
+                            ..plain.clone()
+                        }
+                    };
+                    let label = |limits: Limits| {
+                        verify_label_stabilization(&p, &inputs, &alphabet, r, limits).unwrap()
+                    };
+                    assert_eq!(label(plain.clone()).is_stabilizing(), !copy);
+                    once("label");
                     let output =
-                        verify_output_stabilization(&p, &inputs, &alphabet, r, limits).unwrap();
-                    assert!(output.is_stabilizing(), "n = {n}, r = {r}");
-                    assert_eq!(
-                        calls.load(Ordering::Relaxed),
-                        2 * 2 * n,
-                        "n = {n}, r = {r}, {threads} threads, copy = {copy}"
-                    );
+                        verify_output_stabilization(&p, &inputs, &alphabet, r, plain.clone());
+                    assert!(output.unwrap().is_stabilizing(), "n = {n}, r = {r}");
+                    once("output");
+                    let auto = at(SymmetryMode::Auto, FaultModel::none());
+                    assert_eq!(label(auto).is_stabilizing(), !copy);
+                    once("Auto");
+                    label(at(SymmetryMode::Off, byz));
+                    once("Byzantine {1}");
+                    label(at(SymmetryMode::Auto, byz));
+                    once("Auto, Byzantine {1}");
+                    assert_eq!(label(saved(Some(4), None)).is_stabilizing(), !copy);
+                    once("checkpoint every 4 states");
+                    let deadline = Some(Duration::from_nanos(1));
+                    assert!(label(saved(None, deadline)).is_partial());
+                    once("1 ns deadline");
+                    let (resumed, _) = verify_label_stabilization_resumed(
+                        &p,
+                        &inputs,
+                        &alphabet,
+                        r,
+                        plain.clone(),
+                        &dir,
+                    )
+                    .unwrap();
+                    assert_eq!(resumed.is_stabilizing(), !copy);
+                    once("resume");
+                    let cache = VerdictCache::in_memory(DEFAULT_BYTE_BUDGET);
+                    let cached = |limits: &Limits| {
+                        cache
+                            .verify_label(&p, &inputs, &alphabet, r, limits)
+                            .unwrap()
+                    };
+                    for outcome in [CacheOutcome::Miss, CacheOutcome::Hit] {
+                        assert_eq!(cached(&plain).outcome, outcome);
+                        once(outcome.as_str());
+                    }
+                    let got = cached(&at(SymmetryMode::Auto, byz));
+                    assert_eq!(got.outcome, CacheOutcome::Miss);
+                    once("miss, Auto, Byzantine {1}");
+                    let cache = VerdictCache::in_memory(DEFAULT_BYTE_BUDGET);
+                    let partial = cache
+                        .verify_label(&p, &inputs, &alphabet, r, &saved(None, deadline))
+                        .unwrap();
+                    assert!(partial.verdict.is_partial());
+                    once("cached 1 ns deadline");
+                    let resumed = cache
+                        .verify_label(&p, &inputs, &alphabet, r, &plain)
+                        .unwrap();
+                    assert_eq!(resumed.outcome, CacheOutcome::Resumed);
+                    assert_eq!(resumed.verdict.is_stabilizing(), !copy);
+                    once("cache resume");
                 }
             }
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
