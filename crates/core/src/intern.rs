@@ -13,7 +13,10 @@
 //! 3. probe a [`FingerprintIndex`]: every fingerprint hit is confirmed by
 //!    exact equality against the arena, so collisions cost a comparison
 //!    but never an incorrect answer, and no owned key (no
-//!    `HashMap<Vec<_>, _>` clone) is ever stored.
+//!    `HashMap<Vec<_>, _>` clone) is ever stored. A state of one packed
+//!    word and no auxiliary words cannot collide
+//!    ([`fingerprint_is_exact`]), so its hit is confirmed without reading
+//!    the arena.
 //!
 //! [`ChunkedArena`] backs the rows themselves, indexed by the id the
 //! index hands out: size-capped blocks mean appending a million rows
@@ -92,7 +95,8 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// auxiliary words. This is **the** state fingerprint — the product-graph
 /// explorer's interning, its successor lookups, and the checkpoint
 /// restore path all call this one function, so a state resolves to the
-/// same id no matter who hashes it.
+/// same id no matter who hashes it. On states of one row word and no
+/// auxiliary words it is injective ([`fingerprint_is_exact`]).
 pub fn state_fingerprint(row: &[u64], aux: &[u64]) -> u64 {
     let mut h = FxHasher::default();
     for &w in row {
@@ -104,6 +108,17 @@ pub fn state_fingerprint(row: &[u64], aux: &[u64]) -> u64 {
     h.finish()
 }
 
+/// Whether [`state_fingerprint`] tells apart every state of this shape:
+/// it does exactly when the row is one word and there are no auxiliary
+/// words. [`FxHasher`] starts at 0, so such a state's fingerprint is
+/// `row × FX_SEED mod 2^64`, and `FX_SEED` is odd, so that product is a
+/// bijection of `u64`. A fingerprint hit on such a state is then already
+/// an exact hit, and its confirmation needs no read of the stored row.
+/// Any other shape folds several words into one and must be confirmed.
+pub const fn fingerprint_is_exact(row_words: usize, aux_words: usize) -> bool {
+    row_words == 1 && aux_words == 0
+}
+
 /// Fingerprint → id index with exact-equality confirmation.
 ///
 /// Maps 64-bit fingerprints to the id of the first state that produced
@@ -111,7 +126,9 @@ pub fn state_fingerprint(row: &[u64], aux: &[u64]) -> u64 {
 /// by the caller against its arena; unconfirmed entries (a genuine 64-bit
 /// collision between distinct states) go to a small side list so the map
 /// itself stays one bare `u64 → u64` entry per state — no owned keys, no
-/// per-entry heap allocation.
+/// per-entry heap allocation. A caller whose states satisfy
+/// [`fingerprint_is_exact`] may confirm without reading its arena: no
+/// two of them share a fingerprint.
 #[derive(Debug, Default)]
 pub struct FingerprintIndex {
     seen: HashMap<u64, u64, FxBuildHasher>,
@@ -427,6 +444,39 @@ mod tests {
         assert_eq!(ids, vec![0, 1, 2, 0, 1]);
         assert_eq!(arena, vec![10, 20, 30]);
         assert_eq!(index.len(), 3);
+    }
+
+    /// Pins the rule that lets one-word states skip confirmation: a
+    /// change to the hasher's start value or multiplier that makes the
+    /// one-word fingerprint non-injective fails here instead of merging
+    /// distinct states.
+    #[test]
+    fn one_word_fingerprints_invert_exactly() {
+        assert!(fingerprint_is_exact(1, 0));
+        assert!(!fingerprint_is_exact(2, 0));
+        assert!(!fingerprint_is_exact(1, 1));
+        assert!(!fingerprint_is_exact(1, 4));
+        // The inverse of the odd multiplier mod 2^64 by Newton's
+        // iteration: x ← x·(2 − a·x) doubles the correct low bits, from
+        // the 3 that x = a already has.
+        let inverse = (0..5).fold(FX_SEED, |x, _| {
+            x.wrapping_mul(2u64.wrapping_sub(FX_SEED.wrapping_mul(x)))
+        });
+        assert_eq!(FX_SEED.wrapping_mul(inverse), 1);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let random = (0..100_000).map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state ^ state >> 29
+        });
+        for word in [0, 1, u64::MAX].into_iter().chain(random) {
+            assert_eq!(
+                state_fingerprint(&[word], &[]).wrapping_mul(inverse),
+                word,
+                "{word:#x}"
+            );
+        }
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! paper's PSPACE-completeness (Theorem 4.2) and communication bounds
 //! (Theorem 4.1) say it must be. The explorer packs each state into a few
 //! `u64` words (alphabet-index labels, narrow countdown fields), numbers
-//! each state once, with its dense id, through one fingerprint index with
-//! exact confirmation against the rows kept by that id, stores no
+//! each state once, with its dense id, through one fingerprint index
+//! (a state of one packed word without tracked outputs has an injective
+//! fingerprint, so its hit is exact; any other hit is confirmed against
+//! the rows kept by that id), stores no
 //! transitions — every phase that needs edges regenerates them from the
 //! packed states — and condenses the graph with one serial Tarjan pass over a successor
 //! oracle (`stateless_core::scc::condense`), which also reports the

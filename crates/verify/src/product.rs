@@ -15,9 +15,12 @@
 //! * **One numbering.** A state's id is its dense id from the moment it
 //!   is interned: one [`FingerprintIndex`] maps the seeded FxHash
 //!   fingerprint to it, and the packed rows are kept by dense id in one
-//!   [`ChunkedArena`] (tracked outputs in a second one). Every
-//!   fingerprint hit is confirmed by exact equality against those rows,
-//!   so hash collisions cost a comparison but never a wrong verdict.
+//!   [`ChunkedArena`] (tracked outputs in a second one). A state of one
+//!   packed word and no tracked outputs — every label-mode state whose
+//!   labels and countdowns fit 64 bits — has an injective fingerprint
+//!   ([`fingerprint_is_exact`]), so its fingerprint hit is exact and reads
+//!   no row. Every other hit is confirmed by exact equality against those
+//!   rows, so hash collisions cost a comparison but never a wrong verdict.
 //! * **No stored edges.** The verifier holds **no full-graph CSR**: a
 //!   product transition is a pure function of its packed source row, so
 //!   every phase that needs edges regenerates them on the fly —
@@ -25,7 +28,7 @@
 //!   activation sets, build each successor from the source and reacted
 //!   rows with whole-word masks (and, under symmetry, canonicalize it),
 //!   and resolve it to its dense id by a read-only fingerprint lookup
-//!   ([`FingerprintIndex::find`]) against the row arenas. Reacting is a
+//!   ([`FingerprintIndex::find`]), confirmed as above. Reacting is a
 //!   table lookup: when the instance has at most [`PROBE_CAP`] reaction
 //!   entries (`Σᵥ |Σ|^indeg(v)`), the query tabulates every node's
 //!   reaction once per in-labeling ([`ReactionTable`]) before anything
@@ -91,8 +94,9 @@
 //!    and nothing per-edge outlives the batch.
 //! 2. **Intern** (serial, on the calling thread): the chunks' records
 //!    are replayed **in stream order** — chunk by chunk, record by
-//!    record — against the fingerprint index. A hit is confirmed
-//!    against the rows; a miss is numbered on the spot with the next
+//!    record — against the fingerprint index. A hit is exact for a
+//!    one-word row without aux words and confirmed against the rows
+//!    otherwise; a miss is numbered on the spot with the next
 //!    dense id, after the [`Limits::max_states`] check. Stream order is
 //!    source order, then canonical edge order, so each state's id is
 //!    the position of the edge that first discovered it — exactly the
@@ -179,8 +183,8 @@ use std::time::{Duration, Instant};
 use stateless_core::checkpoint::{CheckpointError, CheckpointStore, SegmentWriter};
 use stateless_core::convergence::all_labelings;
 use stateless_core::intern::{
-    bits_for, pack, state_fingerprint as fingerprint, unpack, ChunkedArena, FingerprintIndex,
-    FxBuildHasher,
+    bits_for, fingerprint_is_exact, pack, state_fingerprint as fingerprint, unpack, ChunkedArena,
+    FingerprintIndex, FxBuildHasher,
 };
 use stateless_core::label::Label;
 use stateless_core::prelude::*;
@@ -944,9 +948,12 @@ impl Records {
     }
 }
 
-/// Whether `(row, aux)` is exactly the state stored under dense id `id`.
-/// The aux arena is consulted only when `aux` is non-empty: in label
-/// mode it holds no rows.
+/// Whether `(row, aux)`, whose fingerprint the index matched to dense id
+/// `id`, is exactly the state stored under `id`. A one-word row without
+/// aux words has an injective fingerprint ([`fingerprint_is_exact`]), so
+/// the match settles it and no arena is read (debug builds still
+/// compare). Otherwise the row is compared, and the aux arena too when
+/// `aux` is non-empty: in label mode it holds no rows.
 #[inline]
 fn is_state(
     rows: &ChunkedArena<u64>,
@@ -955,6 +962,14 @@ fn is_state(
     row: &[u64],
     aux: &[u64],
 ) -> bool {
+    if fingerprint_is_exact(row.len(), aux.len()) {
+        debug_assert_eq!(
+            rows.row(id as usize),
+            row,
+            "one-word fingerprints are exact"
+        );
+        return true;
+    }
     rows.row(id as usize) == row && (aux.is_empty() || auxes.row(id as usize) == aux)
 }
 
@@ -1989,8 +2004,9 @@ impl<'p, L: Label> Explorer<'p, L> {
     }
 
     /// The dense id of a regenerated successor row, by a read-only
-    /// fingerprint lookup confirmed against the rows — exploration
-    /// interned every successor.
+    /// fingerprint lookup — exploration interned every successor. The
+    /// hit is exact for a one-word row without aux words and confirmed
+    /// against the rows otherwise (`is_state`).
     fn resolve(&self, words: &[u64], aux: &[u64]) -> u32 {
         self.index
             .find(fingerprint(words, aux), |id| {
@@ -2000,7 +2016,8 @@ impl<'p, L: Label> Explorer<'p, L> {
     }
 
     /// Phase 2: replays `recs` in stream order against the fingerprint
-    /// index. A hit is confirmed by exact equality against the rows; a
+    /// index. A hit is exact for a one-word row without aux words and
+    /// confirmed by equality against the rows otherwise (`is_state`); a
     /// miss is numbered on the spot with the next dense id, after the
     /// [`Limits::max_states`] check. Replaying every batch's records in
     /// order numbers each state by the edge (or seed labeling) that

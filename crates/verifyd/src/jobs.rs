@@ -25,9 +25,10 @@ use stateless_protocols::bfs_tree::{bfs_alphabet, bfs_tree_protocol};
 /// (`1..=255`, default 1), `model` (`byzantine`, the default, or
 /// `crash`), `f` (present ⇒ sweep over every placement of `f` faulty
 /// nodes), `exclude` (sweep mode: node ids never faulty), `faulty`
-/// (single mode: the exact faulty set, default none), `max_states`,
-/// `deadline_ms`. Every number must be a non-negative integer that fits
-/// its field.
+/// (single mode: the exact faulty set, default none), `max_states` (at
+/// most the default budget, [`Limits::default`]), `deadline_ms`. Every
+/// number must be a non-negative integer that fits its field, and the
+/// line must be exactly one JSON object.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Job {
     /// Caller-chosen job id, echoed in every result row.
@@ -51,7 +52,7 @@ pub struct Job {
     pub exclude: Vec<NodeId>,
     /// Single mode: the exact faulty node set.
     pub faulty: Vec<NodeId>,
-    /// State-budget override.
+    /// State-budget override, never above the default budget.
     pub max_states: Option<usize>,
     /// Wall-clock deadline; expiry degrades to a `partial` row that a
     /// resubmission resumes (the cache keeps the resume pointer).
@@ -81,14 +82,15 @@ impl BadLine {
 
 impl Job {
     /// Parses one job line. Blank lines are `Ok(None)`; anything else
-    /// that does not parse is a [`BadLine`] keyed by the line's `id`.
-    /// Sizes are checked here, before any graph or alphabet is built.
+    /// that does not parse, or is not exactly one JSON object, is a
+    /// [`BadLine`] keyed by the line's `id`. Sizes are checked here,
+    /// before any graph or alphabet is built.
     pub fn parse(line: &str) -> Result<Option<Job>, BadLine> {
         if line.trim().is_empty() {
             return Ok(None);
         }
         Job::from_fields(line)
-            .map(Some)
+            .and_then(|job| one_object(line).map(|()| Some(job)))
             .map_err(|what| BadLine::new(line, what))
     }
 
@@ -112,6 +114,15 @@ impl Job {
         if r == 0 {
             return Err("\"r\" must be at least 1".into());
         }
+        // A job may lower the state budget but not lift it past the
+        // default it overrides.
+        let max_states: Option<usize> = int_field(line, "max_states")?;
+        let budget = Limits::default().max_states;
+        if let Some(asked) = max_states.filter(|&asked| asked > budget) {
+            return Err(format!(
+                "\"max_states\" = {asked} exceeds the service's cap of {budget} states"
+            ));
+        }
         Ok(Job {
             id,
             graph,
@@ -123,7 +134,7 @@ impl Job {
             f: int_field(line, "f")?,
             exclude: list_field(line, "exclude")?.unwrap_or_default(),
             faulty: list_field(line, "faulty")?.unwrap_or_default(),
-            max_states: int_field(line, "max_states")?,
+            max_states,
             deadline_ms: int_field(line, "deadline_ms")?,
         })
     }
@@ -358,17 +369,29 @@ fn json_ids(ids: &[NodeId]) -> String {
     format!("[{}]", inner.join(","))
 }
 
-/// The text of one JSON line right after the top-level `"key":`, with
-/// the JSON whitespace around the colon and before the value skipped, or
-/// `None` when the line's outermost object has no such key. Strings are
-/// skipped whole (escapes included) and brackets are counted, so only a
-/// string directly inside the outermost object and followed by a colon
-/// is a key: a string value equal to the key, a key inside a string, and
-/// a key of a nested object or array element are all passed over.
-fn value_of<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    const WS: [char; 4] = [' ', '\t', '\n', '\r'];
+/// JSON whitespace.
+const WS: [char; 4] = [' ', '\t', '\n', '\r'];
+
+/// How a [`walk`] over one JSON line ended.
+enum Walk<T> {
+    /// The visitor stopped the walk with this value.
+    Found(T),
+    /// The line's first bracket closed at this byte index.
+    Closed(usize),
+    /// The line ran out inside a string or with a bracket open, or a
+    /// bracket closed one of the other kind.
+    Broken,
+}
+
+/// Walks one JSON line until its first bracket closes. Strings are
+/// skipped whole (escapes included) and each closing bracket must match
+/// the one opened last. `visit(start, end, depth)` sees each complete
+/// string, `line[start..end]` without its quotes, and the number of
+/// brackets open around it; returning `Some` stops the walk.
+fn walk<T>(line: &str, mut visit: impl FnMut(usize, usize, usize) -> Option<T>) -> Walk<T> {
     let bytes = line.as_bytes();
-    let mut depth = 0usize;
+    // The closing byte each open bracket expects, innermost last.
+    let mut open = Vec::new();
     let mut at = 0;
     while at < bytes.len() {
         match bytes[at] {
@@ -379,27 +402,68 @@ fn value_of<'a>(line: &'a str, key: &str) -> Option<&'a str> {
                     end += if bytes[end] == b'\\' { 2 } else { 1 };
                 }
                 if end >= bytes.len() {
-                    return None;
+                    return Walk::Broken;
                 }
-                if depth == 1 && &line[start..end] == key {
-                    if let Some(value) = line[end + 1..].trim_start_matches(WS).strip_prefix(':') {
-                        return Some(value.trim_start_matches(WS));
-                    }
+                if let Some(found) = visit(start, end, open.len()) {
+                    return Walk::Found(found);
                 }
-                at = end + 1;
+                at = end;
             }
-            b'{' | b'[' => {
-                depth += 1;
-                at += 1;
+            b'{' => open.push(b'}'),
+            b'[' => open.push(b']'),
+            close @ (b'}' | b']') => {
+                if open.pop() != Some(close) {
+                    return Walk::Broken;
+                }
+                if open.is_empty() {
+                    return Walk::Closed(at);
+                }
             }
-            b'}' | b']' => {
-                depth = depth.saturating_sub(1);
-                at += 1;
-            }
-            _ => at += 1,
+            _ => {}
         }
+        at += 1;
     }
-    None
+    Walk::Broken
+}
+
+/// The text of one JSON line right after the top-level `"key":`, with
+/// the JSON whitespace around the colon and before the value skipped, or
+/// `None` when the line's first object has no such key before the walk
+/// ([`walk`]) stops. Only a string directly inside that object and
+/// followed by a colon is a key: a string value equal to the key, a key
+/// inside a string, and a key of a nested object or array element are
+/// all passed over.
+fn value_of<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let found = walk(line, |start, end, depth| {
+        if depth != 1 || &line[start..end] != key {
+            return None;
+        }
+        let value = line[end + 1..].trim_start_matches(WS).strip_prefix(':')?;
+        Some(value.trim_start_matches(WS))
+    });
+    match found {
+        Walk::Found(value) => Some(value),
+        Walk::Closed(_) | Walk::Broken => None,
+    }
+}
+
+/// Checks that `line` is exactly one JSON object: after JSON whitespace
+/// it opens with `{`, every string and bracket in it closes, and only
+/// whitespace follows the closing `}`. A line cut short or followed by
+/// more bytes is an error, never read as the job its prefix spells.
+fn one_object(line: &str) -> Result<(), String> {
+    let body = line.trim_start_matches(WS);
+    if !body.starts_with('{') {
+        return Err("a job line must be one JSON object".into());
+    }
+    match walk(body, |_, _, _| None::<()>) {
+        Walk::Closed(end) if body[end + 1..].trim_start_matches(WS).is_empty() => Ok(()),
+        Walk::Closed(_) => Err("bytes follow the job object".into()),
+        Walk::Found(()) | Walk::Broken => Err(
+            "the job object is torn: a string or bracket never closes, or closes the wrong kind"
+                .into(),
+        ),
+    }
 }
 
 /// Extracts the string value of `"key":"…"` from one JSON line, with its
@@ -635,6 +699,57 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!((job.n, job.cap, job.r), (4, 2, 255));
+        // A job may ask for the default state budget but not one state more.
+        let budget = Limits::default().max_states;
+        let asking = |states: usize| {
+            Job::parse(&format!(
+                r#"{{"id":"m{states}","graph":"biring","n":4,"max_states":{states}}}"#
+            ))
+        };
+        assert_eq!(asking(budget).unwrap().unwrap().max_states, Some(budget));
+        let bad = asking(budget + 1).unwrap_err();
+        assert_eq!(bad.id, format!("m{}", budget + 1));
+        assert!(
+            bad.what.contains("\"max_states\"") && bad.what.contains(&budget.to_string()),
+            "{}",
+            bad.what
+        );
+    }
+
+    #[test]
+    fn a_line_must_be_exactly_one_object() {
+        for (line, id) in [
+            // Cut from `"r":12`: its prefix spells a whole r = 1 job.
+            (
+                r#"{"id":"torn","graph":"biring","n":4,"cap":2,"r":1"#,
+                "torn",
+            ),
+            (
+                r#"{"id":"open","graph":"biring","n":4,"cap":2,"r":1,"note":"abc}"#,
+                "open",
+            ),
+            (
+                r#"{"id":"tail","graph":"biring","n":4,"cap":2,"r":1}garbage"#,
+                "tail",
+            ),
+            (
+                r#"{"id":"two","graph":"biring","n":4,"cap":2,"r":1}{"id":"x","n":9}"#,
+                "two",
+            ),
+            (
+                r#"{"id":"mis","graph":"biring","n":4,"meta":[1},"cap":2]"#,
+                "mis",
+            ),
+            (r#"x{"id":"lead","graph":"biring","n":4}"#, "lead"),
+        ] {
+            let bad = Job::parse(line).unwrap_err();
+            assert_eq!(bad.id, id, "{line}");
+        }
+        // Whitespace around the object is not trailing bytes.
+        let job = Job::parse(" \t{\"id\":\"ws\",\"graph\":\"biring\",\"n\":4} \r\n")
+            .unwrap()
+            .unwrap();
+        assert_eq!(job.id, "ws");
     }
 
     #[test]

@@ -237,11 +237,13 @@ mod tests {
 
     #[test]
     fn hostile_lines_get_keyed_error_rows_and_the_batch_goes_on() {
-        let batch: [&[u8]; 6] = [
+        let batch: [&[u8]; 8] = [
             br#"{"id":"cap","graph":"biring","n":4,"cap":1e12}"#,
             br#"{"id":"r","graph":"biring","n":4,"r":300}"#,
             br#"{"id":"n","graph":"biring","n":1e9}"#,
             NOT_UTF8,
+            br#"{"id":"torn","graph":"biring","n":4,"cap":2,"r":1"#,
+            br#"{"id":"big","graph":"biring","n":4,"max_states":1e12}"#,
             br#"{"id":"ok","graph":"biring","n":3,"cap":2}"#,
             br#"{"id":"ready","graph":"ready-probe","n":1}"#,
         ];
@@ -253,7 +255,10 @@ mod tests {
             &mut rows,
         );
         assert_eq!(rows.len(), batch.len(), "{rows:#?}");
-        for (row, id) in rows.iter().zip(["cap", "r", "n", "raw-\u{fffd}"]) {
+        for (row, id) in rows
+            .iter()
+            .zip(["cap", "r", "n", "raw-\u{fffd}", "torn", "big"])
+        {
             assert!(
                 row.starts_with(&format!("{{\"id\":\"{id}\",\"error\":")),
                 "{row}"
@@ -261,11 +266,11 @@ mod tests {
         }
         assert!(rows[3].contains("not UTF-8"), "{}", rows[3]);
         assert!(
-            rows[4].contains("\"verdict\":\"stabilizing\""),
+            rows[6].contains("\"verdict\":\"stabilizing\""),
             "{}",
-            rows[4]
+            rows[6]
         );
-        assert!(rows[5].contains("\"id\":\"ready\""), "{}", rows[5]);
+        assert!(rows[7].contains("\"id\":\"ready\""), "{}", rows[7]);
     }
 
     #[test]
