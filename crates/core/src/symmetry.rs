@@ -31,10 +31,11 @@
 //! reaction. It is what makes `Auto` sound for *arbitrary* reactions: a
 //! reflection on a bidirectional ring, for example, swaps each node's
 //! clockwise and counter-clockwise slots and survives only if the
-//! reaction genuinely treats them symmetrically. An instance too large
-//! to tabulate ([`PROBE_CAP`]) gets the identity group. The validated
-//! generators are closed into the full group (bounded by a closure cap;
-//! on overflow the derivation degrades soundly to the identity).
+//! reaction genuinely treats them symmetrically. [`Symmetry::derive`]
+//! gives an instance over [`PROBE_CAP`] entries the identity group. The
+//! validated generators are closed into the full group (bounded by a
+//! closure cap; on overflow the derivation degrades soundly to the
+//! identity).
 //!
 //! # Canonicalization ([`Symmetry::canonicalize`])
 //!
@@ -71,12 +72,10 @@ use crate::label::Label;
 use crate::protocol::Protocol;
 use crate::{Input, NodeId, Output};
 
-/// Largest reaction domain ([`reaction_domain`]) that is tabulated:
-/// [`ReactionTable::build`] enumerates an instance up to it and declines
-/// above it. Without a table [`Symmetry::derive`] returns the identity
-/// group — soundly, since missing a true automorphism only costs
-/// reduction — and the verifier's instance fingerprint hashes a sample
-/// of the reactions instead of every entry.
+/// Largest reaction domain ([`reaction_domain`]) that [`Symmetry::derive`]
+/// tabulates. Above it `derive` returns the identity group — soundly,
+/// since missing a true automorphism only costs reduction. Callers that
+/// build a [`ReactionTable`] themselves pass their own entry cap.
 pub const PROBE_CAP: u64 = 1 << 14;
 
 /// The number of reaction entries of a protocol on `graph` over an
@@ -102,12 +101,14 @@ pub fn dedup_alphabet<L: Label>(alphabet: &[L]) -> Vec<L> {
 
 /// Every node's reaction over every in-labeling of a deduplicated
 /// alphabet `Σ`: over a finite alphabet a stateless protocol *is* this
-/// table. Node `v` has `|Σ|^indeg(v)` entries; its entry for in-label
-/// digits `d₀, d₁, …` (alphabet indices, first in-edge first) is number
-/// `Σₖ dₖ·|Σ|ᵏ`, so the first in-edge's digit varies fastest, and the
-/// nodes follow each other in id order. An entry is the node's output and
-/// its out-labels, in [`DiGraph::out_edges`] order, as the reaction
-/// returned them: a label outside the alphabet is kept as it is.
+/// table. Node `v` has `|Σ|^indeg(v)` entries (none when `Σ` is empty
+/// and the protocol has an edge: it has no labeling); its entry for
+/// in-label digits `d₀, d₁, …` (alphabet indices, first in-edge first)
+/// is number `Σₖ dₖ·|Σ|ᵏ`, so the first in-edge's digit varies fastest,
+/// and the nodes follow each other in id order. An entry is the node's
+/// output and its out-labels, in [`DiGraph::out_edges`] order, as the
+/// reaction returned them: a label outside the alphabet is kept as it
+/// is.
 ///
 /// [`ReactionTable::build`] is the one place that calls reactions over
 /// their domain. Symmetry validation ([`Symmetry::from_table`]), the
@@ -139,32 +140,40 @@ struct NodeSpan {
 impl<L: Label> ReactionTable<L> {
     /// Calls every node's reaction once per in-labeling over the
     /// deduplicated `alphabet`, node by node; every edge outside the
-    /// node's in-edges holds `alphabet[0]`. `None`, calling nothing, when
-    /// the alphabet is empty, `inputs` does not have one entry per node,
-    /// or the table would exceed [`PROBE_CAP`] entries. A reaction panic
+    /// node's in-edges holds `alphabet[0]`. Over an empty alphabet a
+    /// protocol with an edge has no labeling, so its table has no entries
+    /// and nothing is called. `None`, calling nothing, when `inputs` does
+    /// not have one entry per node or the table would exceed
+    /// `max_entries` entries ([`reaction_domain`]). A reaction panic
     /// unwinds to the caller.
-    pub fn build(protocol: &Protocol<L>, inputs: &[Input], alphabet: &[L]) -> Option<Self> {
+    pub fn build(
+        protocol: &Protocol<L>,
+        inputs: &[Input],
+        alphabet: &[L],
+        max_entries: u64,
+    ) -> Option<Self> {
         let graph = protocol.graph();
-        let n = graph.node_count();
+        let (n, e) = (graph.node_count(), graph.edge_count());
         let size = reaction_domain(graph, alphabet.len());
-        if alphabet.is_empty() || inputs.len() != n || size > PROBE_CAP {
+        if inputs.len() != n || size > max_entries {
             return None;
         }
         let q = alphabet.len();
+        let labelings = usize::from(q > 0 || e == 0);
         let mut table = ReactionTable {
             q,
             nodes: Vec::with_capacity(n),
-            outputs: Vec::with_capacity(size as usize),
-            labels: Vec::with_capacity(size as usize),
+            outputs: Vec::with_capacity(size as usize * labelings),
+            labels: Vec::with_capacity(size as usize * labelings),
         };
-        let mut labeling = vec![alphabet[0].clone(); graph.edge_count()];
+        let mut labeling = alphabet.first().map_or(Vec::new(), |l| vec![l.clone(); e]);
         let (mut in_buf, mut out_buf) = (Vec::new(), Vec::new());
         for (node, &input) in inputs.iter().enumerate() {
             let ins = graph.in_edges(node);
             let span = NodeSpan {
                 first: table.outputs.len(),
                 label_first: table.labels.len(),
-                entries: q.pow(ins.len() as u32),
+                entries: labelings * q.pow(ins.len() as u32),
                 out_degree: graph.out_degree(node),
             };
             table.nodes.push(span);
@@ -178,8 +187,10 @@ impl<L: Label> ReactionTable<L> {
                 table.outputs.push(y);
                 table.labels.extend_from_slice(&out_buf);
             }
-            for &f in ins {
-                labeling[f] = alphabet[0].clone();
+            if let Some(first) = alphabet.first() {
+                for &f in ins {
+                    labeling[f] = first.clone();
+                }
             }
         }
         Some(table)
@@ -190,7 +201,8 @@ impl<L: Label> ReactionTable<L> {
         self.q
     }
 
-    /// The number of entries of `node`: `|Σ|^indeg(node)`.
+    /// The number of entries of `node`: `|Σ|^indeg(node)`, or none when
+    /// the protocol has no labeling.
     pub fn node_entries(&self, node: NodeId) -> usize {
         self.nodes[node].entries
     }
@@ -391,12 +403,13 @@ impl Symmetry {
 
     /// Derives the validated automorphism group of `protocol` under
     /// `inputs` over `alphabet`: tabulates the reactions
-    /// ([`ReactionTable::build`], over the deduplicated alphabet) and
-    /// validates against the table ([`Symmetry::from_table`]). Always
-    /// sound; an instance without a table gets the identity group.
+    /// ([`ReactionTable::build`], over the deduplicated alphabet, up to
+    /// [`PROBE_CAP`] entries) and validates against the table
+    /// ([`Symmetry::from_table`]). Always sound; an instance over the cap
+    /// gets the identity group.
     pub fn derive<L: Label>(protocol: &Protocol<L>, inputs: &[Input], alphabet: &[L]) -> Self {
         let g = protocol.graph();
-        match ReactionTable::build(protocol, inputs, &dedup_alphabet(alphabet)) {
+        match ReactionTable::build(protocol, inputs, &dedup_alphabet(alphabet), PROBE_CAP) {
             Some(table) => Symmetry::from_table(g, inputs, &table),
             None => Symmetry::identity(g.node_count(), g.edge_count()),
         }
@@ -1023,6 +1036,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn tables_keep_to_their_cap_and_an_empty_alphabet_has_no_entry() {
+        // Two entries per node of the 3-ring over {false, true}: 6 in all.
+        let p = rotation_ring(3);
+        assert!(ReactionTable::build(&p, &[0; 3], &[false, true], 5).is_none());
+        let table = ReactionTable::build(&p, &[0; 3], &[false, true], 6).unwrap();
+        assert_eq!((0..3).map(|v| table.node_entries(v)).sum::<usize>(), 6);
+        // Over no label a protocol with an edge has no labeling: nothing
+        // to tabulate, and no reaction runs.
+        let never = Protocol::builder(topology::unidirectional_ring(3), 1.0)
+            .uniform_reaction(FnReaction::new(|_, _: &[bool], _| {
+                panic!("no labeling to react to")
+            }))
+            .build()
+            .unwrap();
+        let empty = ReactionTable::build(&never, &[0; 3], &[], u64::MAX).unwrap();
+        assert!((0..3).all(|v| empty.node_entries(v) == 0));
     }
 
     #[test]

@@ -23,7 +23,12 @@
 //! builds no explorer. A miss or a resume hands the same table to the
 //! explorer, which reacts, validates symmetries and stamps its
 //! checkpoints from it: the key digests exactly the entries exploration
-//! reads.
+//! reads. Every final verdict a query computes is memoized. An instance
+//! whose table would exceed the state budget plus one entry per node is
+//! refused before anything is tabulated, as the `verify_*` entry points
+//! refuse it, and nothing is stored for it.
+//!
+//! [`ReactionTable`]: stateless_core::symmetry::ReactionTable
 //!
 //! # What is stored
 //!
@@ -35,23 +40,9 @@
 //! held serialized (a flat `u64` word vector), so one cache serves any
 //! label type `L`; decoding on a hit reconstructs the labels through
 //! the *query's* alphabet, which the fingerprint guarantees matches the
-//! writer's. Two different instances colliding on the 64-bit
-//! fingerprint would cross-serve — the same trust model as checkpoint
-//! resume. Only instances with a reaction table — at most
-//! [`PROBE_CAP`] entries — are cached, because there the fingerprint
-//! digests every reaction entry and a collision requires a hash
-//! collision.
-//!
-//! # Instances over the probe cap are computed every time
-//!
-//! Above [`PROBE_CAP`] there is no table, and the fingerprint digests
-//! only a fixed sample of in-labelings per node (see
-//! [`instance_fingerprint`]), so two reactions that agree on the sample
-//! share a key while their verdicts may differ. The cache therefore
-//! neither looks such an instance up nor memoizes it, in memory or on
-//! disk: every query verifies from scratch and reports
-//! [`CacheOutcome::Miss`], and a deadline-truncated run leaves no resume
-//! pointer.
+//! writer's. The fingerprint digests every reaction entry, so two
+//! different instances cross-serve only if they collide on the 64-bit
+//! hash — the same trust model as checkpoint resume.
 //!
 //! # `Verdict::Partial` is never memoized as final
 //!
@@ -77,8 +68,6 @@
 //! answer), and an entry that decodes inconsistently is dropped at
 //! lookup time. Eviction is LRU under a byte budget measured over the
 //! serialized entry payloads.
-//!
-//! [`PROBE_CAP`]: stateless_core::symmetry::PROBE_CAP
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -87,7 +76,7 @@ use std::time::Instant;
 
 use stateless_core::checkpoint::{CheckpointError, CheckpointStore};
 use stateless_core::prelude::*;
-use stateless_core::symmetry::{dedup_alphabet, ReactionTable, SymmetryMode};
+use stateless_core::symmetry::{dedup_alphabet, SymmetryMode};
 
 use crate::checkpoint::{instance_fingerprint, CheckpointHandle};
 use crate::product::{CycleWitness, ExploreStats, Instance, Limits, Verdict, VerifyError};
@@ -318,8 +307,11 @@ impl VerdictCache {
 
     /// The instance fingerprint a **label**-stabilization query of
     /// these parameters is keyed under (exposed so services can report
-    /// the key alongside their rows). Tabulates the reactions to take it,
-    /// as the query itself does.
+    /// the key alongside their rows). Validates and tabulates the
+    /// instance to take it, as the query itself does. An instance the
+    /// query rejects or refuses is not tabulated: its fingerprint digests
+    /// no reaction, and no store is ever keyed by it, since such a query
+    /// fails before it opens one.
     pub fn label_fingerprint<L: Label>(
         protocol: &Protocol<L>,
         inputs: &[Input],
@@ -327,9 +319,13 @@ impl VerdictCache {
         r: u8,
         limits: &Limits,
     ) -> u64 {
-        let dedup = dedup_alphabet(alphabet);
-        let table = ReactionTable::build(protocol, inputs, &dedup);
-        instance_fingerprint(protocol, inputs, &dedup, table.as_ref(), r, false, limits)
+        match Instance::new(protocol, inputs, alphabet, r, false, limits) {
+            Ok(inst) => inst.key(limits),
+            Err(_) => {
+                let dedup = dedup_alphabet(alphabet);
+                instance_fingerprint(protocol, inputs, &dedup, None, r, false, limits)
+            }
+        }
     }
 
     /// Answers a **label**-stabilization query through the cache:
@@ -337,9 +333,7 @@ impl VerdictCache {
     /// `{verdict, witness, stats}` to the run that computed it), a
     /// stored `Partial` pointer resumes from its checkpoint epoch
     /// ([`CacheOutcome::Resumed`]), and anything else verifies from
-    /// scratch ([`CacheOutcome::Miss`]) and memoizes the result. An
-    /// instance over [`PROBE_CAP`](stateless_core::symmetry::PROBE_CAP)
-    /// is always a `Miss` and is never memoized (see the module docs).
+    /// scratch ([`CacheOutcome::Miss`]) and memoizes the result.
     ///
     /// # Errors
     ///
@@ -392,11 +386,7 @@ impl VerdictCache {
     ) -> Result<CachedVerdict<L>, VerifyError> {
         let started = Instant::now();
         let inst = Instance::new(protocol, inputs, alphabet, r, track_outputs, limits)?;
-        let fp = inst.key(limits)?;
-        // Without a table the key digests a sample of the reactions, so
-        // equal keys need not mean equal instances: such an instance is
-        // never looked up and never memoized.
-        let exact_key = inst.table.is_some();
+        let fp = inst.key(limits);
         // Lookup under the lock; decode failures drop the entry (a
         // corrupt record must fall back to recompute, not error).
         let cached = {
@@ -404,7 +394,6 @@ impl VerdictCache {
             let decoded = inner
                 .entries
                 .get(&fp)
-                .filter(|_| exact_key)
                 .map(|entry| decode_entry::<L>(&entry.words, &inst.alphabet));
             match decoded {
                 Some(Some(decoded)) => {
@@ -466,9 +455,7 @@ impl VerdictCache {
             None => (inst.verify(limits, started)?, CacheOutcome::Miss),
         };
         let provenance = provenance_of(limits, started.elapsed().as_secs_f64());
-        if exact_key {
-            self.memoize(fp, &verdict, stats, &provenance, &alphabet);
-        }
+        self.memoize(fp, &verdict, stats, &provenance, &alphabet);
         Ok(CachedVerdict {
             verdict,
             stats,

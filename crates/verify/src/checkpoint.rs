@@ -30,21 +30,13 @@
 //! the point. A mismatch at resume time is a typed
 //! [`ResumeError::InstanceMismatch`], never a silent wrong answer.
 //!
-//! The behavioral digest is **exact** when the query has a
-//! [`ReactionTable`]: if `Σᵥ |Σ|^indeg(v)` ([`reaction_domain`]) is at
-//! most [`PROBE_CAP`], the query tabulates every node's reaction on every
-//! combination of its in-labels once, and the digest hashes those
-//! entries (node order, then in-edge order, the first in-edge's digit
-//! varying fastest) — the very entries exploration reacts from. It calls
-//! no reaction, and two instances with different reaction tables get
-//! different digests up to a 64-bit hash collision. Above the cap there
-//! is no table, and the reactions are probed on a fixed pseudorandom
-//! sample of whole labelings instead. That sample is a guard against
-//! accidental mismatch, not a proof of protocol equality: two reactions
-//! that agree on it but differ elsewhere collide.
-//!
-//! [`reaction_domain`]: stateless_core::symmetry::reaction_domain
-//! [`PROBE_CAP`]: stateless_core::symmetry::PROBE_CAP
+//! The behavioral digest is **exact**: every query tabulates every
+//! node's reaction on every combination of its in-labels once
+//! ([`ReactionTable`]), and the digest hashes those entries (node order,
+//! then in-edge order, the first in-edge's digit varying fastest) — the
+//! very entries exploration reacts from. It calls no reaction, and two
+//! instances with different reaction tables get different digests up to
+//! a 64-bit hash collision.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -64,7 +56,7 @@ use crate::product::Limits;
 /// prefix of the (thread-count-independent) exploration and resuming
 /// from it reproduces the uninterrupted run bit for bit.
 ///
-/// With both intervals `None`, no periodic epochs are written; the
+/// With no interval, no periodic epochs are written; the
 /// explorer still writes a final epoch when a
 /// [`Limits::deadline`](crate::product::Limits::deadline) expires (the
 /// handle inside [`Verdict::Partial`](crate::product::Verdict::Partial))
@@ -82,9 +74,6 @@ pub struct CheckpointPolicy {
     /// come due there. `Some(0)` is rejected by
     /// [`Limits::validate`](crate::product::Limits::validate).
     pub every_states: Option<usize>,
-    /// Write an epoch once this much wall-clock time has elapsed since
-    /// the last one (seconds). Must be finite and positive.
-    pub every_secs: Option<f64>,
     /// How many committed epochs to keep; older ones are pruned at each
     /// commit. At least 1 (0 is rejected up front); keep ≥ 2 so a
     /// corrupted newest epoch still leaves a fallback.
@@ -94,14 +83,12 @@ pub struct CheckpointPolicy {
 impl CheckpointPolicy {
     /// A policy writing to `dir` with no periodic interval (epochs only
     /// at deadline expiry or poisoned-chunk failure) and a retention of
-    /// 2 epochs. Set [`every_states`](CheckpointPolicy::every_states) /
-    /// [`every_secs`](CheckpointPolicy::every_secs) for periodic
-    /// checkpointing.
+    /// 2 epochs. Set [`every_states`](CheckpointPolicy::every_states) for
+    /// periodic checkpointing.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         CheckpointPolicy {
             dir: dir.into(),
             every_states: None,
-            every_secs: None,
             retain: 2,
         }
     }
@@ -185,10 +172,6 @@ impl From<CheckpointError> for ResumeError {
 /// the fingerprinted feature set changes (v2: the exact reaction digest).
 const FINGERPRINT_SEED: u64 = 0x5354_4c53_4650_0002; // "STLSFP" v2
 
-/// Number of pseudorandom labelings each node's reaction is probed with
-/// when the instance has no reaction table.
-const PROBES_PER_NODE: usize = 8;
-
 /// The canonical fingerprint of a verification instance — see the
 /// [module docs](self) for exactly what is (and is not) covered. Of
 /// `limits` it hashes the fault model, the symmetry mode and the two
@@ -196,10 +179,9 @@ const PROBES_PER_NODE: usize = 8;
 ///
 /// `alphabet` must already be deduplicated (first occurrence wins), as
 /// the explorer's `Config` holds it: duplicate alphabet entries do not
-/// change the instance. `table` is the query's reaction table over it,
-/// which exists exactly when the instance has at most
-/// [`PROBE_CAP`](stateless_core::symmetry::PROBE_CAP) entries; without
-/// one the reactions are sampled.
+/// change the instance. `table` is the query's reaction table over it;
+/// `None`, for an instance the verifier refuses or rejects before
+/// tabulating, digests no reaction.
 pub fn instance_fingerprint<L: Label>(
     protocol: &Protocol<L>,
     inputs: &[Input],
@@ -236,45 +218,16 @@ pub fn instance_fingerprint<L: Label>(
     });
     h.write_usize(limits.max_states);
     h.write_usize(limits.max_edges);
-    // Behavioral digest: the output and out-labels of every table entry,
-    // or of every sampled probe.
-    let hash_entry = |h: &mut FxHasher, y: Output, labels: &[L]| {
-        h.write_u64(y);
-        h.write_usize(labels.len());
-        for l in labels {
-            l.hash(h);
-        }
-    };
+    // Behavioral digest: the output and out-labels of every table entry.
     if let Some(table) = table {
         for node in 0..n {
             for entry in 0..table.node_entries(node) {
                 let (y, labels) = table.entry(node, entry);
-                hash_entry(&mut h, y, labels);
-            }
-        }
-    } else if !alphabet.is_empty() {
-        // A fixed pseudorandom sample of whole labelings (an LCG over
-        // alphabet indices — deterministic, platform-independent).
-        let q = alphabet.len();
-        let mut labeling: Vec<L> = vec![alphabet[0].clone(); e];
-        let (mut in_buf, mut react_buf) = (Vec::new(), Vec::new());
-        let mut lcg: u64 = 0x9e37_79b9_7f4a_7c15;
-        for node in 0..n {
-            for _ in 0..PROBES_PER_NODE {
-                for slot in labeling.iter_mut() {
-                    lcg = lcg
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    *slot = alphabet[(lcg >> 33) as usize % q].clone();
+                h.write_u64(y);
+                h.write_usize(labels.len());
+                for l in labels {
+                    l.hash(&mut h);
                 }
-                let y = protocol.apply_buffered(
-                    node,
-                    &labeling,
-                    inputs.get(node).copied().unwrap_or(0),
-                    &mut in_buf,
-                    &mut react_buf,
-                );
-                hash_entry(&mut h, y, &react_buf);
             }
         }
     }
@@ -306,7 +259,7 @@ mod tests {
         symmetry: SymmetryMode,
         max_states: usize,
     ) -> u64 {
-        let table = ReactionTable::build(p, inputs, alphabet);
+        let table = ReactionTable::build(p, inputs, alphabet, u64::MAX);
         let limits = Limits {
             faults,
             symmetry,
@@ -363,9 +316,9 @@ mod tests {
 
     #[test]
     fn fingerprint_sees_every_reaction_entry_of_a_small_domain() {
-        // |Σ| = 16 on a 3-ring: 48 entries, far under PROBE_CAP. Node 0's
-        // table is perturbed at one in-label at a time; a sample of 8
-        // labelings sees at most 8 of its 16 entries.
+        // |Σ| = 16 on a 3-ring: 48 entries. Node 0's table is perturbed
+        // at one in-label at a time, and each of its 16 entries moves
+        // the key.
         let fp = |perturbed: Option<u64>| {
             let p = Protocol::builder(topology::unidirectional_ring(3), 4.0)
                 .uniform_reaction(FnReaction::new(move |node, inc: &[u64], _| {

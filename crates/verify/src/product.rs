@@ -29,17 +29,20 @@
 //!   rows with whole-word masks (and, under symmetry, canonicalize it),
 //!   and resolve it to its dense id by a read-only fingerprint lookup
 //!   ([`FingerprintIndex::find`]), confirmed as above. Reacting is a
-//!   table lookup: when the instance has at most [`PROBE_CAP`] reaction
-//!   entries (`Σᵥ |Σ|^indeg(v)`), the query tabulates every node's
-//!   reaction once per in-labeling ([`ReactionTable`]) before anything
-//!   else, and that one table serves the whole query: symmetry
-//!   validation, the instance key the checkpoints and the verdict cache
-//!   trust, and `Explorer::prepare`, which packs each correct node's
-//!   out-labels into whole-word masks, so a state reads each node's
-//!   in-edge digits from its row and ORs in that node's entry. Larger
-//!   instances have no table: they decode the row and call the
-//!   reactions, keep the identity group, and get a sampled key. This is the
-//!   classic on-the-fly / implicit-graph model-checking move: memory is
+//!   table lookup: the query tabulates every node's reaction once per
+//!   in-labeling ([`ReactionTable`]) before anything else, and that one
+//!   table serves the whole query: symmetry validation, the instance key
+//!   the checkpoints and the verdict cache trust, and
+//!   `Explorer::prepare`, which packs each correct node's out-labels into
+//!   whole-word masks, so a state reads each node's in-edge digits from
+//!   its row and ORs in that node's entry. Every edge is the in-edge of
+//!   exactly one node, so the table (`Σᵥ |Σ|^indeg(v)` entries) has at
+//!   most one entry per labeling plus one per node, and every labeling
+//!   is a seed state: the table costs no more than the seeds, and an
+//!   instance whose table exceeds [`Limits::max_states`] plus `n`
+//!   entries is refused as [`VerifyError::TooManyStates`] before any
+//!   reaction runs. This is the classic on-the-fly / implicit-graph
+//!   model-checking move: memory is
 //!   O(states) plus bounded transients (per-batch record buffers during
 //!   exploration, the edge buffers along one DFS path during SCC, and
 //!   the witness search's map over the states it reaches), never
@@ -86,12 +89,11 @@
 //!
 //! 1. **Expand** (parallel over chunks): workers claim contiguous slices
 //!    of the batch's source states, read each state's row by dense id,
-//!    react each correct node once into a reacted row (by table lookup,
-//!    or by calling the reaction over the cap), enumerate its activation
-//!    sets (each set is a few whole-word operations on the source and
-//!    reacted rows), and emit one record stream per chunk of
-//!    `(fingerprint, packed words)` — successors are *not* resolved yet,
-//!    and nothing per-edge outlives the batch.
+//!    react each correct node once into a reacted row (a table lookup),
+//!    enumerate its activation sets (each set is a few whole-word
+//!    operations on the source and reacted rows), and emit one record
+//!    stream per chunk of `(fingerprint, packed words)` — successors are
+//!    *not* resolved yet, and nothing per-edge outlives the batch.
 //! 2. **Intern** (serial, on the calling thread): the chunks' records
 //!    are replayed **in stream order** — chunk by chunk, record by
 //!    record — against the fingerprint index. A hit is exact for a
@@ -104,10 +106,10 @@
 //!    buffers are then dropped; only the edge count (the traversal
 //!    budget) and the peak transient byte figure survive.
 //!
-//! An `r = 1` label-mode query with a reaction table skips the batches.
-//! Its countdown fields are zero bits wide and outputs are not tracked,
-//! so a state is its labeling alone, and every labeling is a seed: the
-//! batches would generate every edge only to intern nothing. Instead the
+//! An `r = 1` label-mode query skips the batches. Its countdown fields
+//! are zero bits wide and outputs are not tracked, so a state is its
+//! labeling alone, and every labeling is a seed: the batches would
+//! generate every edge only to intern nothing. Instead the
 //! loop counts those edges (each state's lone activation set branches
 //! over every adversary choice), charges them against
 //! [`Limits::max_edges`], and goes straight to the SCC pass, which
@@ -165,11 +167,9 @@
 //! it exists for testing only. One behavioral refinement: the packed
 //! explorer requires the reactions to be closed over `alphabet` and
 //! reports a violation immediately as [`VerifyError::BadParameters`] —
-//! while packing the reaction table, before seeding, when it has one —
-//! where the naive explorer would silently grow the state space until
+//! while packing the reaction table, before seeding — where the naive
+//! explorer would silently grow the state space until
 //! [`Limits::max_states`] tripped.
-//!
-//! [`PROBE_CAP`]: stateless_core::symmetry::PROBE_CAP
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -194,7 +194,7 @@ use stateless_core::symmetry::{
 };
 
 use crate::checkpoint::{instance_fingerprint, CheckpointHandle, CheckpointPolicy, ResumeError};
-use crate::table::{outside_alphabet, PackedReactions};
+use crate::table::PackedReactions;
 
 /// Largest node count the exact verifier accepts; a larger protocol is
 /// rejected as [`VerifyError::BadParameters`] before anything is
@@ -256,14 +256,14 @@ pub struct Limits {
     /// which is not interruptible, so the first check follows it — and a
     /// run that finishes exploring always condenses and reports its full
     /// verdict, however long the SCC phase takes. For an `r = 1`
-    /// label-mode query whose reactions fit a table, exploration is the
-    /// seed phase alone (see the module docs), so the budget trips only
-    /// if seeding outlasts it. A resumed run's budget
-    /// starts once its epoch is loaded. Batch boundaries depend only on
-    /// deterministic exploration totals, but *which* boundary the
-    /// deadline trips at is inherently timing-dependent; determinism is
-    /// preserved where it matters — any checkpoint, wherever taken,
-    /// resumes to the bit-identical final verdict.
+    /// label-mode query, exploration is the seed phase alone (see the
+    /// module docs), so the budget trips only if seeding outlasts it. A
+    /// resumed run's budget starts once its epoch is loaded. Batch
+    /// boundaries depend only on deterministic exploration totals, but
+    /// *which* boundary the deadline trips at is inherently
+    /// timing-dependent; determinism is preserved where it matters — any
+    /// checkpoint, wherever taken, resumes to the bit-identical final
+    /// verdict.
     pub deadline: Option<Duration>,
     /// Crash-safe checkpointing policy (`None` — the default — writes
     /// nothing). See [`CheckpointPolicy`]: epochs are written at batch
@@ -275,9 +275,8 @@ pub struct Limits {
 
 impl Limits {
     /// Rejects meaningless limit combinations up front — a zero
-    /// checkpoint interval, a non-finite or non-positive wall-clock
-    /// interval, a zero epoch retention, or a zero deadline — as
-    /// [`VerifyError::BadParameters`] instead of misbehaving
+    /// checkpoint interval, a zero epoch retention, or a zero deadline —
+    /// as [`VerifyError::BadParameters`] instead of misbehaving
     /// mid-exploration. Every verification entry point (packed and
     /// naive) calls this before exploring.
     ///
@@ -297,16 +296,17 @@ impl Limits {
             if policy.every_states == Some(0) {
                 return bad("checkpoint.every_states must be ≥ 1");
             }
-            if let Some(secs) = policy.every_secs {
-                if !secs.is_finite() || secs <= 0.0 {
-                    return bad("checkpoint.every_secs must be finite and positive");
-                }
-            }
             if policy.retain == 0 {
                 return bad("checkpoint.retain must be ≥ 1 (0 would prune the epoch just written)");
             }
         }
         Ok(())
+    }
+
+    /// The states a query may number: [`Limits::max_states`], but never
+    /// as many as 32-bit dense ids can name.
+    fn state_budget(&self) -> usize {
+        self.max_states.min(u32::MAX as usize - 1)
     }
 }
 
@@ -347,7 +347,10 @@ impl Default for Limits {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum VerifyError {
-    /// The product graph exceeded [`Limits::max_states`].
+    /// The product graph exceeded [`Limits::max_states`], or the
+    /// instance was refused before anything ran: its reaction table has
+    /// more entries than the budget plus one per node, so it has more
+    /// labelings, all of them seed states, than the budget.
     TooManyStates {
         /// The limit that was hit.
         limit: usize,
@@ -376,19 +379,17 @@ pub enum VerifyError {
     /// Resuming from a checkpoint failed — see [`ResumeError`] for the
     /// typed causes (instance mismatch, no valid epoch, corruption, I/O).
     Resume(ResumeError),
-    /// An expand worker panicked on the same chunk twice (once in the
-    /// parallel wave, once in the serial retry) — a reaction with a
-    /// reproducible panic. When a [`Limits::checkpoint`] policy is set,
-    /// everything interned *before* the poisoned batch was written as a
-    /// final epoch first, so the work is not lost; fix the reaction and
-    /// resume from [`checkpoint`](VerifyError::PoisonedChunk::checkpoint).
+    /// A reaction panicked in both tries of the query's one tabulation of
+    /// its reaction table — a reaction with a reproducible panic. Nothing
+    /// was explored, so there is no checkpoint to resume from.
     ///
-    /// Before any batch, the only reaction calls are the query's one
-    /// tabulation of its reaction table and, for an instance over the
-    /// table's cap, the instance fingerprint's sampled probes. A panic
-    /// there is retried once the same way, and a second one is this
-    /// error with no checkpoint, since nothing was explored that one
-    /// could resume.
+    /// Expansion reads the table and calls no reaction, but the expand
+    /// workers keep their guard as a safety net: a worker that panics on
+    /// the same chunk twice (once in the parallel wave, once in the
+    /// serial retry) is this error too, and when a [`Limits::checkpoint`]
+    /// policy is set, everything interned *before* the poisoned batch is
+    /// written as a final epoch first, so the work is not lost; resume
+    /// from [`checkpoint`](VerifyError::PoisonedChunk::checkpoint).
     PoisonedChunk {
         /// The panic payload (when it was a string) and the chunk range.
         what: String,
@@ -414,7 +415,7 @@ impl fmt::Display for VerifyError {
             }
             VerifyError::Resume(e) => write!(f, "resume failed: {e}"),
             VerifyError::PoisonedChunk { what, checkpoint } => {
-                write!(f, "expand worker panicked twice: {what}")?;
+                write!(f, "panicked twice: {what}")?;
                 match checkpoint {
                     Some(h) => write!(
                         f,
@@ -597,7 +598,7 @@ const PARALLEL_MIN_BATCH_EDGES: u64 = 1 << 16;
 /// prepared from and what the verdict cache keys. Built once per query
 /// ([`Instance::new`]), so every consumer of the reactions — symmetry
 /// validation, the instance key, the packed reactions — reads the same
-/// table.
+/// table, and nothing else calls a reaction.
 #[derive(Clone)]
 pub(crate) struct Instance<'p, L: Label> {
     protocol: &'p Protocol<L>,
@@ -607,11 +608,8 @@ pub(crate) struct Instance<'p, L: Label> {
     /// Deduplicated alphabet; packed label fields are indices into it.
     pub(crate) alphabet: Vec<L>,
     /// Every node's reaction over `alphabet`, tabulated once, faulty nodes
-    /// included, when the instance has at most
-    /// [`PROBE_CAP`](stateless_core::symmetry::PROBE_CAP) reaction
-    /// entries; `None` above it, where expansion calls the protocol's
-    /// reactions.
-    pub(crate) table: Option<ReactionTable<L>>,
+    /// included.
+    table: ReactionTable<L>,
     /// Upper bound on the adversary branching factor of any activation
     /// set: `|Σ|^(total Byzantine out-degree)`, saturating. `1` when
     /// fault-free — every fan-out estimate degrades to the exact
@@ -621,14 +619,17 @@ pub(crate) struct Instance<'p, L: Label> {
 
 impl<'p, L: Label> Instance<'p, L> {
     /// Validates every parameter, then tabulates the reactions. No
-    /// reaction runs before the parameters pass, and a reaction panic
-    /// while tabulating is retried once ([`retry_once`]).
+    /// reaction runs before the parameters pass or for a refused
+    /// instance, and a reaction panic while tabulating is retried once
+    /// ([`retry_once`]).
     ///
     /// # Errors
     ///
     /// [`VerifyError::BadParameters`] for bad limits, more than
     /// [`MAX_NODES`] nodes, `r = 0`, an invalid fault model, `inputs` not
     /// one per node, or an adversary fan-out past 32 bits;
+    /// [`VerifyError::TooManyStates`] when the table would have more than
+    /// the state budget plus `n` entries (see the module docs);
     /// [`VerifyError::PoisonedChunk`] when tabulating panics twice.
     pub(crate) fn new(
         protocol: &'p Protocol<L>,
@@ -676,8 +677,15 @@ impl<'p, L: Label> Instance<'p, L> {
                  large to enumerate (per-state fan-out must fit 32 bits)"
             ));
         }
+        // A table has at most one entry per labeling plus one per node, and
+        // every labeling is a seed, so a table over the state budget plus
+        // `n` entries means more seeds than the budget.
+        let max_entries = (limits.state_budget() + n) as u64;
         let table = retry_once("reaction table", || {
-            ReactionTable::build(protocol, inputs, &dedup)
+            ReactionTable::build(protocol, inputs, &dedup, max_entries)
+        })?
+        .ok_or(VerifyError::TooManyStates {
+            limit: limits.max_states,
         })?;
         Ok(Instance {
             protocol,
@@ -692,25 +700,17 @@ impl<'p, L: Label> Instance<'p, L> {
 
     /// The instance key ([`instance_fingerprint`]): every checkpoint
     /// epoch stamps it, resume verifies it, and the verdict cache is keyed
-    /// by it. With a table it hashes the entries and calls no reaction;
-    /// without one its sampled reaction probes are retried once like the
-    /// tabulation.
-    pub(crate) fn key(&self, limits: &Limits) -> Result<u64, VerifyError> {
-        let key = |table| {
-            instance_fingerprint(
-                self.protocol,
-                &self.inputs,
-                &self.alphabet,
-                table,
-                self.r,
-                self.track_outputs,
-                limits,
-            )
-        };
-        match &self.table {
-            Some(table) => Ok(key(Some(table))),
-            None => retry_once("instance fingerprint", || key(None)),
-        }
+    /// by it. It hashes the table's entries and calls no reaction.
+    pub(crate) fn key(&self, limits: &Limits) -> u64 {
+        instance_fingerprint(
+            self.protocol,
+            &self.inputs,
+            &self.alphabet,
+            Some(&self.table),
+            self.r,
+            self.track_outputs,
+            limits,
+        )
     }
 
     /// Explores the instance from its seeds and settles the verdict. The
@@ -755,7 +755,6 @@ fn wrong_inputs(got: usize, n: usize) -> String {
 struct Config<'p, L: Label> {
     /// The query: protocol, inputs, `r`, mode, alphabet and table.
     inst: Instance<'p, L>,
-    label_index: HashMap<L, u32, FxBuildHasher>,
     label_width: u32,
     countdown_width: u32,
     words_per_state: usize,
@@ -781,17 +780,15 @@ struct Config<'p, L: Label> {
     byzantine: u32,
     /// The whole-word masks [`step_row`] builds successors from.
     masks: RowMasks,
-    /// Every correct node's table entries as packed masks, when the
-    /// instance has a table; `None` above the cap, where expansion
-    /// calls the protocol's reactions.
-    reactions: Option<PackedReactions>,
-    /// Whether every successor is a seed: with a table, an `r = 1`
-    /// label-mode state is its labeling alone (countdown fields are zero
-    /// bits wide and outputs are not tracked), and every labeling is
-    /// seeded. Exploration then finds nothing past the seeds, so
+    /// Every correct node's table entries as packed masks.
+    reactions: PackedReactions,
+    /// Whether every successor is a seed: an `r = 1` label-mode state is
+    /// its labeling alone (countdown fields are zero bits wide and
+    /// outputs are not tracked), and every labeling is seeded.
+    /// Exploration then finds nothing past the seeds, so
     /// [`Explorer::run`] counts their edges instead of expanding them.
-    /// The table matters: packing it checks every correct node's entry
-    /// against the alphabet, which expansion would otherwise do.
+    /// Packing the table has already checked every correct node's entry
+    /// against the alphabet, the one check expansion would make.
     successors_are_seeds: bool,
 }
 
@@ -977,8 +974,7 @@ fn is_state(
 /// everything [`Explorer::for_each_successor`] needs beyond the explorer
 /// itself. One per worker, warm across states: regenerating an edge
 /// allocates nothing.
-struct ExpandScratch<L> {
-    labeling: Vec<L>,
+struct ExpandScratch {
     /// The source row, and the row every activated node would write: each
     /// correct node's reaction as alphabet indices on its out-edges,
     /// `r − 1` in every countdown field, zeros in Byzantine label fields.
@@ -994,8 +990,6 @@ struct ExpandScratch<L> {
     /// and the emitted row.
     next: Vec<u64>,
     state: Vec<u64>,
-    in_buf: Vec<L>,
-    react_buf: Vec<L>,
     free_nodes: Vec<usize>,
     /// Out-edge ids of the activated Byzantine nodes of the current
     /// activation set (ascending node id, `out_edges` order) — the digit
@@ -1008,10 +1002,9 @@ struct ExpandScratch<L> {
     canon: CanonScratch,
 }
 
-impl<L: Label> ExpandScratch<L> {
-    fn new(cfg: &Config<'_, L>) -> Self {
+impl ExpandScratch {
+    fn new<L: Label>(cfg: &Config<'_, L>) -> Self {
         ExpandScratch {
-            labeling: Vec::with_capacity(cfg.e),
             src: vec![0u64; cfg.words_per_state],
             reacted: vec![0u64; cfg.words_per_state],
             react_out: vec![0u64; cfg.n],
@@ -1019,8 +1012,6 @@ impl<L: Label> ExpandScratch<L> {
             next_out_words: vec![0u64; cfg.aux_len],
             next: vec![0u64; cfg.words_per_state],
             state: vec![0u64; cfg.words_per_state],
-            in_buf: Vec::new(),
-            react_buf: Vec::new(),
             free_nodes: Vec::with_capacity(cfg.n),
             byz_edges: Vec::with_capacity(cfg.e),
             canon_aux: vec![0u64; cfg.aux_len],
@@ -1041,13 +1032,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `f`, a step that calls reactions outside the expand workers —
-/// tabulating the reactions, or probing them for the sampled instance
-/// fingerprint of an instance without a table — and retries it once if
-/// it panics, as a panicked chunk is retried. A second panic is
+/// Runs `f`, the tabulation of the reactions, and retries it once if it
+/// panics, as a panicked chunk is retried. A second panic is
 /// [`VerifyError::PoisonedChunk`] without a checkpoint, so a reaction
 /// panic never unwinds out of the packed verifier or the verdict cache.
-pub(crate) fn retry_once<T>(what: &str, mut f: impl FnMut() -> T) -> Result<T, VerifyError> {
+fn retry_once<T>(what: &str, mut f: impl FnMut() -> T) -> Result<T, VerifyError> {
     let first = match catch_unwind(AssertUnwindSafe(&mut f)) {
         Ok(t) => return Ok(t),
         Err(payload) => panic_message(payload),
@@ -1131,7 +1120,6 @@ const SEG_AUX: u32 = 4;
 struct CheckpointRun {
     store: CheckpointStore,
     every_states: Option<usize>,
-    every_secs: Option<f64>,
     retain: usize,
     instance_fp: u64,
     next_epoch: u64,
@@ -1141,7 +1129,6 @@ struct CheckpointRun {
     /// alone would never trigger a write on exactly the long
     /// expansion-bound runs checkpointing exists for.
     progress_at_last: usize,
-    last_write: Instant,
 }
 
 impl CheckpointRun {
@@ -1159,16 +1146,14 @@ impl CheckpointRun {
         Ok(Some(CheckpointRun {
             store,
             every_states: policy.every_states,
-            every_secs: policy.every_secs,
             retain: policy.retain,
-            instance_fp: ex.cfg.inst.key(limits)?,
+            instance_fp: ex.cfg.inst.key(limits),
             next_epoch,
             progress_at_last: ex.n_states + cursor,
-            last_write: Instant::now(),
         }))
     }
 
-    /// Writes an epoch if either periodic interval has elapsed.
+    /// Writes an epoch if the periodic interval has elapsed.
     fn maybe_write<L: Label>(
         &mut self,
         ex: &Explorer<'_, L>,
@@ -1176,10 +1161,7 @@ impl CheckpointRun {
     ) -> Result<(), VerifyError> {
         let due = self
             .every_states
-            .is_some_and(|k| ex.n_states + cursor - self.progress_at_last >= k)
-            || self
-                .every_secs
-                .is_some_and(|s| self.last_write.elapsed().as_secs_f64() >= s);
+            .is_some_and(|k| ex.n_states + cursor - self.progress_at_last >= k);
         if due {
             self.write(ex, cursor)?;
         }
@@ -1202,7 +1184,6 @@ impl CheckpointRun {
         };
         self.next_epoch += 1;
         self.progress_at_last = ex.n_states + cursor;
-        self.last_write = Instant::now();
         Ok(handle)
     }
 }
@@ -1288,39 +1269,28 @@ impl<'p, L: Label> Explorer<'p, L> {
             words: words_per_state,
             aux: aux_len,
         };
-        // The automorphism group (Auto only), validated against the table;
-        // without a table it is the identity. A trivial group degrades to
-        // exactly the Off code path. Fault placement acts as a node
-        // coloring: only placement-preserving elements survive (a
-        // Byzantine node may only map to a Byzantine node), which is what
-        // keeps orbit-canonical interning sound under adversary
-        // branching.
-        let symmetry = match (limits.symmetry, &inst.table) {
-            (SymmetryMode::Auto, Some(table)) => {
-                let derived = Symmetry::from_table(graph, &inst.inputs, table);
+        // The automorphism group (Auto only), validated against the table.
+        // A trivial group degrades to exactly the Off code path. Fault
+        // placement acts as a node coloring: only placement-preserving
+        // elements survive (a Byzantine node may only map to a Byzantine
+        // node), which is what keeps orbit-canonical interning sound under
+        // adversary branching.
+        let symmetry = match limits.symmetry {
+            SymmetryMode::Auto => {
+                let derived = Symmetry::from_table(graph, &inst.inputs, &inst.table);
                 let colors: Vec<u64> = (0..n)
                     .map(|i| u64::from(faults.is_byzantine(i)) + 2 * u64::from(faults.is_crash(i)))
                     .collect();
                 Some(derived.restrict_to_coloring(&colors)).filter(|s| !s.is_trivial())
             }
-            _ => None,
+            SymmetryMode::Off => None,
         };
         let masks = RowMasks::new(graph, faults, &layout, inst.r);
-        let reactions = match &inst.table {
-            Some(table) => Some(PackedReactions::new(
-                table,
-                graph,
-                &label_index,
-                faults,
-                &layout,
-            )?),
-            None => None,
-        };
-        let successors_are_seeds = reactions.is_some() && inst.r == 1 && !inst.track_outputs;
+        let reactions = PackedReactions::new(&inst.table, graph, &label_index, faults, &layout)?;
+        let successors_are_seeds = inst.r == 1 && !inst.track_outputs;
         let ex = Explorer {
             cfg: Config {
                 inst,
-                label_index,
                 label_width,
                 countdown_width,
                 words_per_state,
@@ -1463,7 +1433,7 @@ impl<'p, L: Label> Explorer<'p, L> {
     ) -> Result<(Self, usize), VerifyError> {
         let corrupt = |what: String| VerifyError::Resume(ResumeError::Corrupt { what });
         let mut ex = Explorer::prepare(inst, limits)?;
-        let expected = ex.cfg.inst.key(limits)?;
+        let expected = ex.cfg.inst.key(limits);
         let store = CheckpointStore::open(dir).map_err(ResumeError::from)?;
         let epoch = match epoch {
             Some(k) => k,
@@ -1760,7 +1730,7 @@ impl<'p, L: Label> Explorer<'p, L> {
                     }
                 }
             };
-            chunks.push(outcome?);
+            chunks.push(outcome);
         }
         // Phase 2: intern the records in stream order, then charge the
         // batch against the traversal budget and the peak transient
@@ -1807,7 +1777,7 @@ impl<'p, L: Label> Explorer<'p, L> {
     /// Phase 1: expands source states `start..end`, emitting one
     /// successor record per generated edge. Reads rows by dense id and
     /// allocates nothing per edge.
-    fn expand_chunk(&self, start: usize, end: usize) -> Result<Records, VerifyError> {
+    fn expand_chunk(&self, start: usize, end: usize) -> Records {
         let cfg = &self.cfg;
         let est: u64 = self.free_bits[start..end]
             .iter()
@@ -1824,9 +1794,9 @@ impl<'p, L: Label> Explorer<'p, L> {
         for u in start..end {
             self.for_each_successor(u, &mut scratch, |words, aux, _, _, _, _| {
                 recs.push(words, aux)
-            })?;
+            });
         }
-        Ok(recs)
+        recs
     }
 
     /// Enumerates the successors of dense state `u` in activation-set
@@ -1848,22 +1818,13 @@ impl<'p, L: Label> Explorer<'p, L> {
     /// source state's frame.
     ///
     /// Each correct node reacts once per state, before the activation
-    /// sets are enumerated, into one reacted row beside the source row:
-    /// by a [`ReactionTable`] lookup, or over the table's cap by calling
-    /// its reaction. Faulty nodes never react. Each activation set then
-    /// takes its successor row from those two rows with a few whole-word
-    /// operations ([`step_row`]), and each adversary choice packs its
-    /// digits into the zeroed Byzantine fields. Allocation-free per edge
-    /// given a warm `scratch`; the only error is a called reaction
-    /// emitting a label outside the declared alphabet, which exploration
-    /// surfaces as [`VerifyError::BadParameters`] (post-exploration
-    /// regeneration can therefore never hit it).
-    fn for_each_successor<F>(
-        &self,
-        u: usize,
-        scratch: &mut ExpandScratch<L>,
-        mut emit: F,
-    ) -> Result<(), VerifyError>
+    /// sets are enumerated, into one reacted row beside the source row,
+    /// by a [`ReactionTable`] lookup. Faulty nodes never react. Each
+    /// activation set then takes its successor row from those two rows
+    /// with a few whole-word operations ([`step_row`]), and each
+    /// adversary choice packs its digits into the zeroed Byzantine
+    /// fields. Allocation-free per edge given a warm `scratch`.
+    fn for_each_successor<F>(&self, u: usize, scratch: &mut ExpandScratch, mut emit: F)
     where
         F: FnMut(&[u64], &[u64], u32, bool, u32, u64),
     {
@@ -1881,27 +1842,8 @@ impl<'p, L: Label> Explorer<'p, L> {
         // never reacts: its tracked output stays frozen at the seeds' 0,
         // and so does its `react_out` slot.
         sc.reacted.copy_from_slice(&cfg.masks.reset);
-        match &cfg.reactions {
-            Some(table) => table.react(&sc.src, &mut sc.reacted, &mut sc.react_out),
-            None => {
-                cfg.decode_labeling(&sc.src, &mut sc.labeling);
-                for i in (0..cfg.n).filter(|&i| !cfg.faults.is_faulty(i)) {
-                    sc.react_out[i] = cfg.inst.protocol.apply_buffered(
-                        i,
-                        &sc.labeling,
-                        cfg.inst.inputs[i],
-                        &mut sc.in_buf,
-                        &mut sc.react_buf,
-                    );
-                    for (slot, &eid) in sc.react_buf.iter().zip(graph.out_edges(i)) {
-                        let Some(&idx) = cfg.label_index.get(slot) else {
-                            return Err(outside_alphabet(i, slot));
-                        };
-                        pack(&mut sc.reacted, eid * lw, lw as u32, u64::from(idx));
-                    }
-                }
-            }
-        }
+        cfg.reactions
+            .react(&sc.src, &mut sc.reacted, &mut sc.react_out);
         let forced = cfg.forced(&sc.src);
         sc.free_nodes.clear();
         sc.free_nodes
@@ -1983,7 +1925,6 @@ impl<'p, L: Label> Explorer<'p, L> {
                 }
             }
         }
-        Ok(())
     }
 
     /// Regenerates and resolves the outgoing edges of dense state `u`
@@ -1993,14 +1934,13 @@ impl<'p, L: Label> Explorer<'p, L> {
     fn successors_resolved(
         &self,
         u: usize,
-        scratch: &mut ExpandScratch<L>,
+        scratch: &mut ExpandScratch,
         out: &mut Vec<(u32, u32, u32, u64)>,
     ) {
         out.clear();
         self.for_each_successor(u, scratch, |words, aux, mask, _, elem, choice| {
             out.push((self.resolve(words, aux), mask, elem, choice));
-        })
-        .expect("alphabet closure was validated during exploration");
+        });
     }
 
     /// The dense id of a regenerated successor row, by a read-only
@@ -2024,7 +1964,7 @@ impl<'p, L: Label> Explorer<'p, L> {
     /// first discovered it — the same order at every thread count.
     fn intern(&mut self, recs: &Records, limits: &Limits) -> Result<(), VerifyError> {
         let (w, al) = (self.cfg.words_per_state, self.cfg.aux_len);
-        let cap = limits.max_states.min(u32::MAX as usize - 1);
+        let cap = limits.state_budget();
         for (i, &fp) in recs.fps.iter().enumerate() {
             let row = &recs.words[i * w..(i + 1) * w];
             let aux = &recs.aux[i * al..(i + 1) * al];
@@ -2070,8 +2010,7 @@ impl<'p, L: Label> Explorer<'p, L> {
                 |words, aux, _, interesting, _, _| {
                     out.push((self.resolve(words, aux), interesting));
                 },
-            )
-            .expect("alphabet closure was validated during exploration");
+            );
         }))
     }
 
@@ -2970,9 +2909,9 @@ mod tests {
         let err =
             verify_label_stabilization(&p, &[0; 3], &[false], 2, Limits::default()).unwrap_err();
         assert!(matches!(err, VerifyError::BadParameters { .. }), "{err:?}");
-        // Over `PROBE_CAP` (node 0 of `1…14 → 0`, `0 → 1` has 2^14
-        // in-labelings) there is no table, and expansion rejects it: node
-        // 0 emits 2 once two of its in-labels are 1.
+        // The same holds for a table of 16,399 entries (node 0 of
+        // `1…14 → 0`, `0 → 1` has 2^14 in-labelings): node 0 emits 2 once
+        // two of its in-labels are 1.
         let mut fan_in = DiGraph::new(15);
         for v in 1..15 {
             fan_in.add_edge(v, 0).unwrap();
@@ -3243,13 +3182,15 @@ mod tests {
     #[test]
     fn word_parallel_rows_match_a_per_field_reference() {
         // (graph, |Σ|, r, words): 75 bits with a countdown field across
-        // bit 64; 115 bits with a label field across it; 135 bits with a
+        // bit 64; 115 bits with a label field across it; 150 bits with a
         // label field across bit 64 and a countdown field across 128;
-        // 210 bits with a countdown field across 192.
+        // 210 bits with a countdown field across 192. Each instance is
+        // tabulated, so the third is a ring (16,000 entries), not a
+        // clique (12.8 million).
         let cases = [
             (topology::clique(5), 8u64, 5u8, 2usize),
             (topology::clique(5), 20, 5, 2),
-            (topology::clique(5), 40, 5, 3),
+            (topology::bidirectional_ring(10), 40, 5, 3),
             (topology::bidirectional_ring(10), 200, 20, 4),
         ];
         let placements: [(&[NodeId], &[NodeId]); 4] =

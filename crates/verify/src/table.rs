@@ -3,8 +3,8 @@
 //!
 //! Over the verifier's finite alphabet a reaction δᵢ is a finite map from
 //! in-labelings to out-labels and an output, and each query tabulates it
-//! once ([`ReactionTable::build`], the only code that calls reactions
-//! over their domain). [`PackedReactions::new`] stores each correct
+//! once ([`ReactionTable::build`], the only code of the packed verifier
+//! that calls reactions). [`PackedReactions::new`] stores each correct
 //! node's entries as whole-word masks over the packed row (the
 //! out-labels as alphabet indices in the node's out-edge fields) plus the
 //! output; faulty nodes never react, so they get no masks, and only a
@@ -12,13 +12,10 @@
 //! [`PackedReactions::react`] then reacts a packed state by reading each
 //! correct node's in-edge digits from the row and OR-ing that node's
 //! entry into the reacted row: no labeling decode, closure call or label
-//! hash.
-//!
-//! A query has a table when its instance has at most
-//! [`PROBE_CAP`](stateless_core::symmetry::PROBE_CAP) entries
-//! (`Σᵥ |Σ|^indeg(v)`, [`reaction_domain`](stateless_core::symmetry::reaction_domain)).
-//! Larger instances react through the protocol's closures, which is the
-//! only path they have.
+//! hash. Every query the verifier accepts has a table: its entries,
+//! `Σᵥ |Σ|^indeg(v)`, number at most one per seed state plus one per
+//! node, and the verifier refuses an instance whose table would exceed
+//! its state budget plus one entry per node.
 
 use std::collections::HashMap;
 
@@ -27,16 +24,6 @@ use stateless_core::prelude::*;
 use stateless_core::symmetry::{PackedLayout, ReactionTable};
 
 use crate::product::VerifyError;
-
-/// The [`VerifyError::BadParameters`] for node `node` emitting `label`,
-/// which the declared alphabet lacks.
-pub(crate) fn outside_alphabet(node: NodeId, label: &impl std::fmt::Debug) -> VerifyError {
-    VerifyError::BadParameters {
-        what: format!(
-            "node {node} emitted the label {label:?}, which is outside the declared alphabet"
-        ),
-    }
-}
 
 /// One correct node's slice of a [`PackedReactions`].
 struct NodeEntries {
@@ -108,7 +95,12 @@ impl PackedReactions {
                 packed.masks.resize(at + w, 0);
                 for (label, &eid) in labels.iter().zip(graph.out_edges(node)) {
                     let Some(&idx) = label_index.get(label) else {
-                        return Err(outside_alphabet(node, label));
+                        return Err(VerifyError::BadParameters {
+                            what: format!(
+                                "node {node} emitted the label {label:?}, which is outside \
+                                 the declared alphabet"
+                            ),
+                        });
                     };
                     pack(
                         &mut packed.masks[at..],

@@ -27,8 +27,9 @@ use stateless_protocols::bfs_tree::{bfs_alphabet, bfs_tree_protocol};
 /// nodes), `exclude` (sweep mode: node ids never faulty), `faulty`
 /// (single mode: the exact faulty set, default none), `max_states` (at
 /// most the default budget, [`Limits::default`]), `deadline_ms`. Every
-/// number must be a non-negative integer that fits its field, and the
-/// line must be exactly one JSON object.
+/// number must be a non-negative integer that fits its field, every
+/// string field a string, and the line exactly one JSON object whose keys
+/// each appear once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Job {
     /// Caller-chosen job id, echoed in every result row.
@@ -70,8 +71,9 @@ pub struct BadLine {
 }
 
 impl BadLine {
-    /// `what` went wrong with `line`: keyed by the line's `id`, or by the
-    /// empty id when it has none that decodes.
+    /// `what` went wrong with `line`: keyed by the `id` the line holds
+    /// before its first fault, or by the empty id when it has none there
+    /// that decodes.
     pub fn new(line: &str, what: String) -> BadLine {
         BadLine {
             id: string_field(line, "id").ok().flatten().unwrap_or_default(),
@@ -81,23 +83,26 @@ impl BadLine {
 }
 
 impl Job {
-    /// Parses one job line. Blank lines are `Ok(None)`; anything else
-    /// that does not parse, or is not exactly one JSON object, is a
-    /// [`BadLine`] keyed by the line's `id`. Sizes are checked here,
-    /// before any graph or alphabet is built.
+    /// Parses one job line, reading it once ([`Members::scan`]). Blank
+    /// lines are `Ok(None)`; anything else that does not parse, or is not
+    /// exactly one JSON object, is a [`BadLine`] keyed by the line's `id`
+    /// as far as the line reads. Sizes are checked here, before any graph
+    /// or alphabet is built.
     pub fn parse(line: &str) -> Result<Option<Job>, BadLine> {
         if line.trim().is_empty() {
             return Ok(None);
         }
-        Job::from_fields(line)
-            .and_then(|job| one_object(line).map(|()| Some(job)))
+        let (members, scanned) = Members::scan(line);
+        scanned
+            .and_then(|()| Job::from_members(&members))
+            .map(Some)
             .map_err(|what| BadLine::new(line, what))
     }
 
-    fn from_fields(line: &str) -> Result<Job, String> {
-        let id = string_field(line, "id")?.ok_or("missing \"id\"")?;
-        let graph = string_field(line, "graph")?.ok_or("missing \"graph\"")?;
-        let n: usize = int_field(line, "n")?.ok_or("missing \"n\"")?;
+    fn from_members(m: &Members<'_>) -> Result<Job, String> {
+        let id = m.string("id")?.ok_or("missing \"id\"")?;
+        let graph = m.string("graph")?.ok_or("missing \"graph\"")?;
+        let n: usize = m.int("n")?.ok_or("missing \"n\"")?;
         if n > MAX_NODES {
             return Err(format!(
                 "\"n\" = {n} exceeds the verifier's limit of {MAX_NODES} nodes"
@@ -106,17 +111,17 @@ impl Job {
         // A BFS distance on n nodes never exceeds n − 1, so a cap past n
         // changes no verdict; it only inflates the alphabet `0..=cap`,
         // which is allocated up front.
-        let cap: u64 = int_field(line, "cap")?.unwrap_or(n as u64);
+        let cap: u64 = m.int("cap")?.unwrap_or(n as u64);
         if !(1..=n as u64).contains(&cap) {
             return Err(format!("\"cap\" must lie in 1..={n}, got {cap}"));
         }
-        let r: u8 = int_field(line, "r")?.unwrap_or(1);
+        let r: u8 = m.int("r")?.unwrap_or(1);
         if r == 0 {
             return Err("\"r\" must be at least 1".into());
         }
         // A job may lower the state budget but not lift it past the
         // default it overrides.
-        let max_states: Option<usize> = int_field(line, "max_states")?;
+        let max_states: Option<usize> = m.int("max_states")?;
         let budget = Limits::default().max_states;
         if let Some(asked) = max_states.filter(|&asked| asked > budget) {
             return Err(format!(
@@ -127,15 +132,15 @@ impl Job {
             id,
             graph,
             n,
-            root: int_field(line, "root")?.unwrap_or(0),
+            root: m.int("root")?.unwrap_or(0),
             cap,
             r,
-            model: string_field(line, "model")?.unwrap_or_else(|| "byzantine".into()),
-            f: int_field(line, "f")?,
-            exclude: list_field(line, "exclude")?.unwrap_or_default(),
-            faulty: list_field(line, "faulty")?.unwrap_or_default(),
+            model: m.string("model")?.unwrap_or_else(|| "byzantine".into()),
+            f: m.int("f")?,
+            exclude: m.list("exclude")?.unwrap_or_default(),
+            faulty: m.list("faulty")?.unwrap_or_default(),
             max_states,
-            deadline_ms: int_field(line, "deadline_ms")?,
+            deadline_ms: m.int("deadline_ms")?,
         })
     }
 }
@@ -372,115 +377,208 @@ fn json_ids(ids: &[NodeId]) -> String {
 /// JSON whitespace.
 const WS: [char; 4] = [' ', '\t', '\n', '\r'];
 
-/// How a [`walk`] over one JSON line ended.
-enum Walk<T> {
-    /// The visitor stopped the walk with this value.
-    Found(T),
-    /// The line's first bracket closed at this byte index.
-    Closed(usize),
-    /// The line ran out inside a string or with a bracket open, or a
-    /// bracket closed one of the other kind.
-    Broken,
+/// The top-level members of one job line, read in one pass
+/// ([`Members::scan`]): each key, decoded, with its value as written — a
+/// string with its quotes and escapes, a nested object or list whole, any
+/// other value as its bare token. The getters read from them.
+struct Members<'a> {
+    read: Vec<(String, &'a str)>,
 }
 
-/// Walks one JSON line until its first bracket closes. Strings are
-/// skipped whole (escapes included) and each closing bracket must match
-/// the one opened last. `visit(start, end, depth)` sees each complete
-/// string, `line[start..end]` without its quotes, and the number of
-/// brackets open around it; returning `Some` stops the walk.
-fn walk<T>(line: &str, mut visit: impl FnMut(usize, usize, usize) -> Option<T>) -> Walk<T> {
-    let bytes = line.as_bytes();
-    // The closing byte each open bracket expects, innermost last.
-    let mut open = Vec::new();
-    let mut at = 0;
-    while at < bytes.len() {
-        match bytes[at] {
-            b'"' => {
-                let start = at + 1;
-                let mut end = start;
-                while end < bytes.len() && bytes[end] != b'"' {
-                    end += if bytes[end] == b'\\' { 2 } else { 1 };
+impl<'a> Members<'a> {
+    /// Reads `line` as exactly one JSON object: after JSON whitespace it
+    /// opens with `{`, each member is a string key, a colon and a value,
+    /// members are separated by single commas, and only whitespace
+    /// follows the closing `}`. Nested values are skipped whole, strings
+    /// included, with each closing bracket matching the one opened last.
+    /// Returns the members read before the first fault, beside the fault:
+    /// a missing colon, a repeated key, a trailing comma, bytes after a
+    /// value, or a string or bracket that never closes. Bytes before the
+    /// object are reported after it is read, so such a line is still
+    /// keyed by its `id`.
+    fn scan(line: &'a str) -> (Members<'a>, Result<(), String>) {
+        let mut members = Members { read: Vec::new() };
+        let fault = members.read_object(line);
+        (members, fault)
+    }
+
+    fn read_object(&mut self, line: &'a str) -> Result<(), String> {
+        let bytes = line.as_bytes();
+        let skip_ws = |at: usize| line.len() - line[at..].trim_start_matches(WS).len();
+        let not_one_object = || Err("a job line must be one JSON object".to_string());
+        let Some(open) = line.find('{') else {
+            return not_one_object();
+        };
+        let mut at = skip_ws(open + 1);
+        if bytes.get(at) != Some(&b'}') {
+            loop {
+                if bytes.get(at) != Some(&b'"') {
+                    return Err(format!("expected a \"key\" at byte {at}"));
                 }
-                if end >= bytes.len() {
-                    return Walk::Broken;
+                let key = value_end(bytes, at)
+                    .and_then(|end| decode(&line[at + 1..end - 1]).map(|key| (key, end)));
+                let (key, end) = key.map_err(|what| format!("a key holds {what}"))?;
+                at = skip_ws(end);
+                if bytes.get(at) != Some(&b':') {
+                    return Err(format!("expected ':' after \"{key}\""));
                 }
-                if let Some(found) = visit(start, end, open.len()) {
-                    return Walk::Found(found);
+                let start = skip_ws(at + 1);
+                let end =
+                    value_end(bytes, start).map_err(|what| format!("\"{key}\" holds {what}"))?;
+                if self.get(&key).is_some() {
+                    return Err(format!("\"{key}\" appears twice"));
                 }
-                at = end;
+                self.read.push((key, &line[start..end]));
+                at = skip_ws(end);
+                match bytes.get(at) {
+                    Some(b',') => at = skip_ws(at + 1),
+                    Some(b'}') => break,
+                    Some(_) => return Err(format!("expected ',' or '}}' at byte {at}")),
+                    None => return Err("the job object never closes".into()),
+                }
             }
-            b'{' => open.push(b'}'),
-            b'[' => open.push(b']'),
-            close @ (b'}' | b']') => {
-                if open.pop() != Some(close) {
-                    return Walk::Broken;
-                }
-                if open.is_empty() {
-                    return Walk::Closed(at);
-                }
+        }
+        if !line[..open].trim_start_matches(WS).is_empty() {
+            return not_one_object();
+        }
+        if !line[at + 1..].trim_start_matches(WS).is_empty() {
+            return Err("bytes follow the job object".into());
+        }
+        Ok(())
+    }
+
+    /// The value of `key` as written, when it was read.
+    fn get(&self, key: &str) -> Option<&'a str> {
+        self.read.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+    }
+
+    /// The string value of `key`, with its escapes decoded ([`decode`]);
+    /// `Ok(None)` when the key is absent. A value that is not a string,
+    /// or holds a bad escape, is an error.
+    fn string(&self, key: &str) -> Result<Option<String>, String> {
+        let Some(value) = self.get(key) else {
+            return Ok(None);
+        };
+        let raw = value
+            .strip_prefix('"')
+            .and_then(|v| v.strip_suffix('"'))
+            .ok_or_else(|| format!("\"{key}\" must be a string, got {value}"))?;
+        decode(raw)
+            .map(Some)
+            .map_err(|what| format!("\"{key}\" holds {what}"))
+    }
+
+    /// The value of `key` as a `T`; `Ok(None)` when the key is absent.
+    /// Any JSON number notation is accepted (`4`, `4.0`, `4e0`), but the
+    /// value must be a non-negative integer that fits `T`: a negative,
+    /// fractional, non-numeric or out-of-range value is an error, never
+    /// truncated by a cast.
+    fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<Option<T>, String> {
+        let Some(token) = self.get(key) else {
+            return Ok(None);
+        };
+        let bad = || format!("\"{key}\" must be a non-negative integer in range, got {token}");
+        let value: f64 = token.parse().map_err(|_| bad())?;
+        // Every integer up to 2^53 is exact in an f64; larger ones may not be.
+        if !(0.0..=9_007_199_254_740_992.0).contains(&value) || value.fract() != 0.0 {
+            return Err(bad());
+        }
+        T::try_from(value as u64).map(Some).map_err(|_| bad())
+    }
+
+    /// The node-id list value of `key`; `Ok(None)` when the key is
+    /// absent. A value that is not a list, or an element that is not a
+    /// node id, is an error, never silently dropped.
+    fn list(&self, key: &str) -> Result<Option<Vec<NodeId>>, String> {
+        let Some(value) = self.get(key) else {
+            return Ok(None);
+        };
+        let body = value
+            .strip_prefix('[')
+            .and_then(|v| v.strip_suffix(']'))
+            .ok_or_else(|| format!("\"{key}\" must be a list of node ids"))?
+            .trim_matches(WS);
+        if body.is_empty() {
+            return Ok(Some(Vec::new()));
+        }
+        body.split(',')
+            .map(|part| {
+                let part = part.trim_matches(WS);
+                part.parse::<NodeId>()
+                    .map_err(|_| format!("\"{key}\" holds {part}, not a node id"))
+            })
+            .collect::<Result<_, _>>()
+            .map(Some)
+    }
+}
+
+/// The index just past the value that starts at `bytes[at]`: a string
+/// (escaped characters skipped), a nested object or list (strings inside
+/// skipped whole, each closing bracket matching the one opened last), or
+/// a bare token running to the next whitespace or structural byte.
+fn value_end(bytes: &[u8], at: usize) -> Result<usize, &'static str> {
+    match bytes.get(at) {
+        Some(b'"') => {
+            let mut end = at + 1;
+            while end < bytes.len() && bytes[end] != b'"' {
+                end += if bytes[end] == b'\\' { 2 } else { 1 };
             }
-            _ => {}
+            (end < bytes.len())
+                .then_some(end + 1)
+                .ok_or("an unterminated string")
         }
-        at += 1;
-    }
-    Walk::Broken
-}
-
-/// The text of one JSON line right after the top-level `"key":`, with
-/// the JSON whitespace around the colon and before the value skipped, or
-/// `None` when the line's first object has no such key before the walk
-/// ([`walk`]) stops. Only a string directly inside that object and
-/// followed by a colon is a key: a string value equal to the key, a key
-/// inside a string, and a key of a nested object or array element are
-/// all passed over.
-fn value_of<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let found = walk(line, |start, end, depth| {
-        if depth != 1 || &line[start..end] != key {
-            return None;
+        Some(b'{' | b'[') => {
+            // The closing byte each open bracket expects, innermost last.
+            let mut open = Vec::new();
+            let mut end = at;
+            while end < bytes.len() {
+                match bytes[end] {
+                    b'"' => end = value_end(bytes, end)? - 1,
+                    b'{' => open.push(b'}'),
+                    b'[' => open.push(b']'),
+                    close @ (b'}' | b']') => {
+                        if open.pop() != Some(close) {
+                            return Err("a bracket that closes the wrong kind");
+                        }
+                        if open.is_empty() {
+                            return Ok(end + 1);
+                        }
+                    }
+                    _ => {}
+                }
+                end += 1;
+            }
+            Err("a bracket that never closes")
         }
-        let value = line[end + 1..].trim_start_matches(WS).strip_prefix(':')?;
-        Some(value.trim_start_matches(WS))
-    });
-    match found {
-        Walk::Found(value) => Some(value),
-        Walk::Closed(_) | Walk::Broken => None,
+        _ => {
+            let len = bytes[at..]
+                .iter()
+                .position(|b| b" \t\n\r,:{}[]\"".contains(b))
+                .unwrap_or(bytes.len() - at);
+            if len == 0 {
+                return Err("no value");
+            }
+            Ok(at + len)
+        }
     }
 }
 
-/// Checks that `line` is exactly one JSON object: after JSON whitespace
-/// it opens with `{`, every string and bracket in it closes, and only
-/// whitespace follows the closing `}`. A line cut short or followed by
-/// more bytes is an error, never read as the job its prefix spells.
-fn one_object(line: &str) -> Result<(), String> {
-    let body = line.trim_start_matches(WS);
-    if !body.starts_with('{') {
-        return Err("a job line must be one JSON object".into());
-    }
-    match walk(body, |_, _, _| None::<()>) {
-        Walk::Closed(end) if body[end + 1..].trim_start_matches(WS).is_empty() => Ok(()),
-        Walk::Closed(_) => Err("bytes follow the job object".into()),
-        Walk::Found(()) | Walk::Broken => Err(
-            "the job object is torn: a string or bracket never closes, or closes the wrong kind"
-                .into(),
-        ),
-    }
-}
-
-/// Extracts the string value of `"key":"…"` from one JSON line, with its
-/// escapes decoded: `\" \\ \/ \b \f \n \r \t` and `\uXXXX`, where a
-/// surrogate pair makes one character. `Ok(None)` when the key is absent
-/// or its value is not a string; an unknown escape, a lone surrogate or
-/// an unterminated string is an error.
+/// The string value of the top-level `key` of one JSON line, with its
+/// escapes decoded, as far as the line reads ([`Members::scan`]):
+/// `Ok(None)` when no such member was read before the line's first
+/// fault; an error when the value is not a string or holds a bad escape.
 fn string_field(line: &str, key: &str) -> Result<Option<String>, String> {
-    let Some(rest) = value_of(line, key).and_then(|v| v.strip_prefix('"')) else {
-        return Ok(None);
-    };
-    let bad = |what: &str| format!("\"{key}\" holds {what}");
-    let mut out = String::new();
-    let mut chars = rest.chars();
+    Members::scan(line).0.string(key)
+}
+
+/// Decodes the escapes of a JSON string's text, read between its quotes:
+/// `\" \\ \/ \b \f \n \r \t` and `\uXXXX`, where a surrogate pair makes one
+/// character. An unknown escape or a lone surrogate is an error.
+fn decode(raw: &str) -> Result<String, &'static str> {
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
     while let Some(c) = chars.next() {
         let decoded = match c {
-            '"' => return Ok(Some(out)),
             '\\' => match chars.next() {
                 Some(e @ ('"' | '\\' | '/')) => e,
                 Some('b') => '\u{8}',
@@ -489,14 +587,14 @@ fn string_field(line: &str, key: &str) -> Result<Option<String>, String> {
                 Some('r') => '\r',
                 Some('t') => '\t',
                 Some('u') => unicode_escape(&mut chars)
-                    .ok_or_else(|| bad("a malformed \\u escape or a lone surrogate"))?,
-                _ => return Err(bad("an unknown escape")),
+                    .ok_or("a malformed \\u escape or a lone surrogate")?,
+                _ => return Err("an unknown escape"),
             },
             c => c,
         };
         out.push(decoded);
     }
-    Err(bad("an unterminated string"))
+    Ok(out)
 }
 
 /// The character a `\u` escape spells, read after its `u`: four hex
@@ -515,52 +613,6 @@ fn unicode_escape(chars: &mut std::str::Chars<'_>) -> Option<char> {
     }
     let low = hex4(chars).filter(|low| (0xDC00..0xE000).contains(low))?;
     char::from_u32(0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00))
-}
-
-/// Extracts `"key":…` from one JSON line as a `T`; `Ok(None)` when the
-/// key is absent. Any JSON number notation is accepted (`4`, `4.0`,
-/// `4e0`), but the value must be a non-negative integer that fits `T`:
-/// a negative, fractional, non-numeric or out-of-range value is an
-/// error, never truncated by a cast.
-fn int_field<T: TryFrom<u64>>(line: &str, key: &str) -> Result<Option<T>, String> {
-    let Some(rest) = value_of(line, key) else {
-        return Ok(None);
-    };
-    let token = rest[..rest.find([',', '}']).unwrap_or(rest.len())].trim();
-    let bad = || format!("\"{key}\" must be a non-negative integer in range, got {token}");
-    let value: f64 = token.parse().map_err(|_| bad())?;
-    // Every integer up to 2^53 is exact in an f64; larger ones may not be.
-    if !(0.0..=9_007_199_254_740_992.0).contains(&value) || value.fract() != 0.0 {
-        return Err(bad());
-    }
-    T::try_from(value as u64).map(Some).map_err(|_| bad())
-}
-
-/// Extracts the `"key":[…]` node-id list from one JSON line; `Ok(None)`
-/// when the key is absent. A value that is not a list, or an element
-/// that is not a node id, is an error, never silently dropped.
-fn list_field(line: &str, key: &str) -> Result<Option<Vec<NodeId>>, String> {
-    let Some(rest) = value_of(line, key) else {
-        return Ok(None);
-    };
-    let rest = rest
-        .strip_prefix('[')
-        .ok_or_else(|| format!("\"{key}\" must be a list of node ids"))?;
-    let end = rest
-        .find(']')
-        .ok_or_else(|| format!("unterminated \"{key}\" list"))?;
-    let body = rest[..end].trim();
-    if body.is_empty() {
-        return Ok(Some(Vec::new()));
-    }
-    body.split(',')
-        .map(|part| {
-            let part = part.trim();
-            part.parse::<NodeId>()
-                .map_err(|_| format!("\"{key}\" holds {part}, not a node id"))
-        })
-        .collect::<Result<_, _>>()
-        .map(Some)
 }
 
 #[cfg(test)]
@@ -750,6 +802,51 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(job.id, "ws");
+    }
+
+    #[test]
+    fn each_member_is_read_once_and_must_be_well_formed() {
+        for (line, id, needle) in [
+            // Read past, `"r" 12` left the r = 1 instance.
+            (
+                r#"{"id":"nc","graph":"biring","n":4,"cap":2,"r" 12}"#,
+                "nc",
+                "':'",
+            ),
+            // JSON readers take the last "n"; the first one is not the job.
+            (
+                r#"{"id":"dup","graph":"biring","n":3,"cap":2,"n":4}"#,
+                "dup",
+                "twice",
+            ),
+            (
+                r#"{"id":"comma","graph":"biring","n":4,"cap":2,}"#,
+                "comma",
+                "key",
+            ),
+            // Neither is the default Byzantine model.
+            (
+                r#"{"id":"list","graph":"biring","n":4,"cap":2,"model":["crash"]}"#,
+                "list",
+                "\"model\"",
+            ),
+            (
+                r#"{"id":"null","graph":"biring","n":4,"cap":2,"model":null}"#,
+                "null",
+                "\"model\"",
+            ),
+            (
+                r#"{"id":"junk","graph":"biring","n":4,"cap":2,"faulty":[1] x}"#,
+                "junk",
+                "byte",
+            ),
+            // Only an id read before the fault keys the line.
+            (r#"{"graph":"biring","n" 4,"id":"late"}"#, "", "':'"),
+        ] {
+            let bad = Job::parse(line).unwrap_err();
+            assert_eq!(bad.id, id, "{line}");
+            assert!(bad.what.contains(needle), "{line} -> {}", bad.what);
+        }
     }
 
     #[test]

@@ -446,14 +446,14 @@ fn a_one_entry_change_gets_its_own_verdict() {
 }
 
 /// Fifteen nodes with edges `1…14 → 0` and `0 → 1`, Boolean labels: the
-/// reaction domain is 16,399, over `PROBE_CAP`, so the instance key
-/// digests a sample of node 0's 2^14 in-labelings, not all of them.
-/// Node 1 copies its in-label and nodes 2…14 emit 1. Node 0 emits 0,
+/// reaction table has 16,399 entries, 2^14 of them node 0's, and the
+/// instance key digests every one. Node 1 copies its in-label and nodes
+/// 2…14 emit 1. Node 0 emits 0,
 /// except that with `twist` it emits 1 when the label on `1 → 0` is 0
 /// and its 13 other in-labels are all 1. Writing `x` for the label on
 /// `1 → 0` and `y` for the one on `0 → 1`, the twisted protocol at
 /// `r = 1` cycles `(x, y) → (y, ¬x)`; the plain one settles at `(0, 0)`.
-fn over_cap(twist: bool) -> Protocol<bool> {
+fn fan_in(twist: bool) -> Protocol<bool> {
     let mut g = DiGraph::new(15);
     for v in 1..15 {
         g.add_edge(v, 0).unwrap();
@@ -472,28 +472,27 @@ fn over_cap(twist: bool) -> Protocol<bool> {
         .unwrap()
 }
 
-/// Two over-cap protocols that differ in one reaction entry share an
-/// instance key, so the cache must compute both instead of serving the
-/// first one's verdict for the second, and must store neither.
+/// The fan-in's two variants differ in one of node 0's 2^14 reaction
+/// entries. Their keys digest the whole table, so they differ, and the
+/// cache memoizes each under its own key: the first query of each is a
+/// miss with its own verdict, and every repeat is a hit with the same
+/// verdict, in memory and after the cache is reopened.
 #[test]
-fn over_cap_instances_are_computed_every_time() {
-    let (a, b) = (over_cap(false), over_cap(true));
+fn large_tables_get_exact_keys_and_hit_on_repeat() {
+    let (a, b) = (fan_in(false), fan_in(true));
     let (inputs, alphabet, limits) = ([0u64; 15], [false, true], Limits::default());
     let key =
         |p: &Protocol<bool>| VerdictCache::label_fingerprint(p, &inputs, &alphabet, 1, &limits);
-    assert_eq!(
-        key(&a),
-        key(&b),
-        "the sampled key misses the one changed entry"
-    );
-    let dir = scratch_dir("over-cap");
+    assert_ne!(key(&a), key(&b), "the key sees the one changed entry");
+    let dir = scratch_dir("fan-in");
     let cache = VerdictCache::open(&dir, DEFAULT_BYTE_BUDGET).unwrap();
-    for _ in 0..2 {
+    let check = |cache: &VerdictCache, outcome: CacheOutcome| {
         let got_a = cache
             .verify_label(&a, &inputs, &alphabet, 1, &limits)
             .unwrap();
         assert_eq!(got_a.verdict, Verdict::Stabilizing);
-        assert_eq!(got_a.outcome, CacheOutcome::Miss);
+        assert_eq!((got_a.outcome, got_a.fingerprint), (outcome, key(&a)));
+        assert_eq!(got_a.stats.states, 1 << 15);
         let got_b = cache
             .verify_label(&b, &inputs, &alphabet, 1, &limits)
             .unwrap();
@@ -502,11 +501,15 @@ fn over_cap_instances_are_computed_every_time() {
             "{:?}",
             got_b.verdict
         );
-        assert_eq!(got_b.outcome, CacheOutcome::Miss);
-    }
-    assert!(cache.is_empty(), "nothing is memoized in memory");
+        assert_eq!((got_b.outcome, got_b.fingerprint), (outcome, key(&b)));
+        assert_eq!(got_b.stats.states, 1 << 15);
+    };
+    check(&cache, CacheOutcome::Miss);
+    check(&cache, CacheOutcome::Hit);
+    assert_eq!(cache.len(), 2, "both are memoized in memory");
     let reopened = VerdictCache::open(&dir, DEFAULT_BYTE_BUDGET).unwrap();
-    assert!(reopened.is_empty(), "nothing is memoized on disk");
+    assert_eq!(reopened.len(), 2, "both are memoized on disk");
+    check(&reopened, CacheOutcome::Hit);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -571,8 +574,7 @@ fn output_mode_queries_are_cached_under_their_own_key() {
 /// rotation ring n = 5, r = 2 in label and output mode under both
 /// symmetry modes (output keys come from the cached verdict), the BFS
 /// tree on a biring n = 4, cap 2, r = 1 under every single Byzantine and
-/// crash placement, and the over-cap fan-in, whose sampled key both of
-/// its variants share.
+/// crash placement.
 #[test]
 fn instance_keys_do_not_move() {
     let rot = rotate_ring(5);
@@ -623,14 +625,16 @@ fn instance_keys_do_not_move() {
             assert_eq!(got, key, "{faults:?}");
         }
     }
-    for twist in [false, true] {
-        let got = VerdictCache::label_fingerprint(
-            &over_cap(twist),
-            &[0; 15],
-            &[false, true],
-            1,
-            &Limits::default(),
-        );
-        assert_eq!(got, 0xf127_e952_1213_8d1d, "twist {twist}");
+    // Over an empty alphabet the ring has no labeling: no state, a
+    // Stabilizing answer, and a key that digests no reaction, taken while
+    // such an instance had no table. Now it is memoized like any other.
+    let cache = VerdictCache::in_memory(DEFAULT_BYTE_BUDGET);
+    for outcome in [CacheOutcome::Miss, CacheOutcome::Hit] {
+        let got = cache
+            .verify_label(&rot, &inputs, &[], 2, &Limits::default())
+            .unwrap();
+        assert_eq!(got.fingerprint, 0x32f5_7a39_3c14_c38a);
+        assert_eq!((got.outcome, got.verdict), (outcome, Verdict::Stabilizing));
+        assert_eq!(got.stats.states, 0);
     }
 }

@@ -5,9 +5,10 @@
 //! must fall back to the previous one; a mismatched instance must be the
 //! typed [`ResumeError::InstanceMismatch`], never a silent wrong answer;
 //! a [`Limits::deadline`] must degrade gracefully to a resumable
-//! [`Verdict::Partial`]; meaningless policies are rejected up front; and
-//! a panicking expand worker is isolated (retried once, then
-//! checkpoint-and-fail as [`VerifyError::PoisonedChunk`]).
+//! [`Verdict::Partial`]; meaningless policies and instances over the
+//! state budget are rejected up front; and a panicking reaction is
+//! isolated (its tabulation retried once, then the typed
+//! [`VerifyError::PoisonedChunk`]).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,12 +21,12 @@ use stateless_computation::core::prelude::*;
 use stateless_computation::protocols::bfs_tree::{bfs_alphabet, bfs_tree_protocol};
 use stateless_computation::verify::cache::DEFAULT_BYTE_BUDGET;
 use stateless_computation::verify::{
-    verify_label_stabilization, verify_label_stabilization_naive,
-    verify_label_stabilization_resumed, verify_label_stabilization_resumed_at,
-    verify_label_stabilization_with_stats, verify_output_stabilization,
-    verify_output_stabilization_naive, verify_output_stabilization_resumed,
-    verify_output_stabilization_with_stats, CheckpointPolicy, ExploreStats, Limits, ResumeError,
-    SymmetryMode, Verdict, VerdictCache, VerifyError,
+    sweep_byzantine_placements, sweep_crash_placements_cached, verify_label_stabilization,
+    verify_label_stabilization_naive, verify_label_stabilization_resumed,
+    verify_label_stabilization_resumed_at, verify_label_stabilization_with_stats,
+    verify_output_stabilization, verify_output_stabilization_naive,
+    verify_output_stabilization_resumed, verify_output_stabilization_with_stats, CheckpointPolicy,
+    ExploreStats, Limits, ResumeError, SymmetryMode, Verdict, VerdictCache, VerifyError,
 };
 
 /// Thread counts the resume-equality matrix runs at (mirrors the
@@ -380,20 +381,6 @@ fn meaningless_policies_are_rejected_up_front() {
         },
         Limits {
             checkpoint: Some(CheckpointPolicy {
-                every_secs: Some(0.0),
-                ..CheckpointPolicy::new(&dir)
-            }),
-            ..Limits::default()
-        },
-        Limits {
-            checkpoint: Some(CheckpointPolicy {
-                every_secs: Some(f64::NAN),
-                ..CheckpointPolicy::new(&dir)
-            }),
-            ..Limits::default()
-        },
-        Limits {
-            checkpoint: Some(CheckpointPolicy {
                 retain: 0,
                 ..CheckpointPolicy::new(&dir)
             }),
@@ -436,10 +423,9 @@ fn tripwire(
 }
 
 /// Fifteen nodes with edges `1…14 → 0` and `0 → 1`. Node 0 alone has
-/// 2^14 Boolean in-labelings, so the reaction domain, 16,399, is over
-/// `PROBE_CAP`: the verifier builds no reaction table and calls the
-/// reactions on every expansion, in the expand workers the chunk-panic
-/// tests guard. At `r = 1` the product graph is its 2^15 labelings.
+/// 2^14 Boolean in-labelings, so the reaction table has 16,399 entries,
+/// and building it is the only place the verifier calls the reactions.
+/// At `r = 1` the product graph is its 2^15 labelings.
 fn fan_in() -> DiGraph {
     let mut g = DiGraph::new(15);
     for v in 1..15 {
@@ -449,8 +435,8 @@ fn fan_in() -> DiGraph {
     g
 }
 
-/// A reaction that panics **once** in an expand worker is isolated: the
-/// poisoned chunk is retried serially, the retry succeeds, and the
+/// A reaction that panics **once** is isolated: on the fan-in the panic
+/// strikes the tabulation, the retried tabulation succeeds, and the
 /// verdict and stats are bit-identical to a clean run's.
 #[test]
 fn single_worker_panic_is_retried_and_absorbed() {
@@ -460,9 +446,9 @@ fn single_worker_panic_is_retried_and_absorbed() {
     let clean =
         verify_label_stabilization_with_stats(&healthy, &inputs, &alphabet, 1, Limits::default())
             .unwrap();
-    // A one-shot tripwire: exactly the 200th reaction call panics (the
-    // seed phase calls none, so this is inside batch expansion), every
-    // later call succeeds — so the serial chunk retry goes through.
+    // A one-shot tripwire: exactly the 200th reaction call panics, inside
+    // the tabulation, and every later call succeeds — so the retried
+    // tabulation goes through.
     let (p_once, fired) = tripwire(fan_in(), |k| k == 200);
     let recovered = verify_label_stabilization_with_stats(
         &p_once,
@@ -482,28 +468,19 @@ fn single_worker_panic_is_retried_and_absorbed() {
     assert_eq!(clean, recovered, "one panic, retried, absorbed");
 }
 
-/// A chunk that panics on the retry too is **checkpoint-and-fail**:
-/// the typed [`VerifyError::PoisonedChunk`] carries the panic message
-/// and a handle to the epoch flushed at the failed batch's boundary —
-/// and a healthy protocol resumes from that handle to the exact verdict.
+/// A reaction that panics on the retry too fails the query as the typed
+/// [`VerifyError::PoisonedChunk`], carrying the panic message. The panic
+/// strikes the tabulation, before anything is explored, so even with a
+/// checkpoint policy set there is no epoch to flush: the error has no
+/// handle, and no store directory is created.
 #[test]
-fn persistent_panic_checkpoints_and_fails() {
-    let inputs = [0u64; 15];
-    let alphabet = [false, true];
+fn persistent_panic_fails_before_any_store_opens() {
     let dir = scratch_dir("poisoned");
-    let (healthy, _) = tripwire(fan_in(), |_| false);
-    let clean =
-        verify_label_stabilization_with_stats(&healthy, &inputs, &alphabet, 1, Limits::default())
-            .unwrap();
-    // The instance fingerprint's behavioral probes run 8 reactions per
-    // node (120) when the checkpoint store opens; trip past them so the
-    // fingerprint matches the healthy protocol's, but well inside the
-    // first expand batch.
     let (poisoned, _) = tripwire(fan_in(), |k| k >= 500);
     let err = verify_label_stabilization(
         &poisoned,
-        &inputs,
-        &alphabet,
+        &[0u64; 15],
+        &[false, true],
         1,
         Limits {
             threads: 2,
@@ -516,19 +493,8 @@ fn persistent_panic_checkpoints_and_fails() {
         panic!("a persistent panic must poison the run, got {err:?}")
     };
     assert!(what.contains("tripwire"), "panic message survives: {what}");
-    let handle = checkpoint.expect("checkpoint-and-fail flushes an epoch");
-    assert_eq!(handle.dir, dir);
-    let resumed = verify_label_stabilization_resumed(
-        &healthy,
-        &inputs,
-        &alphabet,
-        1,
-        Limits::default(),
-        &dir,
-    )
-    .unwrap();
-    assert_eq!(clean, resumed, "resume from the checkpoint-and-fail epoch");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(checkpoint, None, "nothing was explored to checkpoint");
+    assert!(!dir.exists(), "a failed tabulation opens no store");
 }
 
 /// Without a checkpoint policy, a persistent panic still fails typed —
@@ -634,8 +600,8 @@ fn persistent_table_build_panic_is_typed_without_a_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Inputs come one per node. A 4-ring given 3 inputs (a tabled instance)
-/// and the 15-node fan-in given 14 (over the cap) are `BadParameters` in
+/// Inputs come one per node. A 4-ring given 3 inputs and the 15-node
+/// fan-in given 14 are `BadParameters` in
 /// both query modes, from the packed verifier, the naive reference and
 /// the verdict cache alike, before anything runs: the reactions panic on
 /// every call yet none is called, the checkpoint policy's store is never
@@ -688,9 +654,63 @@ fn inputs_of_the_wrong_length_are_bad_parameters() {
     assert!(cache.is_empty(), "nothing is memoized");
 }
 
-/// With a reaction table, an `r = 1` label-mode state is its labeling
-/// alone, so every successor is a seed and exploration counts the seeds'
-/// edges instead of expanding them. On the f = 1 Byzantine BFS biring
+/// A reaction table has at most one entry per labeling plus one per
+/// node, and every labeling is a seed state, so an instance whose table
+/// would exceed the state budget plus `n` entries is refused as
+/// [`VerifyError::TooManyStates`] before any reaction runs — from the
+/// `verify_*` and `*_resumed` entry points, the verdict cache and the
+/// sweeps alike, with no store opened and nothing memoized — and its
+/// cache key is taken without one. The fan-in's 16,399 entries are
+/// refused under a budget of 16,383 states. One state more and the
+/// table is built, once, before seeding its 2^15 labelings trips the
+/// budget.
+#[test]
+fn over_budget_tables_are_refused_before_any_reaction() {
+    let dir = scratch_dir("refused");
+    let (inputs, alphabet) = ([0u64; 15], [false, true]);
+    let limits = |max_states| Limits {
+        max_states,
+        checkpoint: Some(CheckpointPolicy::new(&dir)),
+        ..Limits::default()
+    };
+    let refused = limits(16_383);
+    let (p, calls) = tripwire(fan_in(), |_| false);
+    let cache = VerdictCache::in_memory(DEFAULT_BYTE_BUDGET);
+    let errors = [
+        verify_label_stabilization(&p, &inputs, &alphabet, 1, refused.clone()).err(),
+        verify_output_stabilization(&p, &inputs, &alphabet, 1, refused.clone()).err(),
+        verify_label_stabilization_resumed(&p, &inputs, &alphabet, 1, refused.clone(), &dir).err(),
+        verify_output_stabilization_resumed(&p, &inputs, &alphabet, 1, refused.clone(), &dir).err(),
+        cache
+            .verify_label(&p, &inputs, &alphabet, 1, &refused)
+            .err(),
+        cache
+            .verify_output(&p, &inputs, &alphabet, 1, &refused)
+            .err(),
+        sweep_byzantine_placements(&p, &inputs, &alphabet, 1, refused.clone(), 1, &[]).err(),
+        sweep_crash_placements_cached(&p, &inputs, &alphabet, 1, refused.clone(), 1, &[], &cache)
+            .err(),
+    ];
+    for (k, err) in errors.into_iter().enumerate() {
+        assert_eq!(
+            err,
+            Some(VerifyError::TooManyStates { limit: 16_383 }),
+            "entry point {k}"
+        );
+    }
+    VerdictCache::label_fingerprint(&p, &inputs, &alphabet, 1, &refused);
+    assert_eq!(calls.load(Ordering::Relaxed), 0, "no reaction runs");
+    assert!(!dir.exists(), "no checkpoint store is opened");
+    assert!(cache.is_empty(), "nothing is memoized");
+    let err = verify_label_stabilization(&p, &inputs, &alphabet, 1, limits(16_384)).unwrap_err();
+    assert_eq!(err, VerifyError::TooManyStates { limit: 16_384 });
+    assert_eq!(calls.load(Ordering::Relaxed), 16_399, "one tabulation");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An `r = 1` label-mode state is its labeling alone, so every successor
+/// is a seed and exploration counts the seeds' edges instead of
+/// expanding them. On the f = 1 Byzantine BFS biring
 /// n = 5 the edge count and the edge budget are the batch loop's, the
 /// transient peak is the seed batch's (one 16-byte record per seed), and
 /// resuming from a checkpoint taken after seeding, or from one written
@@ -902,7 +922,7 @@ fn inflated_length_fields_are_corrupt_not_a_panic() {
         .unwrap();
     let (inputs, alphabet, r) = (vec![0u64; n], (0..16u8).collect::<Vec<_>>(), 2);
     let limits = Limits::default();
-    let table = ReactionTable::build(&p, &inputs, &alphabet);
+    let table = ReactionTable::build(&p, &inputs, &alphabet, u64::MAX);
     let fp = instance_fingerprint(&p, &inputs, &alphabet, table.as_ref(), r, false, &limits);
     let cases: [(&str, u64, u64, &[u64], &str); 3] = [
         (

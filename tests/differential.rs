@@ -647,79 +647,51 @@ fn edgeless_verifier_peak_transient_stays_below_half_the_old_csr() {
     }
 }
 
-/// The verifier's work on the closure path, pinned end to end: after
-/// exploration expands every state once, a query regenerates its edges
-/// exactly once more, in the Tarjan pass, which also finds any
-/// interesting intra-SCC edge. Each expansion runs every node's reaction
-/// once, so a Stabilizing, fault-free, symmetry-`Off` query with no
-/// checkpoint (nothing to fingerprint, no witness to build) calls the
-/// reaction exactly `2 · n · states` times, at every thread count. The
-/// instance has 15 nodes with edges `1…14 → 0` and `0 → 1`: node 0 alone
-/// has 2^14 Boolean in-labelings, so the reaction domain (16,399) is over
-/// `PROBE_CAP`, no reaction table is built, and even at `r = 1` every
-/// state is expanded. Every node has one out-edge and writes `false`.
+/// A query tabulates each node's reaction once per in-labeling, faulty
+/// nodes included, and every later step reads that one table —
+/// exploration, Tarjan and the witness search, symmetry validation, the
+/// instance key behind checkpoints and the verdict cache, and resumes.
+/// So every query makes exactly `Σᵥ |Σ|^indeg(v)` calls, whatever `r`,
+/// the thread count, the query mode, the symmetry mode, the fault
+/// placement, the checkpoint policy or deadline, or whether the cache
+/// misses, hits or resumes: `2n` on the Boolean unidirectional ring, and
+/// 16,399 on the 15-node fan-in with edges `1…14 → 0` and `0 → 1`, whose
+/// 2^15 states at `r = 1` would take 2 · 15 calls each if exploration or
+/// the Tarjan pass reacted per state. With `copy` every node writes its
+/// first in-label (`false` when it has none), so the fan-in's nodes 0 and
+/// 1 swap their labels forever; without it every node writes `false`.
 #[test]
-fn stabilizing_query_regenerates_its_edges_once_after_exploration() {
+fn tabled_reactions_run_once_per_entry() {
+    let dir = std::env::temp_dir().join(format!("stateless-once-per-entry-{}", std::process::id()));
     let mut fan_in = DiGraph::new(15);
     for v in 1..15 {
         fan_in.add_edge(v, 0).unwrap();
     }
     fan_in.add_edge(0, 1).unwrap();
-    for threads in [1, 2] {
-        let calls = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&calls);
-        let p = Protocol::builder(fan_in.clone(), 1.0)
-            .uniform_reaction(FnReaction::new(move |_, _: &[bool], _| {
-                counter.fetch_add(1, Ordering::Relaxed);
-                (vec![false], 0)
-            }))
-            .build()
-            .unwrap();
-        let limits = Limits {
-            threads,
-            ..Limits::default()
-        };
-        let (verdict, stats) =
-            verify_label_stabilization_with_stats(&p, &[0; 15], &[false, true], 1, limits).unwrap();
-        assert!(verdict.is_stabilizing(), "{verdict:?}");
-        assert_eq!(stats.states, 1 << 15);
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            2 * 15 * stats.states,
-            "{threads} threads"
-        );
-    }
-}
-
-/// The table path's twin: under `PROBE_CAP` a query tabulates each
-/// node's reaction once per in-labeling, faulty nodes included, and
-/// every later step reads that one table — exploration, Tarjan and the
-/// witness search, symmetry validation, the instance key behind
-/// checkpoints and the verdict cache, and resumes. So every query makes
-/// exactly `Σᵥ |Σ|^indeg(v)` calls (`2n` on the Boolean unidirectional
-/// ring), whatever `r`, the thread count, the query mode, the symmetry
-/// mode, the fault placement, the checkpoint policy or deadline, or
-/// whether the cache misses, hits or resumes.
-#[test]
-fn tabled_reactions_run_once_per_entry() {
-    let dir = std::env::temp_dir().join(format!("stateless-once-per-entry-{}", std::process::id()));
-    for n in [4usize, 5] {
-        for r in 1..=3u8 {
+    let instances = [
+        (topology::unidirectional_ring(4), 1..=3u8),
+        (topology::unidirectional_ring(5), 1..=3),
+        (fan_in, 1..=1),
+    ];
+    for (graph, rs) in instances {
+        let n = graph.node_count();
+        let entries: usize = (0..n).map(|v| 1 << graph.in_degree(v)).sum();
+        for r in rs {
             for threads in [1, 2] {
                 for copy in [false, true] {
                     let calls = Arc::new(AtomicUsize::new(0));
                     let counter = Arc::clone(&calls);
-                    let p = Protocol::builder(topology::unidirectional_ring(n), 1.0)
+                    let p = Protocol::builder(graph.clone(), 1.0)
                         .uniform_reaction(FnReaction::new(move |_, inc: &[bool], _| {
                             counter.fetch_add(1, Ordering::Relaxed);
-                            (vec![copy && inc[0]], 0)
+                            (vec![copy && inc.first() == Some(&true)], 0)
                         }))
                         .build()
                         .unwrap();
                     let once = |query: &str| {
                         assert_eq!(
                             calls.swap(0, Ordering::Relaxed),
-                            2 * n,
+                            entries,
                             "{query}: n = {n}, r = {r}, {threads} threads, copy = {copy}"
                         );
                     };

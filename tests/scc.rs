@@ -8,7 +8,10 @@
 //! self-loops, and layered DAGs of cliques) with seeded random marks,
 //! plus fixed regression graphs and one fixed graph for each way Tarjan
 //! closes an edge. The CSR arrays reach `condense` through `from_fn`,
-//! the same regenerate-on-demand shape the verifier's oracle has.
+//! the same regenerate-on-demand shape the verifier's oracle has, and
+//! that oracle counts its calls: `condense` must ask for each state's
+//! successors exactly once, since the verifier regenerates a state's
+//! edges on every call.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -88,8 +91,9 @@ fn condense_marked(n: usize, edges: &[(u32, u32)], marks: &[bool]) -> Condensati
 /// numbering — and, under a mark per edge drawn from `seed` (at a density
 /// also drawn from it), the same marked edge as brute force: the first
 /// marked edge in `(source, edge index)` order whose endpoints share a
-/// reference component. Returns the component vector for further shape
-/// assertions.
+/// reference component. Also asserts that `condense` asked for every
+/// state's successors exactly once. Returns the component vector for
+/// further shape assertions.
 fn assert_matches_reference(n: usize, edges: &[(u32, u32)], seed: u64) -> Vec<u32> {
     let (offsets, targets) = csr(n, edges);
     let expected = reference(&offsets, &targets);
@@ -103,7 +107,9 @@ fn assert_matches_reference(n: usize, edges: &[(u32, u32)], seed: u64) -> Vec<u3
             .find(|&e| marks[e] && expected[u] == expected[targets[e] as usize])
             .map(|e| (u as u32, e - offsets[u]))
     });
+    let mut asked = vec![0usize; n];
     let got = condense(&mut from_fn(n, |u, out| {
+        asked[u as usize] += 1;
         let range = offsets[u as usize]..offsets[u as usize + 1];
         out.clear();
         out.extend(
@@ -123,6 +129,12 @@ fn assert_matches_reference(n: usize, edges: &[(u32, u32)], seed: u64) -> Vec<u3
         got.marked,
         marked,
         "condense reported the wrong marked edge (n = {n}, {} edges, density {density})",
+        edges.len()
+    );
+    assert_eq!(
+        asked,
+        vec![1; n],
+        "condense must ask each state once (n = {n}, {} edges)",
         edges.len()
     );
     expected
@@ -228,6 +240,18 @@ fn single_giant_scc() {
     edges.extend((0..n).step_by(7).map(|u| (u, (u + n / 2) % n)));
     let comp = assert_matches_reference(n as usize, &edges, 3);
     assert!(comp.iter().all(|&c| c == 0), "one giant component");
+}
+
+#[test]
+fn long_one_way_tail() {
+    // A 2-cycle feeding a 39-state one-way tail: the DFS path runs the
+    // whole tail deep before any frame pops, and every tail state comes
+    // out as its own singleton.
+    let mut edges = vec![(0u32, 1u32), (1, 0), (1, 2)];
+    edges.extend((2..40u32).map(|u| (u, u + 1)));
+    let comp = assert_matches_reference(41, &edges, 6);
+    let expected: Vec<u32> = [0].into_iter().chain(0..40).collect();
+    assert_eq!(comp, expected);
 }
 
 #[test]
