@@ -647,6 +647,48 @@ fn edgeless_verifier_peak_transient_stays_below_half_the_old_csr() {
     }
 }
 
+/// The verifier's work after exploration, pinned end to end: exploration
+/// expands every state once, and the Tarjan pass regenerates each
+/// state's edges once more (`tests/scc.rs` counts those oracle calls per
+/// state). Both read the instance's reaction table, so a Stabilizing,
+/// fault-free, symmetry-`Off` query with no checkpoint calls the
+/// reaction exactly once per table entry, `Σᵥ |Σ|^indeg(v)`, at every
+/// thread count. The instance has 15 nodes with edges `1…14 → 0` and
+/// `0 → 1`: node 0 alone has 2^14 Boolean in-labelings, so the table
+/// holds 16,399 entries, while reacting in both passes would take
+/// `2 · n · states` = 983,040 calls over the 2^15 states at `r = 1`.
+/// Every node writes `false`.
+#[test]
+fn stabilizing_query_regenerates_its_edges_once_after_exploration() {
+    let mut fan_in = DiGraph::new(15);
+    for v in 1..15 {
+        fan_in.add_edge(v, 0).unwrap();
+    }
+    fan_in.add_edge(0, 1).unwrap();
+    let entries: usize = (0..15).map(|v| 1 << fan_in.in_degree(v)).sum();
+    assert_eq!(entries, 16_399);
+    for threads in [1, 2] {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        let p = Protocol::builder(fan_in.clone(), 1.0)
+            .uniform_reaction(FnReaction::new(move |_, _: &[bool], _| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                (vec![false], 0)
+            }))
+            .build()
+            .unwrap();
+        let limits = Limits {
+            threads,
+            ..Limits::default()
+        };
+        let (verdict, stats) =
+            verify_label_stabilization_with_stats(&p, &[0; 15], &[false, true], 1, limits).unwrap();
+        assert!(verdict.is_stabilizing(), "{verdict:?}");
+        assert_eq!(stats.states, 1 << 15);
+        assert_eq!(calls.load(Ordering::Relaxed), entries, "{threads} threads");
+    }
+}
+
 /// A query tabulates each node's reaction once per in-labeling, faulty
 /// nodes included, and every later step reads that one table —
 /// exploration, Tarjan and the witness search, symmetry validation, the
@@ -655,11 +697,11 @@ fn edgeless_verifier_peak_transient_stays_below_half_the_old_csr() {
 /// the thread count, the query mode, the symmetry mode, the fault
 /// placement, the checkpoint policy or deadline, or whether the cache
 /// misses, hits or resumes: `2n` on the Boolean unidirectional ring, and
-/// 16,399 on the 15-node fan-in with edges `1…14 → 0` and `0 → 1`, whose
-/// 2^15 states at `r = 1` would take 2 · 15 calls each if exploration or
-/// the Tarjan pass reacted per state. With `copy` every node writes its
-/// first in-label (`false` when it has none), so the fan-in's nodes 0 and
-/// 1 swap their labels forever; without it every node writes `false`.
+/// 16,399 on the 15-node fan-in of
+/// `stabilizing_query_regenerates_its_edges_once_after_exploration`.
+/// With `copy` every node writes its first in-label (`false` when it has
+/// none), so the fan-in's nodes 0 and 1 swap their labels forever;
+/// without it every node writes `false`.
 #[test]
 fn tabled_reactions_run_once_per_entry() {
     let dir = std::env::temp_dir().join(format!("stateless-once-per-entry-{}", std::process::id()));
