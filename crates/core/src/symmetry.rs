@@ -46,9 +46,13 @@
 //! auxiliary output words. Pure cyclic groups on ring-shaped layouts
 //! take the ring path instead, in O(n). When the row has no auxiliary
 //! words and its `n` `(label, countdown)` pairs fit 64 bits, they are
-//! interleaved into one `u64`, position 0 most significant, and the
-//! least of its `n` integer rotations is de-interleaved back into the
-//! row. Any other ring row turns each position's
+//! interleaved into one `u64`, position 0 most significant, by one
+//! byte-table lookup per row byte. The least of its `n` integer
+//! rotations wins, and the row is rewritten by rotating its label block
+//! and its countdown block by the winning start. The tables depend only
+//! on the layout: [`Symmetry::bind`] builds them once for the layout a
+//! verifier packs, and a call with any other layout builds them into its
+//! [`CanonScratch`]. Any other ring row turns each position's
 //! `(label, countdown, aux)` triple into one `u128` key that orders
 //! exactly like the tuple, writes the keys twice into the caller's
 //! [`CanonScratch`], lets Booth's minimal-rotation search
@@ -344,6 +348,9 @@ pub struct PackedLayout {
 /// call is allocation-free.
 #[derive(Debug, Default)]
 pub struct CanonScratch {
+    /// Ring path: the byte tables of the last one-word layout seen by a
+    /// group not bound to it ([`Symmetry::bind`]).
+    word: Option<RingWord>,
     /// Ring path: one key per position, written twice.
     keys: Vec<u128>,
     /// Ring path: Booth's failure function over `keys`.
@@ -373,6 +380,9 @@ pub struct Symmetry {
     /// ring-shaped layout (`e == n`, edge `k` co-rotating with node `k`),
     /// `ring[j]` is the element index of rotation by `j`.
     ring: Option<Vec<u32>>,
+    /// Ring path: the byte tables of the layout bound by
+    /// [`Symmetry::bind`].
+    word: Option<RingWord>,
 }
 
 impl Symmetry {
@@ -381,7 +391,22 @@ impl Symmetry {
         Symmetry {
             elements: vec![Automorphism::identity(n, e)],
             ring: None,
+            word: None,
         }
+    }
+
+    /// Binds the group to the layout its states are packed in: a ring
+    /// group whose `layout` rows fit one word gets that layout's byte
+    /// tables, built here once, so every [`canonicalize`] call with
+    /// `layout` reads them instead of building its own. Any other group
+    /// or layout is returned as it is.
+    ///
+    /// [`canonicalize`]: Symmetry::canonicalize
+    pub fn bind(mut self, layout: &PackedLayout) -> Self {
+        if self.ring.is_some() && layout.aux == 0 && RingWord::fits_one_word(layout) {
+            self.word = Some(RingWord::new(layout));
+        }
+        self
     }
 
     /// Closes `generators` into a group (identity first, deterministic
@@ -396,9 +421,7 @@ impl Symmetry {
                 return None;
             }
         }
-        let elements = close(n, e, generators)?;
-        let ring = detect_ring(&elements, n, e);
-        Some(Symmetry { elements, ring })
+        close(n, e, generators).map(Symmetry::from_elements)
     }
 
     /// Derives the validated automorphism group of `protocol` under
@@ -436,11 +459,7 @@ impl Symmetry {
         if generators.is_empty() {
             return Symmetry::identity(n, e);
         }
-        let Some(elements) = close(n, e, &generators) else {
-            return Symmetry::identity(n, e);
-        };
-        let ring = detect_ring(&elements, n, e);
-        Symmetry { elements, ring }
+        close(n, e, &generators).map_or_else(|| Symmetry::identity(n, e), Symmetry::from_elements)
     }
 
     /// The stabilizer subgroup of a node coloring: keeps exactly the
@@ -450,7 +469,8 @@ impl Symmetry {
     /// fault-placement-preserving automorphisms — a Byzantine node may
     /// only map to a Byzantine node, a crash node to a crash node. The
     /// ring path is re-detected on the subgroup (restriction
-    /// usually breaks the pure-rotation shape).
+    /// usually breaks the pure-rotation shape), which is bound to no
+    /// layout.
     ///
     /// Color-preservation is closed under composition and inverse, so the
     /// filtered set is itself a group; the identity always survives.
@@ -466,9 +486,19 @@ impl Symmetry {
             })
             .cloned()
             .collect();
+        Symmetry::from_elements(elements)
+    }
+
+    /// The group of `elements` (identity first), with its ring path
+    /// detected and bound to no layout.
+    fn from_elements(elements: Vec<Automorphism>) -> Self {
         let (n, e) = (elements[0].node_perm.len(), elements[0].edge_perm.len());
         let ring = detect_ring(&elements, n, e);
-        Symmetry { elements, ring }
+        Symmetry {
+            elements,
+            ring,
+            word: None,
+        }
     }
 
     /// The group order (≥ 1; element 0 is the identity).
@@ -503,10 +533,20 @@ impl Symmetry {
         if self.is_trivial() {
             return 0;
         }
-        match &self.ring {
-            Some(ring) => canonicalize_ring(ring, layout, words, aux, scratch),
-            None => self.canonicalize_orbit(layout, words, aux, scratch),
+        let Some(ring) = &self.ring else {
+            return self.canonicalize_orbit(layout, words, aux, scratch);
+        };
+        if !aux.is_empty() || !RingWord::fits_one_word(layout) {
+            return canonicalize_ring(ring, layout, words, aux, scratch);
         }
+        let word: &RingWord = match &self.word {
+            Some(word) if word.is_for(layout) => word,
+            _ => match &mut scratch.word {
+                Some(word) if word.is_for(layout) => word,
+                slot => slot.insert(RingWord::new(layout)),
+            },
+        };
+        canonicalize_ring_word(ring, word, words)
     }
 
     /// The generator-orbit scan behind [`Symmetry::canonicalize`] for
@@ -569,11 +609,10 @@ impl Symmetry {
     }
 }
 
-/// The ring fast path of [`Symmetry::canonicalize`]: the orbit is the `n`
-/// rotations of the per-position `(label, countdown, aux)` sequence, and
-/// `ring[j]` is the element index of rotation by `j`. A row without aux
-/// words whose `n` positions fit one word takes [`canonicalize_ring_word`].
-/// Otherwise each position is one integer key,
+/// The ring path of [`Symmetry::canonicalize`] for a row with aux words
+/// or over 64 bits: the orbit is the `n` rotations of the per-position
+/// `(label, countdown, aux)` sequence, and `ring[j]` is the element index
+/// of rotation by `j`. Each position is one integer key,
 /// `label · 2^(cw+64) + countdown · 2^64 + aux`, which orders exactly
 /// like the tuple. The keys are written twice into `sc.keys`, so Booth's
 /// search reads rotation `m` as `keys[m..m + n]` without wrapping; the
@@ -589,9 +628,6 @@ fn canonicalize_ring(
     let n = layout.nodes;
     let (lw, cw) = (layout.label_width, layout.countdown_width);
     debug_assert!(lw <= 32 && cw <= 32, "fields are u32 indices");
-    if aux.is_empty() && n * (lw + cw) as usize <= 64 {
-        return canonicalize_ring_word(ring, layout, words);
-    }
     let cd_base = n * lw as usize;
     let label_shift = 64 + cw;
     sc.keys.clear();
@@ -618,36 +654,89 @@ fn canonicalize_ring(
     ring[n - m] as usize
 }
 
+/// The byte tables of the ring path for one layout whose `n` positions
+/// fit one word without aux words. Each position's `(label, countdown)`
+/// pair is one `lw + cw`-bit digit of an integer, position 0 most
+/// significant, so integer order is the keyed path's tuple order. Every
+/// row bit lands on one digit bit, so the integer is the OR of one table
+/// entry per row byte: `bytes[b][v]` holds where the bits of row byte `b`
+/// land when it reads `v`.
+#[derive(Debug, Clone)]
+struct RingWord {
+    nodes: usize,
+    label_width: u32,
+    countdown_width: u32,
+    bytes: Vec<[u64; 256]>,
+}
+
+impl RingWord {
+    /// Whether `layout`'s positions fit one word: `n · (lw + cw) ≤ 64`.
+    fn fits_one_word(layout: &PackedLayout) -> bool {
+        layout.nodes * (layout.label_width + layout.countdown_width) as usize <= 64
+    }
+
+    fn new(layout: &PackedLayout) -> Self {
+        let n = layout.nodes as u32;
+        let (lw, cw) = (layout.label_width, layout.countdown_width);
+        let (k, label_bits) = (lw + cw, n * lw);
+        // The digit bit row bit `p` lands on: label bit `j` of position
+        // `i` is digit bit `cw + j`, countdown bit `j` is digit bit `j`.
+        let digit_bit = |p: u32| -> u64 {
+            let (i, bit) = if p < label_bits {
+                (p / lw, cw + p % lw)
+            } else if p < n * k {
+                ((p - label_bits) / cw, (p - label_bits) % cw)
+            } else {
+                return 0;
+            };
+            1 << ((n - 1 - i) * k + bit)
+        };
+        let bytes = (0..(n * k).div_ceil(8))
+            .map(|b| {
+                let mut table = [0u64; 256];
+                for v in 1..256 {
+                    // `v` is `v & (v − 1)` plus its lowest set bit.
+                    table[v] = table[v & (v - 1)] | digit_bit(8 * b + v.trailing_zeros());
+                }
+                table
+            })
+            .collect();
+        RingWord {
+            nodes: layout.nodes,
+            label_width: lw,
+            countdown_width: cw,
+            bytes,
+        }
+    }
+
+    /// Whether these are `layout`'s tables.
+    fn is_for(&self, layout: &PackedLayout) -> bool {
+        (self.nodes, self.label_width, self.countdown_width)
+            == (layout.nodes, layout.label_width, layout.countdown_width)
+    }
+}
+
 /// The ring path for a row without aux words whose `n` positions fit one
-/// word, `n · (lw + cw) ≤ 64`. Each position's `(label, countdown)` pair
-/// becomes one `lw + cw`-bit digit of an integer, position 0 most
-/// significant, so integer order is the keyed path's tuple order and
-/// rotation start `m` is that integer rotated left by `m` digits. The
-/// least of the `n` rotations wins (ties go to the least start) and is
-/// de-interleaved back into `words[0]`.
-fn canonicalize_ring_word(ring: &[u32], layout: &PackedLayout, words: &mut [u64]) -> usize {
-    let n = layout.nodes;
-    let (lw, cw) = (layout.label_width, layout.countdown_width);
+/// word, read through `word`'s byte tables. Rotation start `m` is the
+/// digit integer rotated left by `m` digits; the least of the `n`
+/// rotations wins (ties go to the least start). Position `m` then comes
+/// first, so the label block and the countdown block of `words[0]` each
+/// rotate right by `m` fields.
+fn canonicalize_ring_word(ring: &[u32], word: &RingWord, words: &mut [u64]) -> usize {
+    let n = word.nodes as u32;
+    let (lw, cw) = (word.label_width, word.countdown_width);
     let k = lw + cw;
     if k == 0 {
         // One label and r = 1: the row is empty and every rotation ties.
         return 0;
     }
-    let bits = n as u32 * k;
-    let cd_base = n as u32 * lw;
-    let (label_mask, cd_mask) = ((1u64 << lw) - 1, (1u64 << cw) - 1);
+    let bits = n * k;
     let row = words[0];
-    let mut x = 0u64;
-    for i in 0..n as u32 {
-        let label = row >> (i * lw) & label_mask;
-        // A zero-width countdown field may sit at bit 64.
-        let cd = if cw == 0 {
-            0
-        } else {
-            row >> (cd_base + i * cw) & cd_mask
-        };
-        x = x << k | label << cw | cd;
-    }
+    let x = word
+        .bytes
+        .iter()
+        .zip((0..64u32).step_by(8))
+        .fold(0, |x, (table, at)| x | table[(row >> at) as u8 as usize]);
     let full = u64::MAX >> (64 - bits);
     let (mut best, mut best_m) = (x, 0);
     let mut rot = x;
@@ -660,16 +749,22 @@ fn canonicalize_ring_word(ring: &[u32], layout: &PackedLayout, words: &mut [u64]
     if best_m == 0 {
         return 0;
     }
-    let mut out = 0u64;
-    for i in 0..n as u32 {
-        let digit = best >> ((n as u32 - 1 - i) * k);
-        out |= (digit >> cw & label_mask) << (i * lw);
-        if cw != 0 {
-            out |= (digit & cd_mask) << (cd_base + i * cw);
-        }
+    // A block that fills the word leaves no countdown bits above it.
+    let cds = row.checked_shr(n * lw).unwrap_or(0);
+    let cds = rotate_block(cds, n * cw, best_m * cw);
+    words[0] = rotate_block(row, n * lw, best_m * lw) | cds.checked_shl(n * lw).unwrap_or(0);
+    ring[(n - best_m) as usize] as usize
+}
+
+/// The low `width` bits of `x`, rotated right by `by < width` bits among
+/// themselves (`by = 0` when `width = 0`).
+fn rotate_block(x: u64, width: u32, by: u32) -> u64 {
+    let ones = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+    let x = x & ones;
+    if by == 0 {
+        return x;
     }
-    words[0] = out;
-    ring[n - best_m] as usize
+    (x >> by | x << (width - by)) & ones
 }
 
 /// Booth's minimal-rotation algorithm: the least index `m` such that the
@@ -1035,6 +1130,131 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The rotation group of the `n`-ring, which takes the ring path.
+    fn rotations(n: usize) -> Symmetry {
+        let step = Automorphism {
+            node_perm: (0..n as u32).map(|i| (i + 1) % n as u32).collect(),
+            edge_perm: (0..n as u32).map(|i| (i + 1) % n as u32).collect(),
+        };
+        Symmetry::from_generators(n, n, &[step]).unwrap()
+    }
+
+    /// The one-word ring path as it read fields before the byte tables:
+    /// each position's `(label, countdown)` pair is read field by field
+    /// into the digit integer, position 0 most significant, and the least
+    /// rotation (least start on ties) is de-interleaved digit by digit.
+    fn ring_word_reference(ring: &[u32], layout: &PackedLayout, words: &mut [u64]) -> usize {
+        let n = layout.nodes;
+        let (lw, cw) = (layout.label_width, layout.countdown_width);
+        let k = lw + cw;
+        if k == 0 {
+            return 0;
+        }
+        let bits = n as u32 * k;
+        let cd_base = n as u32 * lw;
+        let (label_mask, cd_mask) = ((1u64 << lw) - 1, (1u64 << cw) - 1);
+        let row = words[0];
+        let mut x = 0u64;
+        for i in 0..n as u32 {
+            let label = row >> (i * lw) & label_mask;
+            // A zero-width countdown field may sit at bit 64.
+            let cd = if cw == 0 {
+                0
+            } else {
+                row >> (cd_base + i * cw) & cd_mask
+            };
+            x = x << k | label << cw | cd;
+        }
+        let full = u64::MAX >> (64 - bits);
+        let (mut best, mut best_m) = (x, 0);
+        let mut rot = x;
+        for m in 1..n {
+            rot = (rot << k | rot >> (bits - k)) & full;
+            if rot < best {
+                (best, best_m) = (rot, m);
+            }
+        }
+        if best_m == 0 {
+            return 0;
+        }
+        let mut out = 0u64;
+        for i in 0..n as u32 {
+            let digit = best >> ((n as u32 - 1 - i) * k);
+            out |= (digit >> cw & label_mask) << (i * lw);
+            if cw != 0 {
+                out |= (digit & cd_mask) << (cd_base + i * cw);
+            }
+        }
+        words[0] = out;
+        ring[n - best_m] as usize
+    }
+
+    /// The byte-table ring path gives the per-position path's row and
+    /// element on every row of every small one-word layout, and on random
+    /// rows of larger ones (several bytes, up to a full word), whether the
+    /// group is bound to the layout or builds the tables into its scratch.
+    #[test]
+    fn byte_tables_match_the_per_position_ring_word_path() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xB17E_7AB1);
+        let mut scratch = CanonScratch::default();
+        let mut check = |n: usize, lw: u32, cw: u32, rows: &mut dyn Iterator<Item = u64>| {
+            let sym = rotations(n);
+            let ring = sym.ring.clone().unwrap();
+            let layout = PackedLayout {
+                label_width: lw,
+                countdown_width: cw,
+                edges: n,
+                nodes: n,
+                words: 1,
+                aux: 0,
+            };
+            let bound = sym.clone().bind(&layout);
+            assert!(bound.word.is_some(), "n {n}, widths {lw}/{cw} bind");
+            for row in rows {
+                let mut expected = [row];
+                let elem = ring_word_reference(&ring, &layout, &mut expected);
+                for (group, how) in [(&sym, "scratch"), (&bound, "bound")] {
+                    let mut got = [row];
+                    let got_elem = group.canonicalize(&layout, &mut got, &mut [], &mut scratch);
+                    assert_eq!(
+                        (got, got_elem),
+                        (expected, elem),
+                        "n {n}, widths {lw}/{cw}, row {row:#x}, {how}"
+                    );
+                }
+            }
+        };
+        for n in 2..=8usize {
+            for (lw, cw) in [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (2, 2)] {
+                let bits = n as u32 * (lw + cw);
+                if bits <= 18 {
+                    check(n, lw, cw, &mut (0..1u64 << bits));
+                } else {
+                    let mut random = (0..1 << 14).map(|_| rng.next_u64() >> (64 - bits));
+                    check(n, lw, cw, &mut random);
+                }
+            }
+        }
+        // Rows that fill the word: no bit is left above the countdown
+        // block, or above the label block when there is none.
+        for (n, lw, cw) in [
+            (8, 4, 4),
+            (8, 7, 1),
+            (8, 8, 0),
+            (16, 2, 2),
+            (16, 3, 1),
+            (32, 1, 1),
+            (32, 2, 0),
+            (64, 1, 0),
+            (64, 0, 1),
+        ] {
+            let mut random = (0..1 << 12).map(|_| rng.next_u64());
+            check(n, lw, cw, &mut random);
         }
     }
 

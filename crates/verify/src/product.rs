@@ -41,7 +41,9 @@
 //!   is a seed state: the table costs no more than the seeds, and an
 //!   instance whose table exceeds [`Limits::max_states`] plus `n`
 //!   entries is refused as [`VerifyError::TooManyStates`] before any
-//!   reaction runs. This is the classic on-the-fly / implicit-graph
+//!   reaction runs. So is an instance with more labelings than the
+//!   budget under [`SymmetryMode::Off`], where each is a state of its
+//!   own. This is the classic on-the-fly / implicit-graph
 //!   model-checking move: memory is
 //!   O(states) plus bounded transients (per-batch record buffers during
 //!   exploration, the edge buffers along one DFS path during SCC, and
@@ -147,10 +149,11 @@
 //! timing, the cross-thread determinism contract holds verbatim under
 //! the quotient. Pure ring groups take the ring path of
 //! [`Symmetry::canonicalize`]: a row without aux words whose positions
-//! fit one word is rotated as one integer, and any other row runs Booth's
-//! minimal-rotation search over one `u128` key per position. Other
-//! groups run the generator-orbit scan. Each worker's [`CanonScratch`]
-//! keeps every path allocation-free per edge.
+//! fit one word is rotated as one integer, read through byte tables that
+//! `Explorer::prepare` builds once per query ([`Symmetry::bind`]), and
+//! any other row runs Booth's minimal-rotation search over one `u128`
+//! key per position. Other groups run the generator-orbit scan. Each
+//! worker's [`CanonScratch`] keeps every path allocation-free per edge.
 //!
 //! **Witnesses.** Each regenerated quotient edge carries the group
 //! element `h` that canonicalized its successor. Witness reconstruction
@@ -347,10 +350,12 @@ impl Default for Limits {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum VerifyError {
-    /// The product graph exceeded [`Limits::max_states`], or the
-    /// instance was refused before anything ran: its reaction table has
-    /// more entries than the budget plus one per node, so it has more
-    /// labelings, all of them seed states, than the budget.
+    /// The product graph has more states than [`Limits::max_states`]:
+    /// interning reached the budget, or the instance was refused before
+    /// any reaction ran, because under [`SymmetryMode::Off`] it has more
+    /// labelings, all of them seed states, than the budget, or because
+    /// its reaction table has more entries than the budget plus one per
+    /// node.
     TooManyStates {
         /// The limit that was hit.
         limit: usize,
@@ -403,7 +408,7 @@ impl fmt::Display for VerifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             VerifyError::TooManyStates { limit } => {
-                write!(f, "product graph exceeded {limit} states")
+                write!(f, "product graph has more than {limit} states")
             }
             VerifyError::TooManyEdges { limit } => {
                 write!(f, "product graph exceeded {limit} edges")
@@ -628,8 +633,10 @@ impl<'p, L: Label> Instance<'p, L> {
     /// [`VerifyError::BadParameters`] for bad limits, more than
     /// [`MAX_NODES`] nodes, `r = 0`, an invalid fault model, `inputs` not
     /// one per node, or an adversary fan-out past 32 bits;
-    /// [`VerifyError::TooManyStates`] when the table would have more than
-    /// the state budget plus `n` entries (see the module docs);
+    /// [`VerifyError::TooManyStates`] under [`SymmetryMode::Off`] when
+    /// `|Σ|^|E|` (the deduplicated alphabet) is above the state budget,
+    /// and in either mode when the table would have more than the state
+    /// budget plus `n` entries (see the module docs);
     /// [`VerifyError::PoisonedChunk`] when tabulating panics twice.
     pub(crate) fn new(
         protocol: &'p Protocol<L>,
@@ -677,10 +684,21 @@ impl<'p, L: Label> Instance<'p, L> {
                  large to enumerate (per-state fan-out must fit 32 bits)"
             ));
         }
+        // Without a quotient every labeling is a seed state of its own, so
+        // more labelings than the budget ends in `TooManyStates` whatever
+        // the reactions are: refuse before tabulating.
+        let budget = limits.state_budget();
+        let labelings =
+            (0..protocol.edge_count()).fold(1u64, |c, _| c.saturating_mul(dedup.len() as u64));
+        if limits.symmetry == SymmetryMode::Off && labelings > budget as u64 {
+            return Err(VerifyError::TooManyStates {
+                limit: limits.max_states,
+            });
+        }
         // A table has at most one entry per labeling plus one per node, and
         // every labeling is a seed, so a table over the state budget plus
         // `n` entries means more seeds than the budget.
-        let max_entries = (limits.state_budget() + n) as u64;
+        let max_entries = (budget + n) as u64;
         let table = retry_once("reaction table", || {
             ReactionTable::build(protocol, inputs, &dedup, max_entries)
         })?
@@ -828,6 +846,9 @@ struct RowMasks {
     /// Node-major, one row per node: the bits node `i`'s activation
     /// overwrites — its countdown field, plus its out-edge label fields
     /// unless it is a crash node (a crashed activation writes no label).
+    /// An edge has one source, so the rows of distinct nodes are
+    /// disjoint, and XOR-ing a node's row into a union adds or removes
+    /// exactly that node.
     over: Vec<u64>,
     /// A packed 1 in every countdown field. `ticks & !F` is what one step
     /// subtracts from the nodes outside an activation set's mask `F`.
@@ -876,26 +897,21 @@ impl RowMasks {
 
 /// One activation set's successor row, built from its source row with
 /// whole-word operations: `((src & !F) | (reacted & F)) − (ticks & !F)`
-/// over the row's words with a borrow chain, where `F` is the union of
-/// the `over` masks of the nodes in `mask`. Activated nodes take their
-/// reacted labels and countdown `r` (a Byzantine node's label fields
-/// come out zero, ready for the adversary's digits); the rest keep their
-/// labels and count down by one. `mask` must contain every forced node,
-/// so each idle node's packed countdown is at least 1 and the
-/// subtraction borrows across a word only inside a field that straddles
-/// the boundary. Returns whether a watched (correct-sourced) label bit
-/// changed.
-fn step_row(masks: &RowMasks, src: &[u64], reacted: &[u64], mask: u32, out: &mut [u64]) -> bool {
-    let w = out.len();
+/// over the row's words with a borrow chain, where `F` is `over`, the
+/// union of the `over` masks of the set's nodes. The caller keeps that
+/// union across the sets of a state ([`Explorer::for_each_successor`]).
+/// Activated nodes take their reacted labels and countdown `r` (a
+/// Byzantine node's label fields come out zero, ready for the
+/// adversary's digits); the rest keep their labels and count down by
+/// one. The set must contain every forced node, so each idle node's
+/// packed countdown is at least 1 and the subtraction borrows across a
+/// word only inside a field that straddles the boundary. Returns whether
+/// a watched (correct-sourced) label bit changed.
+fn step_row(masks: &RowMasks, src: &[u64], reacted: &[u64], over: &[u64], out: &mut [u64]) -> bool {
     let mut borrow = false;
     let mut changed = 0u64;
-    for k in 0..w {
-        let mut f = 0u64;
-        let mut nodes = mask;
-        while nodes != 0 {
-            f |= masks.over[nodes.trailing_zeros() as usize * w + k];
-            nodes &= nodes - 1;
-        }
+    for k in 0..out.len() {
+        let f = over[k];
         let kept = (src[k] & !f) | (reacted[k] & f);
         let (d, b1) = kept.overflowing_sub(masks.ticks[k] & !f);
         let (d, b2) = d.overflowing_sub(u64::from(borrow));
@@ -986,6 +1002,8 @@ struct ExpandScratch {
     react_out: Vec<u64>,
     out_words: Vec<u64>,
     next_out_words: Vec<u64>,
+    /// The current activation set's union of `RowMasks::over` rows.
+    over: Vec<u64>,
     /// One activation set's successor row before the adversary's digits,
     /// and the emitted row.
     next: Vec<u64>,
@@ -1010,6 +1028,7 @@ impl ExpandScratch {
             react_out: vec![0u64; cfg.n],
             out_words: vec![0u64; cfg.aux_len],
             next_out_words: vec![0u64; cfg.aux_len],
+            over: vec![0u64; cfg.words_per_state],
             next: vec![0u64; cfg.words_per_state],
             state: vec![0u64; cfg.words_per_state],
             free_nodes: Vec::with_capacity(cfg.n),
@@ -1274,14 +1293,18 @@ impl<'p, L: Label> Explorer<'p, L> {
         // placement acts as a node coloring: only placement-preserving
         // elements survive (a Byzantine node may only map to a Byzantine
         // node), which is what keeps orbit-canonical interning sound under
-        // adversary branching.
+        // adversary branching. Binding the group to the layout builds the
+        // ring path's byte tables here, once per query, for every worker
+        // to read.
         let symmetry = match limits.symmetry {
             SymmetryMode::Auto => {
                 let derived = Symmetry::from_table(graph, &inst.inputs, &inst.table);
                 let colors: Vec<u64> = (0..n)
                     .map(|i| u64::from(faults.is_byzantine(i)) + 2 * u64::from(faults.is_crash(i)))
                     .collect();
-                Some(derived.restrict_to_coloring(&colors)).filter(|s| !s.is_trivial())
+                Some(derived.restrict_to_coloring(&colors))
+                    .filter(|s| !s.is_trivial())
+                    .map(|s| s.bind(&layout))
             }
             SymmetryMode::Off => None,
         };
@@ -1821,9 +1844,11 @@ impl<'p, L: Label> Explorer<'p, L> {
     /// sets are enumerated, into one reacted row beside the source row,
     /// by a [`ReactionTable`] lookup. Faulty nodes never react. Each
     /// activation set then takes its successor row from those two rows
-    /// with a few whole-word operations ([`step_row`]), and each
-    /// adversary choice packs its digits into the zeroed Byzantine
-    /// fields. Allocation-free per edge given a warm `scratch`.
+    /// and the union of its nodes' overwritten bits with a few whole-word
+    /// operations ([`step_row`]); the set and the union carry over from
+    /// the previous set, toggling only the nodes whose subset bit
+    /// flipped. Each adversary choice packs its digits into the zeroed
+    /// Byzantine fields. Allocation-free per edge given a warm `scratch`.
     fn for_each_successor<F>(&self, u: usize, scratch: &mut ExpandScratch, mut emit: F)
     where
         F: FnMut(&[u64], &[u64], u32, bool, u32, u64),
@@ -1850,18 +1875,37 @@ impl<'p, L: Label> Explorer<'p, L> {
             .extend((0..cfg.n).filter(|&i| forced >> i & 1 == 0));
         let q = cfg.inst.alphabet.len() as u64;
         // Every activation set: forced nodes plus any subset of the
-        // rest (skipping the empty total set).
+        // rest (skipping the empty total set). The set and its union of
+        // `over` rows carry over from one subset to the next, toggling
+        // only the nodes whose subset bit flipped (fewer than two per set
+        // on average): the rows are disjoint, so XOR adds or removes one
+        // node exactly.
+        let w = cfg.words_per_state;
+        let mut mask = forced;
+        for (k, f) in sc.over.iter_mut().enumerate() {
+            *f = 0;
+            let mut nodes = forced;
+            while nodes != 0 {
+                *f |= cfg.masks.over[nodes.trailing_zeros() as usize * w + k];
+                nodes &= nodes - 1;
+            }
+        }
         for subset in 0..(1u32 << sc.free_nodes.len()) {
-            let mut mask = forced;
-            for (k, &i) in sc.free_nodes.iter().enumerate() {
-                if subset >> k & 1 == 1 {
-                    mask |= 1 << i;
+            if subset != 0 {
+                let mut flipped = subset ^ (subset - 1);
+                while flipped != 0 {
+                    let i = sc.free_nodes[flipped.trailing_zeros() as usize];
+                    mask ^= 1 << i;
+                    for (f, o) in sc.over.iter_mut().zip(&cfg.masks.over[i * w..]) {
+                        *f ^= o;
+                    }
+                    flipped &= flipped - 1;
                 }
             }
             if mask == 0 {
                 continue;
             }
-            let labels_changed = step_row(&cfg.masks, &sc.src, &sc.reacted, mask, &mut sc.next);
+            let labels_changed = step_row(&cfg.masks, &sc.src, &sc.reacted, &sc.over, &mut sc.next);
             let interesting = if cfg.inst.track_outputs {
                 sc.next_out_words.copy_from_slice(&sc.out_words);
                 let mut nodes = mask;
@@ -3136,6 +3180,19 @@ mod tests {
         }
     }
 
+    /// The union of the `over` rows of the nodes in `mask`, read off the
+    /// mask alone.
+    fn over_union<L: Label>(cfg: &Config<'_, L>, mask: u32) -> Vec<u64> {
+        let w = cfg.words_per_state;
+        (0..w)
+            .map(|k| {
+                (0..cfg.n)
+                    .filter(|&i| mask >> i & 1 == 1)
+                    .fold(0, |f, i| f | cfg.masks.over[i * w + k])
+            })
+            .collect()
+    }
+
     /// Field-by-field successor of `src` under activation set `mask`:
     /// activated correct nodes write `react`, activated Byzantine nodes
     /// write `digits` and crash nodes nothing; activated countdowns reset
@@ -3186,7 +3243,9 @@ mod tests {
         // label field across bit 64 and a countdown field across 128;
         // 210 bits with a countdown field across 192. Each instance is
         // tabulated, so the third is a ring (16,000 entries), not a
-        // clique (12.8 million).
+        // clique (12.8 million). Each has more labelings than any state
+        // budget, which `Off` refuses before tabulating, so they are
+        // prepared under `Auto`; the masks do not depend on the mode.
         let cases = [
             (topology::clique(5), 8u64, 5u8, 2usize),
             (topology::clique(5), 20, 5, 2),
@@ -3212,6 +3271,7 @@ mod tests {
             for (byz, crash) in placements {
                 let limits = Limits {
                     faults: FaultModel::new(byz, crash).unwrap(),
+                    symmetry: SymmetryMode::Auto,
                     ..Limits::default()
                 };
                 let inst = Instance::new(&p, &vec![0; n], &alphabet, r, false, &limits).unwrap();
@@ -3238,7 +3298,8 @@ mod tests {
                     let forced = cfg.forced(&src);
                     for mask in (1..1u32 << n).filter(|m| m & forced == forced) {
                         let mut row = vec![0u64; words];
-                        let changed = step_row(&cfg.masks, &src, &reacted, mask, &mut row);
+                        let over = over_union(cfg, mask);
+                        let changed = step_row(&cfg.masks, &src, &reacted, &over, &mut row);
                         for i in (0..n).filter(|&i| mask >> i & 1 == 1 && byz.contains(&i)) {
                             for &eid in p.graph().out_edges(i) {
                                 pack(&mut row, eid * lw, lw as u32, digits[eid]);
@@ -3251,6 +3312,160 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// One emitted successor: row, aux row, activation mask,
+    /// `interesting`, canonicalizing element and adversary choice.
+    type Emitted = (Vec<u64>, Vec<u64>, u32, bool, u32, u64);
+
+    /// The successors of state `u` with each activation set's mask and
+    /// `over` union rebuilt from its subset, as `for_each_successor` made
+    /// them before it carried both from one set to the next.
+    fn rebuilt_successors<L: Label>(ex: &Explorer<'_, L>, u: usize) -> Vec<Emitted> {
+        let cfg = &ex.cfg;
+        let lw = cfg.label_width;
+        let src = ex.rows.row(u);
+        let outs = if cfg.inst.track_outputs {
+            ex.aux.row(u).to_vec()
+        } else {
+            Vec::new()
+        };
+        let mut reacted = cfg.masks.reset.clone();
+        let mut react_out = vec![0; cfg.n];
+        cfg.reactions.react(src, &mut reacted, &mut react_out);
+        let forced = cfg.forced(src);
+        let free: Vec<usize> = (0..cfg.n).filter(|&i| forced >> i & 1 == 0).collect();
+        let q = cfg.inst.alphabet.len() as u64;
+        let mut canon = CanonScratch::default();
+        let mut emitted = Vec::new();
+        for subset in 0..1u32 << free.len() {
+            let mask = (0..free.len())
+                .filter(|&k| subset >> k & 1 == 1)
+                .fold(forced, |m, k| m | 1 << free[k]);
+            if mask == 0 {
+                continue;
+            }
+            let mut next = vec![0; cfg.words_per_state];
+            let changed = step_row(&cfg.masks, src, &reacted, &over_union(cfg, mask), &mut next);
+            let mut next_outs = outs.clone();
+            for i in (0..outs.len()).filter(|&i| mask >> i & 1 == 1) {
+                next_outs[i] = react_out[i];
+            }
+            let interesting = if cfg.inst.track_outputs {
+                next_outs != outs
+            } else {
+                changed
+            };
+            let byz_edges: Vec<usize> = (0..cfg.n)
+                .filter(|&i| (mask & cfg.byzantine) >> i & 1 == 1)
+                .flat_map(|i| cfg.inst.protocol.graph().out_edges(i).to_vec())
+                .collect();
+            for choice in 0..q.pow(byz_edges.len() as u32) {
+                let (mut row, mut aux) = (next.clone(), next_outs.clone());
+                let mut digits = choice;
+                for &eid in &byz_edges {
+                    pack(&mut row, eid * lw as usize, lw, digits % q);
+                    digits /= q;
+                }
+                let elem = cfg.symmetry.as_ref().map_or(0, |sym| {
+                    sym.canonicalize(&cfg.layout, &mut row, &mut aux, &mut canon) as u32
+                });
+                emitted.push((row, aux, mask, interesting, elem, choice));
+            }
+        }
+        emitted
+    }
+
+    /// `for_each_successor` carries each activation set and its union of
+    /// `over` rows over from the previous set. On random rows its stream
+    /// equals the one rebuilding both for every set gives: with crash
+    /// nodes (whose `over` row is a countdown field alone) and Byzantine
+    /// choices, in output mode, on rows of two words, and under rotation
+    /// groups that take the orbit scan (the bidirectional 5-ring) and the
+    /// ring path (the unidirectional 6-ring).
+    #[test]
+    fn carried_activation_sets_emit_the_rebuilt_stream() {
+        let mut seed = 0xAC71_5E75_u64;
+        let mut draw = |below: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % below
+        };
+        let shift = |q: u8| {
+            Protocol::builder(topology::bidirectional_ring(5), 1.0)
+                .uniform_reaction(FnReaction::new(move |_, inc: &[u8], _| {
+                    let out = inc.iter().rev().map(|&l| (l + 1) % q).collect();
+                    (out, u64::from(inc[0]))
+                }))
+                .build()
+                .unwrap()
+        };
+        let copy = Protocol::builder(topology::clique(5), 1.0)
+            .uniform_reaction(FnReaction::new(|_, inc: &[u8], _| (inc.to_vec(), 0)))
+            .build()
+            .unwrap();
+        let uniring = Protocol::builder(topology::unidirectional_ring(6), 1.0)
+            .uniform_reaction(FnReaction::new(|_, inc: &[u8], _| {
+                (vec![(inc[0] + 1) % 3], u64::from(inc[0]))
+            }))
+            .build()
+            .unwrap();
+        let none: &[NodeId] = &[];
+        // (protocol, |Σ|, r, outputs, Byzantine, crash, symmetry)
+        let cases = [
+            (shift(3), 3u8, 3u8, false, none, none, SymmetryMode::Off),
+            (shift(3), 3, 3, false, &[1][..], &[3][..], SymmetryMode::Off),
+            (shift(3), 3, 2, true, &[0][..], &[2][..], SymmetryMode::Off),
+            (shift(3), 3, 3, true, none, none, SymmetryMode::Auto),
+            (shift(2), 2, 4, false, none, none, SymmetryMode::Auto),
+            (copy, 8, 5, false, &[0][..], &[3][..], SymmetryMode::Auto),
+            (uniring.clone(), 3, 3, false, none, none, SymmetryMode::Auto),
+            (uniring, 3, 2, true, none, &[4][..], SymmetryMode::Off),
+        ];
+        for (p, q, r, outputs, byz, crash, symmetry) in cases {
+            let (n, e) = (p.node_count(), p.edge_count());
+            let limits = Limits {
+                faults: FaultModel::new(byz, crash).unwrap(),
+                symmetry,
+                ..Limits::default()
+            };
+            let alphabet: Vec<u8> = (0..q).collect();
+            let inst = Instance::new(&p, &vec![0; n], &alphabet, r, outputs, &limits).unwrap();
+            let mut ex = Explorer::prepare(inst, &limits).unwrap();
+            // Faults leave the clique no placement-preserving symmetry.
+            let quotient = symmetry == SymmetryMode::Auto && byz.is_empty();
+            assert_eq!(ex.cfg.symmetry.is_some(), quotient, "{symmetry:?}");
+            let (lw, cw) = (ex.cfg.label_width as usize, ex.cfg.countdown_width);
+            for _ in 0..32 {
+                let mut row = vec![0u64; ex.cfg.words_per_state];
+                for k in 0..e {
+                    pack(&mut row, k * lw, lw as u32, draw(u64::from(q)));
+                }
+                for i in 0..n {
+                    pack(&mut row, e * lw + i * cw as usize, cw, draw(u64::from(r)));
+                }
+                ex.rows.push_row(&row);
+                if outputs {
+                    let aux: Vec<u64> = (0..n).map(|_| draw(u64::from(q))).collect();
+                    ex.aux.push_row(&aux);
+                }
+                ex.free_bits.push(ex.cfg.free_count(&row));
+                ex.n_states += 1;
+            }
+            let mut scratch = ExpandScratch::new(&ex.cfg);
+            for u in 0..ex.n_states {
+                let mut carried: Vec<Emitted> = Vec::new();
+                ex.for_each_successor(u, &mut scratch, |row, aux, mask, hot, elem, choice| {
+                    carried.push((row.to_vec(), aux.to_vec(), mask, hot, elem, choice))
+                });
+                assert_eq!(
+                    carried,
+                    rebuilt_successors(&ex, u),
+                    "byzantine {byz:?}, crash {crash:?}, {symmetry:?}, state {u}"
+                );
             }
         }
     }

@@ -27,9 +27,9 @@ use stateless_protocols::bfs_tree::{bfs_alphabet, bfs_tree_protocol};
 /// nodes), `exclude` (sweep mode: node ids never faulty), `faulty`
 /// (single mode: the exact faulty set, default none), `max_states` (at
 /// most the default budget, [`Limits::default`]), `deadline_ms`. Every
-/// number must be a non-negative integer that fits its field, every
-/// string field a string, and the line exactly one JSON object whose keys
-/// each appear once.
+/// number must be written as a JSON number and be a non-negative integer
+/// that fits its field, every string field a string, and the line exactly
+/// one JSON object whose keys each appear once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Job {
     /// Caller-chosen job id, echoed in every result row.
@@ -469,21 +469,16 @@ impl<'a> Members<'a> {
     }
 
     /// The value of `key` as a `T`; `Ok(None)` when the key is absent.
-    /// Any JSON number notation is accepted (`4`, `4.0`, `4e0`), but the
-    /// value must be a non-negative integer that fits `T`: a negative,
-    /// fractional, non-numeric or out-of-range value is an error, never
-    /// truncated by a cast.
+    /// The value must be a JSON number ([`json_integer`]) whose value is
+    /// a non-negative integer that fits `T`: anything else is an error,
+    /// never truncated by a cast.
     fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<Option<T>, String> {
         let Some(token) = self.get(key) else {
             return Ok(None);
         };
         let bad = || format!("\"{key}\" must be a non-negative integer in range, got {token}");
-        let value: f64 = token.parse().map_err(|_| bad())?;
-        // Every integer up to 2^53 is exact in an f64; larger ones may not be.
-        if !(0.0..=9_007_199_254_740_992.0).contains(&value) || value.fract() != 0.0 {
-            return Err(bad());
-        }
-        T::try_from(value as u64).map(Some).map_err(|_| bad())
+        let value = json_integer(token).ok_or_else(bad)?;
+        T::try_from(value).map(Some).map_err(|_| bad())
     }
 
     /// The node-id list value of `key`; `Ok(None)` when the key is
@@ -504,12 +499,50 @@ impl<'a> Members<'a> {
         body.split(',')
             .map(|part| {
                 let part = part.trim_matches(WS);
-                part.parse::<NodeId>()
-                    .map_err(|_| format!("\"{key}\" holds {part}, not a node id"))
+                json_integer(part)
+                    .and_then(|id| NodeId::try_from(id).ok())
+                    .ok_or_else(|| format!("\"{key}\" holds {part}, not a node id"))
             })
             .collect::<Result<_, _>>()
             .map(Some)
     }
+}
+
+/// The non-negative integer a JSON number token spells, in any JSON
+/// number notation (`4`, `4.0`, `4e0`). The token must follow the JSON
+/// number grammar, `-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?`, so
+/// `+3`, `3.`, `03` and `.5` are not numbers, and its value must be an
+/// integer from 0 to 2^53, where every integer is exact in an `f64`.
+fn json_integer(token: &str) -> Option<u64> {
+    let bytes = token.as_bytes();
+    let mut at = usize::from(bytes.first() == Some(&b'-'));
+    // The number of digits from `at` on, moving `at` past them.
+    let digits = |at: &mut usize| {
+        let start = *at;
+        while bytes.get(*at).is_some_and(u8::is_ascii_digit) {
+            *at += 1;
+        }
+        *at - start
+    };
+    let int_digits = digits(&mut at);
+    if int_digits == 0 || (int_digits > 1 && bytes[at - int_digits] == b'0') {
+        return None;
+    }
+    if bytes.get(at) == Some(&b'.') {
+        at += 1;
+        if digits(&mut at) == 0 {
+            return None;
+        }
+    }
+    if matches!(bytes.get(at), Some(b'e' | b'E')) {
+        at += usize::from(matches!(bytes.get(at + 1), Some(b'+' | b'-'))) + 1;
+        if digits(&mut at) == 0 {
+            return None;
+        }
+    }
+    let value: f64 = token.parse().ok().filter(|_| at == bytes.len())?;
+    ((0.0..=9_007_199_254_740_992.0).contains(&value) && value.fract() == 0.0)
+        .then_some(value as u64)
 }
 
 /// The index just past the value that starts at `bytes[at]`: a string
@@ -766,6 +799,41 @@ mod tests {
             "{}",
             bad.what
         );
+    }
+
+    #[test]
+    fn numbers_must_be_json_numbers() {
+        // No token here is a JSON number, so none may become a job. Rust's
+        // own parsers read `+3`, `3.`, `03`, `.5e1` and `+1` as numbers.
+        for (line, needle) in [
+            (r#"{"id":"plus","graph":"biring","n":+3}"#, "\"n\""),
+            (r#"{"id":"dot","graph":"biring","n":3.}"#, "\"n\""),
+            (r#"{"id":"zero","graph":"biring","n":03}"#, "\"n\""),
+            (r#"{"id":"lead","graph":"biring","n":.5e1}"#, "\"n\""),
+            (r#"{"id":"exp","graph":"biring","n":4,"cap":2e}"#, "\"cap\""),
+            (r#"{"id":"sign","graph":"biring","n":4,"r":1e+}"#, "\"r\""),
+            (r#"{"id":"inf","graph":"biring","n":4,"r":inf}"#, "\"r\""),
+            (
+                r#"{"id":"list","graph":"biring","n":4,"faulty":[+1]}"#,
+                "\"faulty\"",
+            ),
+            (
+                r#"{"id":"list0","graph":"biring","n":4,"f":1,"exclude":[01]}"#,
+                "\"exclude\"",
+            ),
+        ] {
+            let bad = Job::parse(line).unwrap_err();
+            assert_eq!(bad.id, string_field(line, "id").unwrap().unwrap(), "{line}");
+            assert!(bad.what.contains(needle), "{line} -> {}", bad.what);
+        }
+        // Every JSON notation of an integer stays a number, in lists too.
+        let job = Job::parse(
+            r#"{"id":"ok","graph":"biring","n":4.0,"cap":1e0,"r":20E-1,"faulty":[0,1.0,2e0]}"#,
+        )
+        .unwrap()
+        .unwrap();
+        assert_eq!((job.n, job.cap, job.r), (4, 1, 2));
+        assert_eq!(job.faulty, [0, 1, 2]);
     }
 
     #[test]

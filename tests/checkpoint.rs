@@ -654,57 +654,95 @@ fn inputs_of_the_wrong_length_are_bad_parameters() {
     assert!(cache.is_empty(), "nothing is memoized");
 }
 
-/// A reaction table has at most one entry per labeling plus one per
-/// node, and every labeling is a seed state, so an instance whose table
-/// would exceed the state budget plus `n` entries is refused as
-/// [`VerifyError::TooManyStates`] before any reaction runs — from the
-/// `verify_*` and `*_resumed` entry points, the verdict cache and the
-/// sweeps alike, with no store opened and nothing memoized — and its
-/// cache key is taken without one. The fan-in's 16,399 entries are
-/// refused under a budget of 16,383 states. One state more and the
-/// table is built, once, before seeding its 2^15 labelings trips the
+/// Every labeling is a seed state, so under `SymmetryMode::Off`, where
+/// each is a state of its own, an instance with more labelings than the
+/// state budget is refused as [`VerifyError::TooManyStates`] before any
+/// reaction runs — from the `verify_*` and `*_resumed` entry points, the
+/// verdict cache and the sweeps alike, with no store opened and nothing
+/// memoized — and its cache key is taken without one. The fan-in's 2^15
+/// labelings are refused under a budget of 2^15 − 1 states (and under
+/// 16,383, where its 16,399-entry table is over the budget too); at
+/// exactly 2^15 the table is built, once, and the query runs. Under
+/// `Auto` the table's size refuses: a table has at most one entry per
+/// labeling plus one per node, so one over the budget plus `n` entries
+/// is refused at 16,383 states, and at 16,384 it is built, once, before
+/// seeding the 2^15 labelings (the fan-in has no symmetry) trips the
 /// budget.
 #[test]
 fn over_budget_tables_are_refused_before_any_reaction() {
     let dir = scratch_dir("refused");
     let (inputs, alphabet) = ([0u64; 15], [false, true]);
-    let limits = |max_states| Limits {
+    let limits = |max_states, symmetry| Limits {
         max_states,
+        symmetry,
         checkpoint: Some(CheckpointPolicy::new(&dir)),
         ..Limits::default()
     };
-    let refused = limits(16_383);
     let (p, calls) = tripwire(fan_in(), |_| false);
     let cache = VerdictCache::in_memory(DEFAULT_BYTE_BUDGET);
-    let errors = [
-        verify_label_stabilization(&p, &inputs, &alphabet, 1, refused.clone()).err(),
-        verify_output_stabilization(&p, &inputs, &alphabet, 1, refused.clone()).err(),
-        verify_label_stabilization_resumed(&p, &inputs, &alphabet, 1, refused.clone(), &dir).err(),
-        verify_output_stabilization_resumed(&p, &inputs, &alphabet, 1, refused.clone(), &dir).err(),
-        cache
-            .verify_label(&p, &inputs, &alphabet, 1, &refused)
+    for refused in [
+        limits(16_383, SymmetryMode::Off),
+        limits(32_767, SymmetryMode::Off),
+        limits(16_383, SymmetryMode::Auto),
+    ] {
+        let errors = [
+            verify_label_stabilization(&p, &inputs, &alphabet, 1, refused.clone()).err(),
+            verify_output_stabilization(&p, &inputs, &alphabet, 1, refused.clone()).err(),
+            verify_label_stabilization_resumed(&p, &inputs, &alphabet, 1, refused.clone(), &dir)
+                .err(),
+            verify_output_stabilization_resumed(&p, &inputs, &alphabet, 1, refused.clone(), &dir)
+                .err(),
+            cache
+                .verify_label(&p, &inputs, &alphabet, 1, &refused)
+                .err(),
+            cache
+                .verify_output(&p, &inputs, &alphabet, 1, &refused)
+                .err(),
+            sweep_byzantine_placements(&p, &inputs, &alphabet, 1, refused.clone(), 1, &[]).err(),
+            sweep_crash_placements_cached(
+                &p,
+                &inputs,
+                &alphabet,
+                1,
+                refused.clone(),
+                1,
+                &[],
+                &cache,
+            )
             .err(),
-        cache
-            .verify_output(&p, &inputs, &alphabet, 1, &refused)
-            .err(),
-        sweep_byzantine_placements(&p, &inputs, &alphabet, 1, refused.clone(), 1, &[]).err(),
-        sweep_crash_placements_cached(&p, &inputs, &alphabet, 1, refused.clone(), 1, &[], &cache)
-            .err(),
-    ];
-    for (k, err) in errors.into_iter().enumerate() {
-        assert_eq!(
-            err,
-            Some(VerifyError::TooManyStates { limit: 16_383 }),
-            "entry point {k}"
-        );
+        ];
+        let limit = refused.max_states;
+        for (k, err) in errors.into_iter().enumerate() {
+            assert_eq!(
+                err,
+                Some(VerifyError::TooManyStates { limit }),
+                "{:?} at {limit}: entry point {k}",
+                refused.symmetry
+            );
+        }
+        VerdictCache::label_fingerprint(&p, &inputs, &alphabet, 1, &refused);
     }
-    VerdictCache::label_fingerprint(&p, &inputs, &alphabet, 1, &refused);
     assert_eq!(calls.load(Ordering::Relaxed), 0, "no reaction runs");
     assert!(!dir.exists(), "no checkpoint store is opened");
     assert!(cache.is_empty(), "nothing is memoized");
-    let err = verify_label_stabilization(&p, &inputs, &alphabet, 1, limits(16_384)).unwrap_err();
+    let err = verify_label_stabilization(
+        &p,
+        &inputs,
+        &alphabet,
+        1,
+        limits(16_384, SymmetryMode::Auto),
+    )
+    .unwrap_err();
     assert_eq!(err, VerifyError::TooManyStates { limit: 16_384 });
     assert_eq!(calls.load(Ordering::Relaxed), 16_399, "one tabulation");
+    let exact = Limits {
+        max_states: 1 << 15,
+        ..Limits::default()
+    };
+    let (_, stats) =
+        verify_label_stabilization_with_stats(&p, &inputs, &alphabet, 1, exact).unwrap();
+    assert_eq!(stats.states, 1 << 15);
+    assert_eq!(calls.load(Ordering::Relaxed), 2 * 16_399, "one tabulation");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -921,7 +959,12 @@ fn inflated_length_fields_are_corrupt_not_a_panic() {
         .build()
         .unwrap();
     let (inputs, alphabet, r) = (vec![0u64; n], (0..16u8).collect::<Vec<_>>(), 2);
-    let limits = Limits::default();
+    // Under `Off` the 16^16 labelings alone outnumber the state budget,
+    // so the instance would be refused before its epoch is read.
+    let limits = Limits {
+        symmetry: SymmetryMode::Auto,
+        ..Limits::default()
+    };
     let table = ReactionTable::build(&p, &inputs, &alphabet, u64::MAX);
     let fp = instance_fingerprint(&p, &inputs, &alphabet, table.as_ref(), r, false, &limits);
     let cases: [(&str, u64, u64, &[u64], &str); 3] = [
