@@ -43,7 +43,10 @@
 //!   entries is refused as [`VerifyError::TooManyStates`] before any
 //!   reaction runs. So is an instance with more labelings than the
 //!   budget under [`SymmetryMode::Off`], where each is a state of its
-//!   own. This is the classic on-the-fly / implicit-graph
+//!   own, and, once `Explorer::prepare` has the group `G` and before
+//!   seeding, one with more than the budget times `|G|` under
+//!   [`SymmetryMode::Auto`], where an orbit holds at most `|G|`
+//!   labelings. This is the classic on-the-fly / implicit-graph
 //!   model-checking move: memory is
 //!   O(states) plus bounded transients (per-batch record buffers during
 //!   exploration, the edge buffers along one DFS path during SCC, and
@@ -65,7 +68,10 @@
 //!   witness search visits. The numbering is canonical (components
 //!   ordered by minimum member id), a property of the graph alone, so
 //!   component ids — and hence verdicts and witnesses — are
-//!   bit-identical at every thread count.
+//!   bit-identical at every thread count. An `r = 1` label-mode query
+//!   without a quotient gets its edges by rank instead (see below): no
+//!   activation-set loop, no packed successor row and no fingerprint
+//!   lookup per edge.
 //!
 //! ## Migration note (`max_edges` / `TooManyEdges`)
 //!
@@ -118,6 +124,20 @@
 //! generates each edge once. Packing the table has already checked
 //! every correct node's entry against the alphabet, the one check those
 //! batches made.
+//!
+//! Without a quotient that pass and the witness search address every
+//! successor by rank. Seeding interns the labelings in odometer order
+//! (edge 0 fastest) and no two share a row, so a state's dense id is its
+//! labeling's little-endian base-`|Σ|` rank `Σₖ dₖ·|Σ|ᵏ`; the budget
+//! checks keep `|Σ|^|E|` below 2^32, so such a row is one word and its
+//! rank a `u32`. The lone activation set is all `n` nodes, so a state
+//! reacts once, keeps its crash-sourced labels, and its successor under
+//! adversary choice `c` has id `rank(next) + offset[c]`, where `next` is
+//! the step with zero Byzantine fields and `offset[c]` weighs the
+//! choice's digits by the fields they fill. `Explorer::prepare` builds
+//! the one 256-entry table per row byte that sums a row's rank, the
+//! crash-field mask and the offsets once per query (`RankedSteps`).
+//! Edges, their order and marks are those the general path regenerates.
 //!
 //! Batch and chunk boundaries derive only from per-state degree
 //! estimates (never the thread count), and interning follows the record
@@ -197,7 +217,7 @@ use stateless_core::symmetry::{
 };
 
 use crate::checkpoint::{instance_fingerprint, CheckpointHandle, CheckpointPolicy, ResumeError};
-use crate::table::PackedReactions;
+use crate::table::{PackedReactions, RankedSteps};
 
 /// Largest node count the exact verifier accepts; a larger protocol is
 /// rejected as [`VerifyError::BadParameters`] before anything is
@@ -355,7 +375,9 @@ pub enum VerifyError {
     /// any reaction ran, because under [`SymmetryMode::Off`] it has more
     /// labelings, all of them seed states, than the budget, or because
     /// its reaction table has more entries than the budget plus one per
-    /// node.
+    /// node, or it was refused before seeding, because under
+    /// [`SymmetryMode::Auto`] it has more labelings than the budget times
+    /// its group order.
     TooManyStates {
         /// The limit that was hit.
         limit: usize,
@@ -615,6 +637,8 @@ pub(crate) struct Instance<'p, L: Label> {
     /// Every node's reaction over `alphabet`, tabulated once, faulty nodes
     /// included.
     table: ReactionTable<L>,
+    /// `|Σ|^|E|`, saturating: every labeling is a seed.
+    labelings: u64,
     /// Upper bound on the adversary branching factor of any activation
     /// set: `|Σ|^(total Byzantine out-degree)`, saturating. `1` when
     /// fault-free — every fan-out estimate degrades to the exact
@@ -712,6 +736,7 @@ impl<'p, L: Label> Instance<'p, L> {
             track_outputs,
             alphabet: dedup,
             table,
+            labelings,
             byz_branch_bound,
         })
     }
@@ -808,6 +833,10 @@ struct Config<'p, L: Label> {
     /// Packing the table has already checked every correct node's entry
     /// against the alphabet, the one check expansion would make.
     successors_are_seeds: bool,
+    /// When every successor is a seed, there is no quotient and rows are
+    /// one word: the step that addresses each successor by its rank,
+    /// which is its dense id ([`Explorer::for_each_ranked_successor`]).
+    ranked: Option<RankedSteps>,
 }
 
 impl<L: Label> Config<'_, L> {
@@ -826,6 +855,20 @@ impl<L: Label> Config<'_, L> {
     /// Sizes the state's fan-out as `2^free` activation sets.
     fn free_count(&self, row: &[u64]) -> u8 {
         (self.n as u32 - self.forced(row).count_ones()) as u8
+    }
+
+    /// The one-word row of the labeling after `row` in the odometer
+    /// order seeding interns them in (edge 0 fastest).
+    fn next_labeling(&self, mut row: u64) -> u64 {
+        let (lw, q) = (self.label_width, self.inst.alphabet.len() as u64);
+        let field = u64::MAX.checked_shr(64 - lw).unwrap_or(0);
+        for k in 0..self.e as u32 {
+            if ((row >> (k * lw)) & field) + 1 < q {
+                return row + (1 << (k * lw));
+            }
+            row &= !(field << (k * lw));
+        }
+        row
     }
 
     /// Decodes the labeling of a packed row into `out`.
@@ -1302,7 +1345,18 @@ impl<'p, L: Label> Explorer<'p, L> {
                 let colors: Vec<u64> = (0..n)
                     .map(|i| u64::from(faults.is_byzantine(i)) + 2 * u64::from(faults.is_crash(i)))
                     .collect();
-                Some(derived.restrict_to_coloring(&colors))
+                let group = derived.restrict_to_coloring(&colors);
+                // An orbit holds at most |G| labelings, so more labelings
+                // than the budget times |G| means more canonical seeds than
+                // the budget: refuse before seeding or reading an epoch.
+                let orbits_cap =
+                    (limits.state_budget() as u64).saturating_mul(group.order() as u64);
+                if inst.labelings > orbits_cap {
+                    return Err(VerifyError::TooManyStates {
+                        limit: limits.max_states,
+                    });
+                }
+                Some(group)
                     .filter(|s| !s.is_trivial())
                     .map(|s| s.bind(&layout))
             }
@@ -1311,6 +1365,11 @@ impl<'p, L: Label> Explorer<'p, L> {
         let masks = RowMasks::new(graph, faults, &layout, inst.r);
         let reactions = PackedReactions::new(&inst.table, graph, &label_index, faults, &layout)?;
         let successors_are_seeds = inst.r == 1 && !inst.track_outputs;
+        // Without a quotient every labeling is a state of its own, and the
+        // budget checks keep `|Σ|^|E|` below 2^32, so rows are one word
+        // and ranks fit `u32`.
+        let ranked = (successors_are_seeds && symmetry.is_none() && words_per_state == 1)
+            .then(|| RankedSteps::new(graph, faults, &layout, inst.alphabet.len()));
         let ex = Explorer {
             cfg: Config {
                 inst,
@@ -1328,6 +1387,7 @@ impl<'p, L: Label> Explorer<'p, L> {
                 masks,
                 reactions,
                 successors_are_seeds,
+                ranked,
             },
             index: FingerprintIndex::new(),
             rows: ChunkedArena::new(words_per_state),
@@ -1445,6 +1505,10 @@ impl<'p, L: Label> Explorer<'p, L> {
     /// uninterrupted run would hold — which is what makes the continued
     /// exploration bit-identical.
     ///
+    /// A query addressed by rank ([`Config::ranked`]) takes a state's id
+    /// from its row, so its epoch must hold every labeling in rank order;
+    /// anything else is corrupt.
+    ///
     /// `epoch` selects an explicit epoch; `None` means the newest one
     /// that passes validation (a torn or corrupted newest epoch falls
     /// back to its predecessor).
@@ -1515,6 +1579,15 @@ impl<'p, L: Label> Explorer<'p, L> {
                 "inconsistent totals: cursor {cursor} of {n_states} states"
             )));
         }
+        // A query addressed by rank reads a state's id off its row, so its
+        // epoch, written after seeding, must hold every labeling in rank
+        // order: a short or reordered row set would misaddress edges.
+        let labelings = ex.cfg.inst.labelings;
+        if ex.cfg.ranked.is_some() && n_states as u64 != labelings {
+            return Err(corrupt(format!(
+                "{n_states} states, but the instance's {labelings} labelings are its states"
+            )));
+        }
         // Every state stores its row words and its aux words in the rest
         // of the file, so a count the file cannot hold is rejected before
         // anything is sized from it.
@@ -1529,6 +1602,7 @@ impl<'p, L: Label> Explorer<'p, L> {
             )));
         }
         let mut segment: Vec<u64> = Vec::new();
+        let mut labeling = 0u64;
         for (tag, width) in [(SEG_ROWS, words), (SEG_AUX, aux_len)] {
             let mut read = 0;
             while width > 0 && read < n_states {
@@ -1573,6 +1647,14 @@ impl<'p, L: Label> Explorer<'p, L> {
                 while ex.n_states < complete {
                     let k = ex.n_states;
                     let row = ex.rows.row(k);
+                    if ex.cfg.ranked.is_some() {
+                        if row[0] != labeling {
+                            return Err(corrupt(format!(
+                                "row {k} is not the labeling of rank {k}"
+                            )));
+                        }
+                        labeling = ex.cfg.next_labeling(labeling);
+                    }
                     let aux = if aux_len == 0 { &[] } else { ex.aux.row(k) };
                     let (rows, auxes) = (&ex.rows, &ex.aux);
                     let hit = ex.index.probe(fingerprint(row, aux), k as u64, |id| {
@@ -1971,10 +2053,43 @@ impl<'p, L: Label> Explorer<'p, L> {
         }
     }
 
+    /// [`Explorer::for_each_successor`] for a query whose successors are
+    /// addressed by rank ([`Config::ranked`]), invoking
+    /// `emit(target, interesting, choice)` with each successor's dense id
+    /// in the same order. The lone activation set is all `n` nodes, so
+    /// the state reacts once, keeps its crash fields, and each adversary
+    /// choice adds its offset to the rank of that row: no activation-set
+    /// loop, no packed successor row, no fingerprint. Leaves `u`'s row in
+    /// `scratch.src`, as the general path does.
+    fn for_each_ranked_successor<F>(
+        &self,
+        ranked: &RankedSteps,
+        u: usize,
+        scratch: &mut ExpandScratch,
+        mut emit: F,
+    ) where
+        F: FnMut(u32, bool, u64),
+    {
+        let cfg = &self.cfg;
+        let sc = scratch;
+        sc.src.copy_from_slice(self.rows.row(u));
+        debug_assert_eq!(ranked.rank(sc.src[0]), u as u32, "a seed's rank is its id");
+        sc.reacted.copy_from_slice(&cfg.masks.reset);
+        cfg.reactions
+            .react(&sc.src, &mut sc.reacted, &mut sc.react_out);
+        let next = ranked.step(sc.src[0], sc.reacted[0]);
+        let interesting = (next ^ sc.src[0]) & cfg.masks.watch[0] != 0;
+        let base = ranked.rank(next);
+        for (choice, &offset) in ranked.offsets().iter().enumerate() {
+            emit(base.wrapping_add(offset), interesting, choice as u64);
+        }
+    }
+
     /// Regenerates and resolves the outgoing edges of dense state `u`
-    /// ([`Explorer::resolve`]). `out` is overwritten with `(dense target,
-    /// activation mask, canonicalizing element, adversary choice)` in the
-    /// canonical edge order.
+    /// ([`Explorer::resolve`], or by rank when [`Config::ranked`] is set).
+    /// `out` is overwritten with `(dense target, activation mask,
+    /// canonicalizing element, adversary choice)` in the canonical edge
+    /// order.
     fn successors_resolved(
         &self,
         u: usize,
@@ -1982,9 +2097,17 @@ impl<'p, L: Label> Explorer<'p, L> {
         out: &mut Vec<(u32, u32, u32, u64)>,
     ) {
         out.clear();
-        self.for_each_successor(u, scratch, |words, aux, mask, _, elem, choice| {
-            out.push((self.resolve(words, aux), mask, elem, choice));
-        });
+        match &self.cfg.ranked {
+            Some(ranked) => {
+                let all = (1u32 << self.cfg.n) - 1;
+                self.for_each_ranked_successor(ranked, u, scratch, |v, _, choice| {
+                    out.push((v, all, 0, choice));
+                });
+            }
+            None => self.for_each_successor(u, scratch, |words, aux, mask, _, elem, choice| {
+                out.push((self.resolve(words, aux), mask, elem, choice));
+            }),
+        }
     }
 
     /// The dense id of a regenerated successor row, by a read-only
@@ -2042,10 +2165,20 @@ impl<'p, L: Label> Explorer<'p, L> {
     /// regenerates the state's edges ([`Explorer::for_each_successor`],
     /// which under quotient exploration canonicalizes every successor
     /// itself) and emits each as its dense target id, marked when the
-    /// edge is interesting. So the canonical numbering comes back with
-    /// the witness edge, and no full-graph edge array ever exists.
+    /// edge is interesting. A query with [`Config::ranked`] set computes
+    /// those ids from ranks ([`Explorer::for_each_ranked_successor`]). So
+    /// the canonical numbering comes back with the witness edge, and no
+    /// full-graph edge array ever exists.
     fn sccs(&self) -> scc::Condensation {
         let mut scratch = ExpandScratch::new(&self.cfg);
+        if let Some(ranked) = &self.cfg.ranked {
+            return scc::condense(&mut scc::from_fn(self.n_states, |u, out| {
+                out.clear();
+                self.for_each_ranked_successor(ranked, u as usize, &mut scratch, |v, hot, _| {
+                    out.push((v, hot))
+                });
+            }));
+        }
         scc::condense(&mut scc::from_fn(self.n_states, |u, out| {
             out.clear();
             self.for_each_successor(
@@ -3244,8 +3377,10 @@ mod tests {
         // 210 bits with a countdown field across 192. Each instance is
         // tabulated, so the third is a ring (16,000 entries), not a
         // clique (12.8 million). Each has more labelings than any state
-        // budget, which `Off` refuses before tabulating, so they are
-        // prepared under `Auto`; the masks do not depend on the mode.
+        // budget (times any group order), which `Off` refuses before
+        // tabulating and `Auto` once it has the group, so each is
+        // tabulated under `Auto` and prepared under `Off`; neither the
+        // table nor the masks depend on the mode.
         let cases = [
             (topology::clique(5), 8u64, 5u8, 2usize),
             (topology::clique(5), 20, 5, 2),
@@ -3275,7 +3410,11 @@ mod tests {
                     ..Limits::default()
                 };
                 let inst = Instance::new(&p, &vec![0; n], &alphabet, r, false, &limits).unwrap();
-                let ex = Explorer::prepare(inst, &limits).unwrap();
+                let off = Limits {
+                    symmetry: SymmetryMode::Off,
+                    ..limits
+                };
+                let ex = Explorer::prepare(inst, &off).unwrap();
                 let cfg = &ex.cfg;
                 assert_eq!(cfg.words_per_state, words);
                 let (lw, cw) = (cfg.label_width as usize, cfg.countdown_width);
@@ -3414,7 +3553,9 @@ mod tests {
             .build()
             .unwrap();
         let none: &[NodeId] = &[];
-        // (protocol, |Σ|, r, outputs, Byzantine, crash, symmetry)
+        // (protocol, |Σ|, r, outputs, Byzantine, crash, symmetry). The
+        // clique's 8^20 labelings are more than any budget; faults leave
+        // it no placement-preserving symmetry, so `Auto` refuses it.
         let cases = [
             (shift(3), 3u8, 3u8, false, none, none, SymmetryMode::Off),
             (shift(3), 3, 3, false, &[1][..], &[3][..], SymmetryMode::Off),
@@ -3434,7 +3575,19 @@ mod tests {
             };
             let alphabet: Vec<u8> = (0..q).collect();
             let inst = Instance::new(&p, &vec![0; n], &alphabet, r, outputs, &limits).unwrap();
-            let mut ex = Explorer::prepare(inst, &limits).unwrap();
+            // These tests push random rows and never seed, so an instance
+            // refused for its labelings is prepared under `Off`, as
+            // `word_parallel_rows_match_a_per_field_reference` does.
+            let mut ex = match Explorer::prepare(inst.clone(), &limits) {
+                Err(VerifyError::TooManyStates { .. }) if symmetry == SymmetryMode::Auto => {
+                    let off = Limits {
+                        symmetry: SymmetryMode::Off,
+                        ..limits.clone()
+                    };
+                    Explorer::prepare(inst, &off).unwrap()
+                }
+                prepared => prepared.unwrap(),
+            };
             // Faults leave the clique no placement-preserving symmetry.
             let quotient = symmetry == SymmetryMode::Auto && byz.is_empty();
             assert_eq!(ex.cfg.symmetry.is_some(), quotient, "{symmetry:?}");
@@ -3468,6 +3621,222 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A protocol over the labels `0..q` whose nodes hash their in-labels
+    /// with their id and `salt` into their out-labels, so no two nodes
+    /// react alike and `Auto` finds no symmetry.
+    fn scrambled(graph: DiGraph, q: u8, salt: u64) -> Protocol<u8> {
+        let mut builder = Protocol::builder(graph.clone(), 1.0);
+        for node in 0..graph.node_count() {
+            let deg = graph.out_degree(node);
+            builder = builder.reaction(
+                node,
+                FnReaction::new(move |i: NodeId, inc: &[u8], _| {
+                    let mut h = salt ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    for &l in inc {
+                        h = (h ^ u64::from(l))
+                            .wrapping_mul(0x0100_0000_01B3)
+                            .rotate_left(17);
+                    }
+                    let out = (0..deg).map(|k| (h >> (8 * k)) as u8 % q).collect();
+                    (out, h % 2)
+                }),
+            );
+        }
+        builder.build().unwrap()
+    }
+
+    /// Every state's rank is its dense id, and the ranked path gives the
+    /// general one's streams: `(target, marked)` for the SCC oracle and
+    /// `(target, mask, element, choice)` for the witness, which also
+    /// finds the source row left in the scratch. Streams are compared on
+    /// at most about 2,000 states, spread over the numbering.
+    fn assert_ranked_matches_general(ex: &Explorer<'_, u8>, what: &str) {
+        let ranked = ex.cfg.ranked.as_ref().expect("a ranked query");
+        let mut sc = ExpandScratch::new(&ex.cfg);
+        let (mut fast, mut slow) = (Vec::new(), Vec::new());
+        let (mut resolved, mut general) = (Vec::new(), Vec::new());
+        let stride = ex.n_states.div_ceil(2000).max(1);
+        for u in 0..ex.n_states {
+            assert_eq!(
+                ranked.rank(ex.rows.row(u)[0]),
+                u as u32,
+                "{what}: rank of {u}"
+            );
+            if u % stride != 0 {
+                continue;
+            }
+            fast.clear();
+            slow.clear();
+            ex.for_each_ranked_successor(ranked, u, &mut sc, |v, hot, _| fast.push((v, hot)));
+            ex.for_each_successor(u, &mut sc, |words, aux, _, hot, _, _| {
+                slow.push((ex.resolve(words, aux), hot))
+            });
+            assert_eq!(fast, slow, "{what}: oracle edges of {u}");
+            ex.successors_resolved(u, &mut sc, &mut resolved);
+            assert_eq!(sc.src, ex.rows.row(u), "{what}: row left by {u}");
+            general.clear();
+            ex.for_each_successor(u, &mut sc, |words, aux, mask, _, elem, choice| {
+                general.push((ex.resolve(words, aux), mask, elem, choice))
+            });
+            assert_eq!(resolved, general, "{what}: witness edges of {u}");
+        }
+    }
+
+    /// `r = 1` label-mode queries without a quotient address successors
+    /// by rank. On the differential suite's topologies, for |Σ| from 1 to
+    /// 5 (label widths 0, 1, 2, 2 and 3, so 3-bit fields straddle row
+    /// bytes), and on an edgeless graph for |Σ| from 0 to 2, fault-free
+    /// and with one or two crash or Byzantine nodes,
+    /// under `Off` and under `Auto` (whose group is trivial here), the
+    /// ranked path matches the general one per state, at 1 and 2
+    /// threads and after a deadline-partial run is resumed, with the
+    /// same verdict and stats.
+    #[test]
+    fn ranked_successors_match_the_general_path() {
+        let none: &[NodeId] = &[];
+        let placements: [(&[NodeId], &[NodeId]); 5] = [
+            (none, none),
+            (none, &[1]),
+            (none, &[0, 2]),
+            (&[1], none),
+            (&[0, 2], none),
+        ];
+        // (graph, alphabet sizes): the edgeless graph has one state, the
+        // empty labeling, even over the empty alphabet.
+        let graphs = [
+            (topology::unidirectional_ring(3), 1..=5u8),
+            (topology::unidirectional_ring(4), 1..=5),
+            (topology::bidirectional_ring(3), 1..=5),
+            (topology::clique(3), 1..=5),
+            (DiGraph::new(3), 0..=2),
+        ];
+        let dir = std::env::temp_dir().join(format!("ranked-resume-{}", std::process::id()));
+        let mut ranked_auto = 0;
+        for (g, (graph, sizes)) in graphs.iter().enumerate() {
+            for q in sizes.clone() {
+                let p = scrambled(graph.clone(), q, 0x5EED ^ (g as u64) << 8 ^ u64::from(q));
+                let alphabet: Vec<u8> = (0..q).collect();
+                let inputs = vec![0; p.node_count()];
+                for (byz, crash) in placements {
+                    for symmetry in [SymmetryMode::Off, SymmetryMode::Auto] {
+                        let limits = Limits {
+                            faults: FaultModel::new(byz, crash).unwrap(),
+                            symmetry,
+                            ..Limits::default()
+                        };
+                        let what = format!("graph {g}, |Σ| = {q}, {byz:?}/{crash:?}, {symmetry:?}");
+                        let inst =
+                            Instance::new(&p, &inputs, &alphabet, 1, false, &limits).unwrap();
+                        let ex = Explorer::prepare(inst.clone(), &limits).unwrap();
+                        assert!(ex.cfg.symmetry.is_none(), "{what}: scrambled reactions");
+                        assert!(ex.cfg.ranked.is_some(), "{what}");
+                        // Byzantine choices on the 3-clique reach 625 per
+                        // state; checking those streams costs too much.
+                        let edges = inst.labelings * inst.byz_branch_bound;
+                        if edges > 400_000 {
+                            continue;
+                        }
+                        ranked_auto += usize::from(symmetry == SymmetryMode::Auto);
+                        let mut outcomes = Vec::new();
+                        for threads in [1, 2] {
+                            let limits = Limits {
+                                threads,
+                                ..limits.clone()
+                            };
+                            let Explored::Complete(ex) =
+                                Explorer::explore(inst.clone(), &limits, Instant::now()).unwrap()
+                            else {
+                                panic!("{what}: no deadline was set");
+                            };
+                            assert_ranked_matches_general(&ex, &what);
+                            outcomes.push(settle(Explored::Complete(ex)));
+                        }
+                        let _ = std::fs::remove_dir_all(&dir);
+                        let deadline = Limits {
+                            deadline: Some(Duration::from_nanos(1)),
+                            checkpoint: Some(CheckpointPolicy::new(&dir)),
+                            ..limits.clone()
+                        };
+                        let partial = Explorer::explore(inst.clone(), &deadline, Instant::now());
+                        assert!(matches!(partial, Ok(Explored::Partial { .. })), "{what}");
+                        let (ex, cursor) = Explorer::resume(inst, &limits, &dir, None).unwrap();
+                        let Explored::Complete(ex) =
+                            ex.run(cursor, &limits, Instant::now()).unwrap()
+                        else {
+                            panic!("{what}: the resumed run has no deadline");
+                        };
+                        assert_ranked_matches_general(&ex, &format!("{what}, resumed"));
+                        outcomes.push(settle(Explored::Complete(ex)));
+                        assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "{what}");
+                    }
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(ranked_auto > 0, "some Auto queries take the ranked path");
+    }
+
+    /// Every other query keeps the general path: `r ≥ 2`, output mode,
+    /// and a nontrivial quotient.
+    #[test]
+    fn only_unquotiented_r1_label_queries_are_ranked() {
+        let p = rotate_ring(4);
+        let ranked = |r: u8, outputs: bool, symmetry: SymmetryMode| {
+            let limits = Limits {
+                symmetry,
+                ..Limits::default()
+            };
+            let inst = Instance::new(&p, &[0; 4], &[false, true], r, outputs, &limits).unwrap();
+            Explorer::prepare(inst, &limits)
+                .unwrap()
+                .cfg
+                .ranked
+                .is_some()
+        };
+        assert!(ranked(1, false, SymmetryMode::Off));
+        assert!(!ranked(2, false, SymmetryMode::Off));
+        assert!(!ranked(1, true, SymmetryMode::Off));
+        assert!(
+            !ranked(1, false, SymmetryMode::Auto),
+            "the 4-ring's rotations"
+        );
+    }
+
+    /// An orbit holds at most `|G|` labelings, so under `Auto` an
+    /// instance with more labelings than the budget times `|G|` is
+    /// refused once the group is known; at exactly that many it is not.
+    #[test]
+    fn auto_refuses_more_labelings_than_the_budget_times_the_group() {
+        let p = Protocol::builder(topology::bidirectional_ring(4), 1.0)
+            .uniform_reaction(FnReaction::new(|_, inc: &[bool], _| {
+                let x = inc[0] ^ inc[1];
+                (vec![x, x], 0)
+            }))
+            .build()
+            .unwrap();
+        let prepared = |max_states: usize| {
+            let limits = Limits {
+                max_states,
+                symmetry: SymmetryMode::Auto,
+                ..Limits::default()
+            };
+            Instance::new(&p, &[0; 4], &[false, true], 2, false, &limits)
+                .and_then(|inst| Explorer::prepare(inst, &limits))
+        };
+        let Ok(ex) = prepared(1 << 20) else {
+            panic!("a roomy budget");
+        };
+        let order = ex.cfg.symmetry.as_ref().map_or(1, Symmetry::order);
+        let labelings = 1 << p.edge_count();
+        assert!(order > 1 && labelings % order == 0, "|G| = {order}");
+        assert!(prepared(labelings / order).is_ok());
+        let limit = labelings / order - 1;
+        assert_eq!(
+            prepared(limit).err(),
+            Some(VerifyError::TooManyStates { limit })
+        );
     }
 
     #[test]

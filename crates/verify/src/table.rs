@@ -16,6 +16,11 @@
 //! `Σᵥ |Σ|^indeg(v)`, number at most one per seed state plus one per
 //! node, and the verifier refuses an instance whose table would exceed
 //! its state budget plus one entry per node.
+//!
+//! [`RankedSteps`] serves the queries whose states are exactly the
+//! seeded labelings (`r = 1`, label mode, no quotient): there a state's
+//! dense id is its labeling's rank, so a successor's id is computed from
+//! its row instead of looked up.
 
 use std::collections::HashMap;
 
@@ -135,5 +140,110 @@ impl PackedReactions {
             }
             outputs[node.node] = self.outputs[entry];
         }
+    }
+}
+
+/// The one step of an `r = 1` label-mode state without a quotient, with
+/// its successors addressed by rank. Every node is forced there, so the
+/// lone activation set is all `n` nodes: correct nodes write their
+/// reactions, crash nodes keep their labels, and each adversary choice
+/// fills the Byzantine fields. Seeding interns the labelings in odometer
+/// order (edge 0 fastest) and no two share a row, so a state's dense id
+/// is its labeling's little-endian base-`|Σ|` rank `Σₖ dₖ·|Σ|ᵏ`.
+pub(crate) struct RankedSteps {
+    /// `bytes[b][v]`: the rank carried by row byte `b` when it reads `v`.
+    /// The rank is linear in the row's bits (bit `j` of field `k` weighs
+    /// `2ʲ·|Σ|ᵏ`), so a row's rank is the sum of one entry per byte.
+    bytes: Vec<[u32; 256]>,
+    /// The crash-sourced label fields, which the step keeps from the
+    /// source row.
+    kept: u64,
+    /// Each adversary choice's rank offset, in choice order: its digits,
+    /// least significant first, weighted by the fields they fill
+    /// (`byz_edges` of ascending node id, `out_edges` order). One zero
+    /// offset when fault-free, none when there are no nodes.
+    offsets: Vec<u32>,
+}
+
+impl RankedSteps {
+    /// The tables of a one-word `layout` over an alphabet of `q` labels.
+    /// Ranks are summed in wrapping `u32` arithmetic, which is exact for
+    /// every row when the `q^|E|` labelings fit 32 bits.
+    pub(crate) fn new(
+        graph: &DiGraph,
+        faults: FaultModel,
+        layout: &PackedLayout,
+        q: usize,
+    ) -> Self {
+        debug_assert_eq!(layout.words, 1, "ranked rows are one word");
+        let lw = layout.label_width as usize;
+        let q = q as u32;
+        let weights: Vec<u32> = (0..layout.edges * lw)
+            .map(|bit| (1u32 << (bit % lw)).wrapping_mul(q.wrapping_pow((bit / lw) as u32)))
+            .collect();
+        let bytes = weights
+            .chunks(8)
+            .map(|byte| {
+                let mut table = [0u32; 256];
+                for v in 1..256usize {
+                    let low = byte.get(v.trailing_zeros() as usize).copied().unwrap_or(0);
+                    table[v] = table[v & (v - 1)].wrapping_add(low);
+                }
+                table
+            })
+            .collect();
+        let field = u64::MAX.checked_shr(64 - lw as u32).unwrap_or(0);
+        let mut kept = 0u64;
+        let mut byz_edges = Vec::new();
+        for node in 0..graph.node_count() {
+            for &eid in graph.out_edges(node) {
+                if faults.is_crash(node) {
+                    kept |= field << (eid * lw);
+                } else if faults.is_byzantine(node) {
+                    byz_edges.push(eid);
+                }
+            }
+        }
+        let mut offsets = vec![0u32; usize::from(graph.node_count() > 0)];
+        for &eid in &byz_edges {
+            // Digits least significant first: each further field repeats
+            // the choices so far once per label it can hold.
+            let unit = q.wrapping_pow(eid as u32);
+            offsets = (0..q)
+                .flat_map(|d| {
+                    offsets
+                        .iter()
+                        .map(move |&o| o.wrapping_add(d.wrapping_mul(unit)))
+                })
+                .collect();
+        }
+        RankedSteps {
+            bytes,
+            kept,
+            offsets,
+        }
+    }
+
+    /// The rank of a one-word row.
+    #[inline]
+    pub(crate) fn rank(&self, row: u64) -> u32 {
+        self.bytes
+            .iter()
+            .enumerate()
+            .fold(0u32, |rank, (b, table)| {
+                rank.wrapping_add(table[(row >> (8 * b)) as usize & 0xFF])
+            })
+    }
+
+    /// The step's row before the adversary's digits: the `reacted` labels
+    /// (Byzantine fields zero) with the crash fields of `src`.
+    #[inline]
+    pub(crate) fn step(&self, src: u64, reacted: u64) -> u64 {
+        reacted | (src & self.kept)
+    }
+
+    /// Each adversary choice's rank offset, in choice order.
+    pub(crate) fn offsets(&self) -> &[u32] {
+        &self.offsets
     }
 }

@@ -389,13 +389,13 @@ impl<'a> Members<'a> {
     /// Reads `line` as exactly one JSON object: after JSON whitespace it
     /// opens with `{`, each member is a string key, a colon and a value,
     /// members are separated by single commas, and only whitespace
-    /// follows the closing `}`. Nested values are skipped whole, strings
-    /// included, with each closing bracket matching the one opened last.
-    /// Returns the members read before the first fault, beside the fault:
-    /// a missing colon, a repeated key, a trailing comma, bytes after a
-    /// value, or a string or bracket that never closes. Bytes before the
-    /// object are reported after it is read, so such a line is still
-    /// keyed by its `id`.
+    /// follows the closing `}`. Every value, nested ones included, must
+    /// follow the JSON grammar ([`value_end`]), whether or not `verifyd`
+    /// reads its key. Returns the members read before the first fault,
+    /// beside the fault: a missing colon, a repeated key, a trailing
+    /// comma, bytes after a value, or a value that is not JSON. Bytes
+    /// before the object are reported after it is read, so such a line
+    /// is still keyed by its `id`.
     fn scan(line: &'a str) -> (Members<'a>, Result<(), String>) {
         let mut members = Members { read: Vec::new() };
         let fault = members.read_object(line);
@@ -404,34 +404,33 @@ impl<'a> Members<'a> {
 
     fn read_object(&mut self, line: &'a str) -> Result<(), String> {
         let bytes = line.as_bytes();
-        let skip_ws = |at: usize| line.len() - line[at..].trim_start_matches(WS).len();
         let not_one_object = || Err("a job line must be one JSON object".to_string());
         let Some(open) = line.find('{') else {
             return not_one_object();
         };
-        let mut at = skip_ws(open + 1);
+        let mut at = skip_ws(bytes, open + 1);
         if bytes.get(at) != Some(&b'}') {
             loop {
                 if bytes.get(at) != Some(&b'"') {
                     return Err(format!("expected a \"key\" at byte {at}"));
                 }
-                let key = value_end(bytes, at)
+                let key = string_end(bytes, at)
                     .and_then(|end| decode(&line[at + 1..end - 1]).map(|key| (key, end)));
                 let (key, end) = key.map_err(|what| format!("a key holds {what}"))?;
-                at = skip_ws(end);
+                at = skip_ws(bytes, end);
                 if bytes.get(at) != Some(&b':') {
                     return Err(format!("expected ':' after \"{key}\""));
                 }
-                let start = skip_ws(at + 1);
+                let start = skip_ws(bytes, at + 1);
                 let end =
                     value_end(bytes, start).map_err(|what| format!("\"{key}\" holds {what}"))?;
                 if self.get(&key).is_some() {
                     return Err(format!("\"{key}\" appears twice"));
                 }
                 self.read.push((key, &line[start..end]));
-                at = skip_ws(end);
+                at = skip_ws(bytes, end);
                 match bytes.get(at) {
-                    Some(b',') => at = skip_ws(at + 1),
+                    Some(b',') => at = skip_ws(bytes, at + 1),
                     Some(b'}') => break,
                     Some(_) => return Err(format!("expected ',' or '}}' at byte {at}")),
                     None => return Err("the job object never closes".into()),
@@ -509,12 +508,23 @@ impl<'a> Members<'a> {
 }
 
 /// The non-negative integer a JSON number token spells, in any JSON
-/// number notation (`4`, `4.0`, `4e0`). The token must follow the JSON
-/// number grammar, `-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?`, so
-/// `+3`, `3.`, `03` and `.5` are not numbers, and its value must be an
-/// integer from 0 to 2^53, where every integer is exact in an `f64`.
+/// number notation (`4`, `4.0`, `4e0`). The token must be exactly one
+/// JSON number ([`number_len`]), so `+3`, `3.`, `03` and `.5` are not
+/// numbers, and its value must be an integer from 0 to 2^53, where every
+/// integer is exact in an `f64`.
 fn json_integer(token: &str) -> Option<u64> {
-    let bytes = token.as_bytes();
+    if number_len(token.as_bytes()) != Some(token.len()) {
+        return None;
+    }
+    let value: f64 = token.parse().ok()?;
+    ((0.0..=9_007_199_254_740_992.0).contains(&value) && value.fract() == 0.0)
+        .then_some(value as u64)
+}
+
+/// The length of the JSON number that `bytes` starts with, by the JSON
+/// number grammar `-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?`; `None`
+/// when they start with none.
+fn number_len(bytes: &[u8]) -> Option<usize> {
     let mut at = usize::from(bytes.first() == Some(&b'-'));
     // The number of digits from `at` on, moving `at` past them.
     let digits = |at: &mut usize| {
@@ -540,60 +550,129 @@ fn json_integer(token: &str) -> Option<u64> {
             return None;
         }
     }
-    let value: f64 = token.parse().ok().filter(|_| at == bytes.len())?;
-    ((0.0..=9_007_199_254_740_992.0).contains(&value) && value.fract() == 0.0)
-        .then_some(value as u64)
+    Some(at)
 }
 
-/// The index just past the value that starts at `bytes[at]`: a string
-/// (escaped characters skipped), a nested object or list (strings inside
-/// skipped whole, each closing bracket matching the one opened last), or
-/// a bare token running to the next whitespace or structural byte.
-fn value_end(bytes: &[u8], at: usize) -> Result<usize, &'static str> {
-    match bytes.get(at) {
-        Some(b'"') => {
-            let mut end = at + 1;
-            while end < bytes.len() && bytes[end] != b'"' {
-                end += if bytes[end] == b'\\' { 2 } else { 1 };
-            }
-            (end < bytes.len())
-                .then_some(end + 1)
-                .ok_or("an unterminated string")
-        }
-        Some(b'{' | b'[') => {
-            // The closing byte each open bracket expects, innermost last.
-            let mut open = Vec::new();
-            let mut end = at;
-            while end < bytes.len() {
-                match bytes[end] {
-                    b'"' => end = value_end(bytes, end)? - 1,
-                    b'{' => open.push(b'}'),
-                    b'[' => open.push(b']'),
-                    close @ (b'}' | b']') => {
-                        if open.pop() != Some(close) {
-                            return Err("a bracket that closes the wrong kind");
-                        }
-                        if open.is_empty() {
-                            return Ok(end + 1);
-                        }
+/// The index of the first byte at or after `at` that is not JSON
+/// whitespace.
+fn skip_ws(bytes: &[u8], at: usize) -> usize {
+    at + bytes[at..]
+        .iter()
+        .take_while(|b| b" \t\n\r".contains(b))
+        .count()
+}
+
+/// The index just past the JSON value that starts at `bytes[at]`, which
+/// must follow the JSON grammar throughout: a string ([`string_end`]); an
+/// object of string keys, colons and values; a list of values, the items
+/// of either separated by single commas; a number ([`number_len`]); or
+/// `true`, `false` or `null`. Nested values are read with a stack of the
+/// brackets they open, not by recursion, so no line exhausts the call
+/// stack.
+fn value_end(bytes: &[u8], mut at: usize) -> Result<usize, &'static str> {
+    // The closing bracket of each list or object around `at`, innermost
+    // last.
+    let mut open: Vec<u8> = Vec::new();
+    loop {
+        // One value: a string, a scalar, or an opening bracket, after
+        // which the loop reads the container's first item.
+        match bytes.get(at) {
+            Some(b'"') => at = string_end(bytes, at)?,
+            Some(&bracket @ (b'{' | b'[')) => {
+                let close = if bracket == b'{' { b'}' } else { b']' };
+                at = skip_ws(bytes, at + 1);
+                if bytes.get(at) == Some(&close) {
+                    at += 1;
+                } else {
+                    open.push(close);
+                    if close == b'}' {
+                        at = member_value(bytes, at)?;
                     }
-                    _ => {}
+                    continue;
                 }
-                end += 1;
             }
-            Err("a bracket that never closes")
+            _ => at = scalar_end(bytes, at)?,
         }
-        _ => {
-            let len = bytes[at..]
-                .iter()
-                .position(|b| b" \t\n\r,:{}[]\"".contains(b))
-                .unwrap_or(bytes.len() - at);
-            if len == 0 {
-                return Err("no value");
+        // After a value: close every container it ends, or step past a
+        // comma to the next item.
+        loop {
+            let Some(&close) = open.last() else {
+                return Ok(at);
+            };
+            at = skip_ws(bytes, at);
+            match bytes.get(at) {
+                Some(b',') => {
+                    at = skip_ws(bytes, at + 1);
+                    if close == b'}' {
+                        at = member_value(bytes, at)?;
+                    }
+                    break;
+                }
+                Some(&b) if b == close => {
+                    open.pop();
+                    at += 1;
+                }
+                Some(_) => return Err("an item followed by neither ',' nor its closing bracket"),
+                None => return Err("a bracket that never closes"),
             }
-            Ok(at + len)
         }
     }
+}
+
+/// The index of the value of the object member that starts at
+/// `bytes[at]`, past its string key, its colon and JSON whitespace.
+fn member_value(bytes: &[u8], at: usize) -> Result<usize, &'static str> {
+    if bytes.get(at) != Some(&b'"') {
+        return Err("an object member without a string key");
+    }
+    let at = skip_ws(bytes, string_end(bytes, at)?);
+    if bytes.get(at) != Some(&b':') {
+        return Err("an object key without ':'");
+    }
+    Ok(skip_ws(bytes, at + 1))
+}
+
+/// The index just past the JSON string that starts at `bytes[at]`: every
+/// escape is one of `\" \\ \/ \b \f \n \r \t` or `\u` with four hex
+/// digits, and no raw control byte appears. Whether its `\u` escapes
+/// pair up is left to [`decode`], which reads the strings `verifyd` uses.
+fn string_end(bytes: &[u8], at: usize) -> Result<usize, &'static str> {
+    let mut end = at + 1;
+    loop {
+        match bytes.get(end) {
+            None => return Err("an unterminated string"),
+            Some(b'"') => return Ok(end + 1),
+            Some(b'\\') => {
+                let hex = |k: usize| bytes.get(end + k).is_some_and(u8::is_ascii_hexdigit);
+                end += match bytes.get(end + 1) {
+                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => 2,
+                    Some(b'u') if (2..6).all(hex) => 6,
+                    _ => return Err("an unknown or malformed escape"),
+                };
+            }
+            Some(&b) if b < 0x20 => return Err("a raw control byte in a string"),
+            Some(_) => end += 1,
+        }
+    }
+}
+
+/// The index just past the number, `true`, `false` or `null` that starts
+/// at `bytes[at]` and runs to JSON whitespace, a comma, a closing bracket
+/// or the end of the line.
+fn scalar_end(bytes: &[u8], at: usize) -> Result<usize, &'static str> {
+    let rest = &bytes[at..];
+    let token = rest
+        .iter()
+        .position(|b| b" \t\n\r,]}".contains(b))
+        .unwrap_or(rest.len());
+    if token == 0 {
+        return Err("no value");
+    }
+    let literal = [&b"true"[..], b"false", b"null"].contains(&&rest[..token]);
+    if !literal && number_len(rest) != Some(token) {
+        return Err("a token that is not a number, true, false or null");
+    }
+    Ok(at + token)
 }
 
 /// The string value of the top-level `key` of one JSON line, with its
@@ -651,6 +730,7 @@ fn unicode_escape(chars: &mut std::str::Chars<'_>) -> Option<char> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use stabilization_verify::cache::DEFAULT_BYTE_BUDGET;
 
     #[test]
@@ -914,6 +994,142 @@ mod tests {
             let bad = Job::parse(line).unwrap_err();
             assert_eq!(bad.id, id, "{line}");
             assert!(bad.what.contains(needle), "{line} -> {}", bad.what);
+        }
+    }
+
+    /// Every value must be JSON, nested or not, read or not. Each of the
+    /// first four lines used to verify as the job its read keys spell.
+    #[test]
+    fn every_value_must_follow_the_json_grammar() {
+        let job = r#"{"id":"x","graph":"biring","n":3,"cap":1,"#;
+        for (line, id) in [
+            (
+                r#"{"id":"nest","graph":"biring","n":3,"cap":1,"note":{"a":[1,:"}"]}}"#.to_string(),
+                "nest",
+            ),
+            (
+                r#"{"id":"pad","graph":"biring","n":3,"cap":1,"pad":5x000}"#.into(),
+                "pad",
+            ),
+            (
+                r#"{"id":"lit","graph":"biring","n":3,"cap":1,"flag":tru}"#.into(),
+                "lit",
+            ),
+            (
+                r#"{"id":"esc","graph":"biring","n":3,"cap":1,"note":"a\qb"}"#.into(),
+                "esc",
+            ),
+            (format!(r#"{job}"a":[1,]}}"#), "x"),
+            (format!(r#"{job}"a":[1,,2]}}"#), "x"),
+            (format!(r#"{job}"a":[1 2]}}"#), "x"),
+            (format!(r#"{job}"a":{{"b":1,}}}}"#), "x"),
+            (format!(r#"{job}"a":{{1:2}}}}"#), "x"),
+            (format!(r#"{job}"a":{{"b" 1}}}}"#), "x"),
+            (format!(r#"{job}"a":{{"b":}}}}"#), "x"),
+            (format!(r#"{job}"a":[{{"b":[]]}}]}}"#), "x"),
+            (format!(r#"{job}"a":nul}}"#), "x"),
+            (format!(r#"{job}"a":truex}}"#), "x"),
+            (format!(r#"{job}"a":-}}"#), "x"),
+            (format!(r#"{job}"a":"\u12"}}"#), "x"),
+            (format!("{job}\"a\":\"tab\there\"}}"), "x"),
+            (format!(r#"{job}"a":[[[[1]]]}}"#), "x"),
+        ] {
+            let bad = Job::parse(&line).unwrap_err();
+            assert_eq!(bad.id, id, "{line}");
+            assert!(
+                bad.what.contains("\"a\"") || id != "x",
+                "{line} -> {}",
+                bad.what
+            );
+        }
+        for line in [
+            r#"{"id":"ok","graph":"biring","n":3,"cap":1,"note":{"a":[1,2,{"b":null}],"c":true},"x":-1.5e3}"#,
+            r#"{"id":"ok","graph":"biring","n":3,"cap":1,"note": { "a" : [ 1 , 2 ] , "b" : { } , "c" : [ ] , "d" : "\ud83d" } }"#,
+            r#"{"id":"ok","graph":"biring","n":3,"cap":1,"deep":[[[[[[[[false]]]]]]]],"s":"\"\\\/\b\f\n\r\t\u00e9"}"#,
+        ] {
+            let job = Job::parse(line).unwrap().unwrap();
+            assert_eq!((job.id.as_str(), job.n, job.cap), ("ok", 3, 1), "{line}");
+        }
+    }
+
+    /// A random job line that parses: the required keys, some optional
+    /// ones, numbers in several notations, escaped ids and ignored keys
+    /// holding nested JSON, in a shuffled order with random whitespace,
+    /// and nothing around the object.
+    fn valid_line(seed: u64) -> String {
+        let mut state = seed ^ 0x2545_f491_4f6c_dd1d;
+        let mut draw = move |below: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % below
+        };
+        let ws = |draw: &mut dyn FnMut(u64) -> u64| [" ", "", "", "\t", "  "][draw(5) as usize];
+        let n = 3 + draw(4);
+        let id: String = (0..draw(6))
+            .map(|_| ['a', '"', '\\', '\n', 'é', '😀', '\u{1}', '}'][draw(8) as usize])
+            .collect();
+        let mut members = vec![
+            format!(r#""id":{}"#, json_string(&id)),
+            format!(
+                r#""graph":"{}""#,
+                ["biring", "uniring", "clique", "star", "path"][draw(5) as usize]
+            ),
+            format!(
+                r#""n":{}"#,
+                [format!("{n}"), format!("{n}.0"), format!("{n}e0")][draw(3) as usize]
+            ),
+        ];
+        if draw(2) == 0 {
+            members.push(format!(r#""cap":{}"#, 1 + draw(n)));
+        }
+        if draw(2) == 0 {
+            members.push(format!(r#""faulty":[{}]"#, draw(n)));
+        }
+        // Ignored keys holding nested values, built from the inside out.
+        for k in 0..draw(3) {
+            let mut value =
+                ["null", "true", "-1.5e3", "0", r#""s\u00e9""#][draw(5) as usize].to_string();
+            for _ in 0..draw(4) {
+                let pad = ws(&mut draw);
+                value = match draw(3) {
+                    0 => format!("[{pad}{value}{pad},{pad}false]"),
+                    1 => format!(r#"{{"k":{pad}{value}{pad},"l":[]}}"#),
+                    _ => format!("[{value}]"),
+                };
+            }
+            members.push(format!(
+                r#""note{k}"{}:{}{value}"#,
+                ws(&mut draw),
+                ws(&mut draw)
+            ));
+        }
+        for i in (1..members.len()).rev() {
+            members.swap(i, draw(i as u64 + 1) as usize);
+        }
+        let sep = format!("{},{}", ws(&mut draw), ws(&mut draw));
+        format!("{{{}}}", members.join(&sep))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Every truncation of a valid job line is a bad line, and no
+        /// single-byte change to one panics.
+        #[test]
+        fn truncated_lines_fail_and_mutated_lines_never_panic(seed in 0u64..1_000_000, byte in 0u8..=255) {
+            let line = valid_line(seed);
+            prop_assert!(Job::parse(&line).unwrap().is_some(), "{line}");
+            for cut in (1..line.len()).filter(|&cut| line.is_char_boundary(cut)) {
+                prop_assert!(Job::parse(&line[..cut]).is_err(), "{}", &line[..cut]);
+            }
+            for at in 0..line.len() {
+                let mut bytes = line.clone().into_bytes();
+                bytes[at] = byte;
+                if let Ok(mutated) = String::from_utf8(bytes) {
+                    let _ = Job::parse(&mutated);
+                }
+            }
         }
     }
 

@@ -942,6 +942,79 @@ fn craft_epoch(
     store.commit(w, 1).unwrap();
 }
 
+/// An `r = 1` label-mode query without a quotient reads each state's id
+/// off its row as the labeling's rank, so an epoch that does not hold
+/// every labeling in rank order is corrupt: one short of states used to
+/// panic the SCC pass, and reordered rows would misaddress its edges.
+#[test]
+fn ranked_epochs_must_hold_every_labeling_in_rank_order() {
+    use stateless_computation::core::symmetry::ReactionTable;
+    use stateless_computation::verify::checkpoint::instance_fingerprint;
+    // 3 edges of 2-bit labels over 3 values: 27 labelings, one word each.
+    let p = Protocol::builder(topology::unidirectional_ring(3), 1.0)
+        .uniform_reaction(FnReaction::new(|_, inc: &[u8], _| {
+            (vec![(inc[0] + 1) % 3], 0)
+        }))
+        .build()
+        .unwrap();
+    let (inputs, alphabet, r) = (vec![0u64; 3], vec![0u8, 1, 2], 1);
+    let limits = Limits::default();
+    let table = ReactionTable::build(&p, &inputs, &alphabet, u64::MAX);
+    let fp = instance_fingerprint(&p, &inputs, &alphabet, table.as_ref(), r, false, &limits);
+    let labeling = |rank: u64| {
+        (0..3)
+            .map(|k| (rank / 3u64.pow(k) % 3) << (2 * k))
+            .sum::<u64>()
+    };
+    let rows: Vec<u64> = (0..27).map(labeling).collect();
+    let mut swapped = rows.clone();
+    swapped.swap(1, 2);
+    // Rank 3 is the digits (0, 1, 0); the row 3 spells (3, 0, 0), whose
+    // rank is 3 too, but 3 is no label.
+    let mut foreign = rows.clone();
+    foreign[3] = 3;
+    let cases: [(&str, u64, &[u64], &str); 4] = [
+        (
+            "short",
+            2,
+            &rows[..2],
+            "2 states, but the instance's 27 labelings",
+        ),
+        (
+            "swapped",
+            27,
+            &swapped,
+            "row 1 is not the labeling of rank 1",
+        ),
+        (
+            "foreign",
+            27,
+            &foreign,
+            "row 3 is not the labeling of rank 3",
+        ),
+        ("in-order", 27, &rows, ""),
+    ];
+    for (name, n_states, rows, bound) in cases {
+        let dir = scratch_dir(&format!("ranked-{name}"));
+        craft_epoch(&dir, 2, fp, n_states, rows, 1);
+        let got =
+            verify_label_stabilization_resumed(&p, &inputs, &alphabet, r, limits.clone(), &dir);
+        match &got {
+            Err(VerifyError::Resume(ResumeError::Corrupt { what })) if !bound.is_empty() => {
+                assert!(what.contains(bound), "{name}: {what}")
+            }
+            Ok((verdict, stats)) if bound.is_empty() => {
+                // The crafted epoch records no seed records' bytes.
+                let fresh = verify_label_stabilization(&p, &inputs, &alphabet, r, limits.clone());
+                assert_eq!(Ok(verdict), fresh.as_ref(), "{name}");
+                assert_eq!((stats.states, stats.edges), (27, 27), "{name}");
+            }
+            _ => panic!("{name}: {got:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// An epoch whose length fields claim more than its bytes hold is a
 /// typed [`ResumeError::Corrupt`] naming the bound it broke, never a
 /// panic or an allocation sized from the claim: a row segment longer
@@ -952,19 +1025,17 @@ fn craft_epoch(
 fn inflated_length_fields_are_corrupt_not_a_panic() {
     use stateless_computation::core::symmetry::ReactionTable;
     use stateless_computation::verify::checkpoint::instance_fingerprint;
-    // 16 edges × 4 label bits + 8 countdown bits: 2 words per state.
+    // 16 edges × 1 label bit + 8 × 7 countdown bits: 2 words per state.
+    // Its 2^16 labelings fit the budget: an instance with more labelings
+    // than the budget (times its group) is refused before its epoch is
+    // read.
     let n = 8;
     let p = Protocol::builder(topology::bidirectional_ring(n), 1.0)
         .uniform_reaction(FnReaction::new(|_, inc: &[u8], _| (inc.to_vec(), 0)))
         .build()
         .unwrap();
-    let (inputs, alphabet, r) = (vec![0u64; n], (0..16u8).collect::<Vec<_>>(), 2);
-    // Under `Off` the 16^16 labelings alone outnumber the state budget,
-    // so the instance would be refused before its epoch is read.
-    let limits = Limits {
-        symmetry: SymmetryMode::Auto,
-        ..Limits::default()
-    };
+    let (inputs, alphabet, r) = (vec![0u64; n], (0..2u8).collect::<Vec<_>>(), 128);
+    let limits = Limits::default();
     let table = ReactionTable::build(&p, &inputs, &alphabet, u64::MAX);
     let fp = instance_fingerprint(&p, &inputs, &alphabet, table.as_ref(), r, false, &limits);
     let cases: [(&str, u64, u64, &[u64], &str); 3] = [
